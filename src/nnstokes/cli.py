@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: simulate, solve-stokes, verify, classify, besov. Exit codes:
-0 success, 1 usage, 2 config or input error, 3 solver non-convergence or
-CFL breakdown, 4 verification failure.
+0 success, 1 usage, 2 config or input error (any other NnstokesError), 3
+solver non-convergence or CFL breakdown, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 import sys
 
 from .batteries import BATTERIES, run_battery
-from .errors import CflViolation, ConfigError, MaxIterations
+from .errors import CflViolation, MaxIterations, NnstokesError
 from .io_formats import parse_config, read_snapshot, write_diagnostics, write_snapshot
 from .simulator import INADMISSIBLE, classify_exponents, run, smooth_density
 from .spectral import besov_norm, to_spectral
@@ -166,13 +166,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (MaxIterations, CflViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except (NnstokesError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from .fields import (
 from .rheology import FluidParams, bounded_power_law, constant_law, power_law
 from .simulator import DiagnosticsSeries, SimulationConfig
 from .spectral import GridField, TorusGrid, j_max
-from .transport import AdvectionScheme
+from .transport import _SCHEME_KINDS, AdvectionScheme
 
 _KNOWN_KEYS = frozenset({
     "grid.d", "grid.n",
@@ -48,7 +48,6 @@ _REQUIRED_KEYS = ("grid.d", "grid.n", "fluid.p", "fluid.q", "init.kind")
 _VISCOSITY_KINDS = ("constant", "power", "bounded_power")
 _INIT_KINDS = ("constant", "sine1", "sines2", "stratified", "random_band",
                "rough", "snapshot")
-_SCHEME_KINDS = ("spectral_rk4", "semi_lagrangian")
 
 
 def _scan_lines(text: str):

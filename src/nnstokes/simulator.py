@@ -16,15 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import InadmissibleExponents, MaxIterations
 from .rheology import FluidParams, ViscosityLaw
 from .spectral import (
     GridField,
     TorusGrid,
-    TWO_PI,
     VelocityField,
+    l2_inner,
     lebesgue_norm,
     low_freq_truncate,
     reciprocal_norm,
@@ -35,6 +33,10 @@ from .stokes import StokesProblem, solution_diagnostics, solve_stokes
 from .transport import AdvectionScheme, advect_step, speed_sup
 
 _CLASSIFY_TOL = 1e-12
+
+# Times this close to an output time or t_final count as reaching it;
+# advect_step refuses steps below 1e-12, so no remainder may be shorter.
+_TIME_TOL = 1e-12
 
 SUBCRITICAL = "SubCritical"
 CRITICAL = "Critical"
@@ -150,15 +152,13 @@ def smooth_density(rho: GridField, j: int) -> GridField:
 
 
 def velocity_l2_distance(u: VelocityField, v: VelocityField) -> float:
-    acc = 0.0
-    for cu, cv in zip(u.components, v.components):
-        acc += float(np.sum(np.abs(cu.coeffs - cv.coeffs) ** 2))
-    return math.sqrt(TWO_PI ** u.grid.d * acc)
+    diff = u.coeff_stack() - v.coeff_stack()
+    return math.sqrt(l2_inner(u.grid, diff, diff))
 
 
 def velocity_l2_norm(u: VelocityField) -> float:
-    acc = sum(float(np.sum(np.abs(c.coeffs) ** 2)) for c in u.components)
-    return math.sqrt(TWO_PI ** u.grid.d * acc)
+    stack = u.coeff_stack()
+    return math.sqrt(l2_inner(u.grid, stack, stack))
 
 
 def run(config: SimulationConfig) -> SimulationResult:
@@ -168,8 +168,9 @@ def run(config: SimulationConfig) -> SimulationResult:
     started from the previous minimizer), records diagnostics when an
     output time is reached, then advects the density with the smoothed
     velocity. The step length never jumps past an output time or the CFL
-    cap. A non-converged solve aborts with the partial series and
-    completed=False; CFL breakdown propagates as CflViolation.
+    cap, and steps end exactly on the output times and on t_final. A
+    non-converged solve aborts with the partial series and completed=False;
+    CFL breakdown propagates as CflViolation.
     """
     params = config.params
     series = DiagnosticsSeries()
@@ -188,7 +189,7 @@ def run(config: SimulationConfig) -> SimulationResult:
         v_prev = v
         u = smooth_velocity(v, config.smoothing_n)
 
-        if t >= next_out - 1e-12:
+        if t >= next_out - _TIME_TOL:
             diag = solution_diagnostics(prob, v)
             series.append(
                 t=t,
@@ -204,15 +205,17 @@ def run(config: SimulationConfig) -> SimulationResult:
             snapshots.append((t, rho))
             next_out = t + config.output_every
 
-        if t >= config.t_final - 1e-14:
+        if t >= config.t_final - _TIME_TOL:
             break
 
-        dt = min(config.t_final - t, next_out - t)
+        # a remainder within _TIME_TOL of the target is folded into this
+        # step, which then ends exactly on the output time or t_final
+        target = next_out if next_out < config.t_final - _TIME_TOL else config.t_final
         vmax = speed_sup(u)
-        if vmax > 0:
-            dt = min(dt, config.scheme.cfl_target * config.grid.h / vmax)
+        cap = config.scheme.cfl_target * config.grid.h / vmax if vmax > 0 else math.inf
+        dt, t_next = (target - t, target) if target - t <= cap + _TIME_TOL else (cap, t + cap)
         rho = advect_step(rho, u, config.scheme, dt=dt)
-        t += dt
+        t = t_next
 
     return SimulationResult(series, snapshots, completed=True)
 

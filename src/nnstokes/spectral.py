@@ -355,6 +355,12 @@ def low_freq_truncate(F: SpectralField, j: int) -> SpectralField:
 # ---------------------------------------------------------------------------
 # norms
 
+def l2_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """Spatial L2 inner product of real fields, or stacks of them, given by
+    their normalized coefficients: (2pi)^d Re sum a conj(b) (Parseval)."""
+    return TWO_PI ** grid.d * float(np.vdot(b, a).real)
+
+
 def lebesgue_norm(f: GridField, r: float) -> float:
     """Rectangle-rule L^r norm, (h^d sum |f|^r)^{1/r}; max |f| for r = inf."""
     if r < 1:
@@ -438,7 +444,8 @@ def _restrict_axis(a: np.ndarray, ax: int, n: int, m: int) -> np.ndarray:
 
 
 def pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Embed normalized coefficients from an n-grid into an m-grid (m > n)."""
+    """Embed normalized coefficients from an n-grid into an m-grid (m > n);
+    the reference for Dealiaser.to_fine."""
     n = coeffs.shape[0]
     out = coeffs
     for ax in range(coeffs.ndim):
@@ -447,9 +454,86 @@ def pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 
 def restrict_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Adjoint of pad_coeffs: restrict m-grid coefficients back to the n-grid."""
+    """Adjoint of pad_coeffs: restrict m-grid coefficients back to the n-grid;
+    the reference for Dealiaser.to_coarse."""
     m = coeffs.shape[0]
     out = coeffs
     for ax in range(coeffs.ndim):
         out = _restrict_axis(out, ax, n, m)
     return out
+
+
+class Dealiaser:
+    """3/2-rule transforms for one lattice (d, n), fine size m = 3n/2.
+
+    to_fine maps normalized full-layout coefficients, with any leading batch
+    axes, to real values on the m-grid; to_coarse is its adjoint. For
+    Hermitian input they equal ifftn(pad_coeffs(c, m)).real * m^d and
+    restrict_coeffs(fftn(v) / m^d, n), so the unpaired mode is split onto
+    +-n/2 and averaged back. Only the half spectrum along the last axis is
+    transformed, and each other axis is padded or restricted next to its
+    own transform, so no FFT runs over the zero band of the padding.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d = d
+        self.n = n
+        self.m = m = fine_size(n)
+        half = n // 2
+
+        def at(ax, index):
+            return (Ellipsis, index) + (slice(None),) * (d - 1 - ax)
+
+        # fine index of each coarse index along an axis, n/2 landing on +n/2
+        fine_index = np.r_[0:half + 1, m - half + 1:m]
+        self._axes = tuple((at(ax, fine_index), at(ax, half), at(ax, m - half))
+                           for ax in range(d - 1))
+        neg = (-np.arange(n)) % n
+        # k -> -k over every axis but the last, whose order is reversed
+        self._mirror = (Ellipsis,) + tuple(
+            neg.reshape((n,) + (1,) * (d - 2 - ax)) for ax in range(d - 1)) + (slice(None, None, -1),)
+
+        weight = np.ones((n,) * d)
+        for ax in range(d):
+            weight[at(ax, half)] *= 0.5
+        weight.flags.writeable = False
+        # the fine-grid integral of a product of two padded fields, read off
+        # the coarse coefficients: each unpaired index halves the weight
+        self.nyquist_weight = weight
+
+    def to_fine(self, stack: np.ndarray) -> np.ndarray:
+        """Real m-grid values of coarse coefficients of shape batch + (n,)*d."""
+        m, half = self.m, self.n // 2
+        src = stack[..., :half + 1]
+        for ax, (coarse, nyq, nyq_neg) in enumerate(self._axes):
+            axis = ax - self.d
+            buf = np.zeros(src.shape[:axis] + (m,) + src.shape[axis + 1:], dtype=np.complex128)
+            buf[coarse] = src
+            buf[nyq] *= 0.5
+            buf[nyq_neg] = buf[nyq]
+            if ax == 0:
+                buf[..., half] *= 0.5  # the last axis stores only +n/2 of its split mode
+            src = np.fft.ifft(buf, axis=axis, norm="forward")
+        return np.fft.irfft(src, n=m, axis=-1, norm="forward")
+
+    def to_coarse(self, values: np.ndarray) -> np.ndarray:
+        """Coarse full-layout coefficients of real m-grid values of shape
+        batch + (m,)*d; the adjoint of to_fine."""
+        half = self.n // 2
+        src = np.fft.rfft(values, axis=-1, norm="forward")[..., :half + 1]
+        for ax in reversed(range(self.d - 1)):
+            coarse, nyq, nyq_neg = self._axes[ax]
+            src = np.fft.fft(src, axis=ax - self.d, norm="forward")
+            split = src[nyq] + src[nyq_neg]
+            src = src[coarse]
+            src[nyq] = 0.5 * split
+        # the negative last-axis frequencies follow by Hermitian symmetry
+        mirror = np.conj(src[self._mirror])
+        src[..., half] = 0.5 * (src[..., half] + mirror[..., 0])
+        return np.concatenate([src, mirror[..., 1:-1]], axis=-1)
+
+
+@lru_cache(maxsize=16)
+def dealiaser(d: int, n: int) -> Dealiaser:
+    """The shared 3/2-rule engine for one lattice."""
+    return Dealiaser(d, n)

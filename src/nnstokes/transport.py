@@ -29,12 +29,10 @@ from .spectral import (
     GridField,
     SpectralField,
     VelocityField,
+    dealiaser,
     deriv_vectors,
-    fine_size,
     k_squared,
     lebesgue_norm,
-    pad_coeffs,
-    restrict_coeffs,
     to_grid,
     to_spectral,
 )
@@ -76,41 +74,31 @@ def _substep_count(dt: float, cap: float) -> int:
 
 
 def _fine_velocity(u: VelocityField, mean_velocity):
-    grid = u.grid
-    mf = fine_size(grid.n)
-    mfac = mf ** grid.d
-    out = np.empty((grid.d,) + (mf,) * grid.d)
-    for j in range(grid.d):
-        out[j] = np.fft.ifftn(pad_coeffs(u.components[j].coeffs, mf)).real * mfac
-        if mean_velocity is not None:
-            out[j] += mean_velocity[j]
+    out = dealiaser(u.grid.d, u.grid.n).to_fine(u.coeff_stack())
+    if mean_velocity is not None:
+        for j, cj in enumerate(mean_velocity):
+            out[j] += cj
     return out
+
+
+def _flux_divergence(rho_hat: np.ndarray, u_fine: np.ndarray, grid) -> np.ndarray:
+    """Coefficients of div(rho u), the product dealiased by the 3/2 rule."""
+    engine = dealiaser(grid.d, grid.n)
+    kd = deriv_vectors(grid)
+    flux_hat = engine.to_coarse(engine.to_fine(rho_hat) * u_fine)
+    return 1j * sum(kd[j] * flux_hat[j] for j in range(grid.d))
 
 
 def _rk4_substeps(rho: GridField, u: VelocityField, tau: float, m: int, mean_velocity):
     grid = rho.grid
-    n = grid.n
-    d = grid.d
-    mf = fine_size(n)
-    mfac = mf ** d
-    kd = deriv_vectors(grid)
     u_fine = _fine_velocity(u, mean_velocity)
-
-    def tendency(y):
-        rho_fine = np.fft.ifftn(pad_coeffs(y, mf)).real * mfac
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(d):
-            flux_hat = restrict_coeffs(np.fft.fftn(rho_fine * u_fine[j]) / mfac, n)
-            acc += kd[j] * flux_hat
-        return -1j * acc
-
     y = to_spectral(rho).coeffs
     for _ in range(m):
-        k1 = tendency(y)
-        k2 = tendency(y + 0.5 * tau * k1)
-        k3 = tendency(y + 0.5 * tau * k2)
-        k4 = tendency(y + tau * k3)
-        y = y + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _flux_divergence(y, u_fine, grid)
+        k2 = _flux_divergence(y - 0.5 * tau * k1, u_fine, grid)
+        k3 = _flux_divergence(y - 0.5 * tau * k2, u_fine, grid)
+        k4 = _flux_divergence(y - tau * k3, u_fine, grid)
+        y = y - (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return to_grid(SpectralField(grid, y))
 
 
@@ -329,23 +317,10 @@ def commutator_residual(rho: GridField, u: VelocityField, epsilon: float,
             f"commutator exponent alpha = {alpha:.4g} is below 1 for these parameters"
         )
 
-    n = grid.n
-    d = grid.d
-    mf = fine_size(n)
-    mfac = mf ** d
-    kd = deriv_vectors(grid)
     smooth = np.exp(-0.5 * epsilon * epsilon * k_squared(grid))
     u_fine = _fine_velocity(u, mean_velocity)
-
-    def div_flux(rho_hat):
-        rho_fine = np.fft.ifftn(pad_coeffs(rho_hat, mf)).real * mfac
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(d):
-            acc += kd[j] * restrict_coeffs(np.fft.fftn(rho_fine * u_fine[j]) / mfac, n)
-        return 1j * acc
-
     rho_hat = to_spectral(rho).coeffs
-    term1 = div_flux(smooth * rho_hat)
-    term2 = smooth * div_flux(rho_hat)
+    term1 = _flux_divergence(smooth * rho_hat, u_fine, grid)
+    term2 = smooth * _flux_divergence(rho_hat, u_fine, grid)
     defect = to_grid(SpectralField(grid, term1 - term2), check=False)
     return lebesgue_norm(defect, alpha)

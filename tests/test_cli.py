@@ -7,6 +7,7 @@ import pytest
 
 from nnstokes import CSV_HEADER, TorusGrid, read_snapshot, sines2_field, write_snapshot
 from nnstokes.batteries import BatteryResult
+from nnstokes.errors import NonHermitianField, UnresolvableMollifier
 from nnstokes.cli import main
 from nnstokes import cli
 
@@ -69,6 +70,22 @@ T = 0.0
 """
 
 
+DEGENERATE = """\
+[grid]
+d = 2
+n = 8
+[fluid]
+p = 2.0
+q = 1.5
+gamma = 1
+[viscosity]
+kind = power
+[init]
+kind = constant
+params = 0
+"""
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -89,6 +106,30 @@ class TestUsageErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "absent.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestPackageErrors:
+    """Every NnstokesError maps to a documented exit code with one error line."""
+
+    @pytest.mark.parametrize("command", ["simulate", "solve-stokes"])
+    def test_degenerate_viscosity_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        """Zero density under a power law with gamma > 0: the viscosity vanishes."""
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, DEGENERATE)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: viscosity vanishes")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [NonHermitianField, UnresolvableMollifier])
+    def test_input_errors_exit_2(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(prob):
+            raise exc("stub failure")
+
+        monkeypatch.setattr(cli, "solve_stokes", fail)
+        path = write_config(tmp_path, SUBCRITICAL)
+        assert main(["solve-stokes", path]) == 2
+        assert capsys.readouterr().err == "error: stub failure\n"
 
 
 class TestClassify:

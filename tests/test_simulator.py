@@ -1,10 +1,13 @@
 """Exponent classification, the coupled time stepper, and the sweep drivers."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nnstokes import (
     AdvectionScheme,
@@ -25,6 +28,7 @@ from nnstokes import (
     j_max,
     lebesgue_norm,
     low_freq_truncate,
+    parse_config,
     penalty_sweep_N,
     run,
     sines2_field,
@@ -37,6 +41,8 @@ from nnstokes import (
 )
 from nnstokes import simulator
 from nnstokes.fields import random_velocity
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rk4_scheme(dt=0.05):
@@ -227,6 +233,74 @@ class TestRun:
         assert "stalled" in result.reason
         assert len(result.series) == 0
         assert result.snapshots == []
+
+
+class TestTimeGrid:
+    """Steps end exactly on the output times and on t_final."""
+
+    def test_final_step_below_the_substep_floor(self):
+        """newtonian2d.cfg at n = 8 with a constant density (so u = 0),
+        T = 1.1 and output_every = 0.001: float accumulation used to leave a
+        last step of 1e-14, which advect_step rejects as a CFL breakdown."""
+        text = (ROOT / "configs" / "newtonian2d.cfg").read_text()
+        for old, new in (("n = 128", "n = 8"), ("kind = sines2", "kind = constant"),
+                         ("params = 1.5, 0.4, 0.3", "params = 1.5"),
+                         ("T = 1.0", "T = 1.1"), ("output_every = 0.25", "output_every = 0.001")):
+            text = text.replace(old, new)
+        result = run(parse_config(text))
+        assert result.completed
+        assert len(result.series) == 1101
+        assert result.series.t[-1] == 1.1
+
+    def test_shipped_newtonian_config_keeps_its_grid(self, monkeypatch):
+        """37 solves and 36 steps for the 5 output times of the shipped run."""
+        counts = {"solves": 0, "steps": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulator, "solve_stokes", counted(simulator.solve_stokes, "solves"))
+        monkeypatch.setattr(simulator, "advect_step", counted(simulator.advect_step, "steps"))
+        result = run(parse_config((ROOT / "configs" / "newtonian2d.cfg").read_text()))
+        assert result.series.t == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert counts == {"solves": 37, "steps": 36}
+
+    @given(T=st.integers(1, 399).map(lambda k: k / 100),
+           every=st.sampled_from((0.001, 0.01, 0.02, 0.03, 0.05, 0.1, 0.25)),
+           vmax=st.one_of(st.just(0.0), st.floats(0.1, 40.0)))
+    def test_outputs_and_final_time(self, T, every, vmax):
+        """With stubbed solver and transport and a fixed speed vmax, only the
+        time grid of run remains: every step clears the 1e-12 substep floor
+        of advect_step and stays under the CFL cap, the steps add up to T
+        and the outputs fall on the multiples of output_every."""
+        grid = TorusGrid(2, 8)
+        zero = VelocityField([SpectralField(grid, np.zeros(grid.shape, np.complex128))] * 2)
+        steps = []
+
+        def advect(rho, u, scheme, dt):
+            steps.append(dt)
+            return rho
+
+        stubs = dict(
+            solve_stokes=lambda prob, u0=None: (zero, SimpleNamespace(converged=True, iterations=0)),
+            solution_diagnostics=lambda prob, v: dict.fromkeys(
+                ("du_beta", "dissipation", "work", "energy_residual"), 0.0),
+            speed_sup=lambda u: vmax,
+            advect_step=advect,
+        )
+        config = newtonian_config(grid, constant_field(grid, 1.0), t_final=T, output_every=every)
+        with mock.patch.multiple(simulator, **stubs):
+            result = run(config)
+        assert result.completed
+        assert min(steps) >= 1e-12
+        if vmax > 0:
+            assert max(steps) <= config.scheme.cfl_target * grid.h / vmax + 1e-12
+        assert sum(steps) == pytest.approx(T, abs=1e-9)
+        count = math.floor(T / every + 1e-6) + 1
+        assert result.series.t == pytest.approx([k * every for k in range(count)], abs=1e-9)
 
 
 class TestSmoothing:

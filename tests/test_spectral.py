@@ -32,6 +32,13 @@ from nnstokes import (
     to_spectral,
 )
 from nnstokes.fields import random_band_field
+from nnstokes.spectral import (
+    dealiaser,
+    fine_size,
+    l2_inner,
+    pad_coeffs,
+    restrict_coeffs,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -390,3 +397,68 @@ class TestJmax:
         assert j_max(TorusGrid(2, 32)) == 6
         assert j_max(TorusGrid(2, 128)) == 8
         assert j_max(TorusGrid(3, 8)) == 4
+
+
+class TestDealiaser:
+    """The 3/2-rule engine against the per-axis reference padding."""
+
+    BATCH = (2, 3)
+
+    def hermitian_stack(self, d, n, seed):
+        """Coefficients of real random fields: every Nyquist mode is nonzero."""
+        gen = np.random.default_rng(seed)
+        values = gen.standard_normal(self.BATCH + (n,) * d)
+        coeffs = np.fft.fftn(values, axes=tuple(range(-d, 0))) / n ** d
+        assert np.abs(coeffs[..., n // 2]).min() > 0.0
+        return coeffs
+
+    def members(self, stack, d):
+        return stack.reshape((-1,) + stack.shape[-d:])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_matches_reference(self, d, n):
+        engine = dealiaser(d, n)
+        m = fine_size(n)
+        coeffs = self.hermitian_stack(d, n, seed=n + d)
+        fine = engine.to_fine(coeffs)
+        ref = np.stack([np.fft.ifftn(pad_coeffs(c, m)).real * m ** d
+                        for c in self.members(coeffs, d)])
+        assert fine.shape == self.BATCH + (m,) * d
+        assert np.abs(self.members(fine, d) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+        values = np.random.default_rng(n - d).standard_normal(self.BATCH + (m,) * d)
+        coarse = engine.to_coarse(values)
+        ref = np.stack([restrict_coeffs(np.fft.fftn(v) / m ** d, n)
+                        for v in self.members(values, d)])
+        assert coarse.shape == self.BATCH + (n,) * d
+        assert np.abs(self.members(coarse, d) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_adjoint(self, d, n):
+        """sum_x to_fine(c) v = m^d Re sum_k c conj(to_coarse(v))."""
+        engine = dealiaser(d, n)
+        m = fine_size(n)
+        coeffs = self.hermitian_stack(d, n, seed=2 * n + d)
+        values = np.random.default_rng(n + 7 * d).standard_normal(self.BATCH + (m,) * d)
+        fine = engine.to_fine(coeffs)
+        lhs = float(np.sum(fine * values))
+        rhs = m ** d * float(np.vdot(engine.to_coarse(values), coeffs).real)
+        assert abs(lhs - rhs) <= 1e-13 * float(np.sum(np.abs(fine * values)))
+
+    @pytest.mark.parametrize("d,n", [(2, 8), (2, 32), (3, 16)])
+    def test_product_quadrature_from_coefficients(self, d, n):
+        """The fine-grid integral of a product of two padded fields is the
+        coefficient pairing with weight 1/2 per unpaired index."""
+        engine = dealiaser(d, n)
+        grid = TorusGrid(d, n)
+        a = self.hermitian_stack(d, n, seed=3)
+        b = self.hermitian_stack(d, n, seed=4)
+        quad = (TWO_PI / engine.m) ** d * float(np.sum(engine.to_fine(a) * engine.to_fine(b)))
+        coeff = l2_inner(grid, engine.nyquist_weight * a, b)
+        assert coeff == pytest.approx(quad, rel=1e-12)
+
+    def test_engine_is_shared_per_lattice(self):
+        assert dealiaser(2, 16) is dealiaser(2, 16)
+        assert dealiaser(2, 16) is not dealiaser(3, 16)
