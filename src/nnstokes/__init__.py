@@ -76,6 +76,7 @@ from .stokes import (
     recover_pressure,
     solution_diagnostics,
     solve_stokes,
+    solve_stokes_batch,
     solve_stokes_penalized,
 )
 from .transport import (

@@ -113,7 +113,7 @@ def _cmd_solve_stokes(args) -> int:
         if report.hk_bound_ratio is not None:
             print(f"hk_bound_ratio = {report.hk_bound_ratio:.6g}")
     if not report.converged:
-        print("error: solver did not converge", file=sys.stderr)
+        print(f"error: solver did not converge: {report.stop_reason}", file=sys.stderr)
         return 3
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import InadmissibleExponents, MaxIterations
+from .errors import CflViolation, InadmissibleExponents, MaxIterations
 from .rheology import FluidParams, ViscosityLaw
 from .spectral import (
     GridField,
@@ -169,8 +169,8 @@ def run(config: SimulationConfig) -> SimulationResult:
     output time is reached, then advects the density with the smoothed
     velocity. The step length never jumps past an output time or the CFL
     cap, and steps end exactly on the output times and on t_final. A
-    non-converged solve aborts with the partial series and completed=False;
-    CFL breakdown propagates as CflViolation.
+    non-converged solve or a CflViolation in the advection step aborts with
+    the rows and snapshots recorded so far, completed=False and the reason.
     """
     params = config.params
     series = DiagnosticsSeries()
@@ -214,7 +214,11 @@ def run(config: SimulationConfig) -> SimulationResult:
         vmax = speed_sup(u)
         cap = config.scheme.cfl_target * config.grid.h / vmax if vmax > 0 else math.inf
         dt, t_next = (target - t, target) if target - t <= cap + _TIME_TOL else (cap, t + cap)
-        rho = advect_step(rho, u, config.scheme, dt=dt)
+        try:
+            rho = advect_step(rho, u, config.scheme, dt=dt)
+        except CflViolation as exc:
+            return SimulationResult(series, snapshots, completed=False,
+                                    reason=f"CFL breakdown at t = {t:.6g}: {exc}")
         t = t_next
 
     return SimulationResult(series, snapshots, completed=True)

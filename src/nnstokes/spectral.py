@@ -243,7 +243,8 @@ def leray_project(components) -> VelocityField:
 
 
 def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Leray projection on a stacked coefficient array of shape (d,) + grid.shape.
+    """Leray projection on a stacked coefficient array of shape (d,) + grid.shape,
+    with any leading batch axes.
 
     Modes carrying an unpaired frequency index are zeroed outright: their
     derivative multiplier vanishes, so they would be invisible to the strain
@@ -251,20 +252,19 @@ def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """
     ks = wave_vectors(grid)
     k2 = k_squared(grid)
-    dot = np.zeros(grid.shape, dtype=np.complex128)
-    for j in range(grid.d):
-        dot += ks[j] * stack[j]
+    d = grid.d
+    comps = np.moveaxis(stack, -d - 1, 0)
+    dot = np.zeros(comps.shape[1:], dtype=np.complex128)
+    for j in range(d):
+        dot += ks[j] * comps[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         dot = np.where(k2 > 0, dot / k2, 0.0)
     out = np.empty_like(stack)
-    half = grid.n // 2
-    for j in range(grid.d):
-        out[j] = stack[j] - ks[j] * dot
-        out[j].flat[0] = 0.0
-        for ax in range(grid.d):
-            idx = [slice(None)] * grid.d
-            idx[ax] = half
-            out[j][tuple(idx)] = 0.0
+    for j, out_j in enumerate(np.moveaxis(out, -d - 1, 0)):
+        out_j[...] = comps[j] - ks[j] * dot
+    out[(Ellipsis,) + (0,) * d] = 0.0
+    for ax in range(d):
+        out[(Ellipsis, grid.n // 2) + (slice(None),) * (d - 1 - ax)] = 0.0
     return out
 
 

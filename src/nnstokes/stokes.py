@@ -13,7 +13,9 @@ which is the Euler-Lagrange system of the strictly convex energy
 
 The minimizer is computed over divergence-free zero-mean trigonometric
 polynomials by preconditioned nonlinear conjugate gradients in Fourier
-coefficients. The stress and the dissipation are evaluated on a 3/2-times
+coefficients, vectorized over a batch of problems that share the grid and
+the parameters (solve_stokes_batch; solve_stokes is a batch of one). The
+stress and the dissipation are evaluated on a 3/2-times
 finer quadrature grid, which keeps the discrete gradient an exact
 derivative of the discrete energy; the work integral, linear in u, is
 summed exactly from the coefficients. For 1 < p < 2 with delta = 0 the
@@ -24,6 +26,7 @@ each stage, and never differentiates the singular delta = 0 energy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +78,10 @@ class StokesProblem:
 
 @dataclass
 class StokesReport:
-    """Solver telemetry attached to every inverse-map evaluation."""
+    """Solver telemetry attached to every inverse-map evaluation.
+
+    stop_reason is one of "converged", "iteration limit", "line search
+    failed" or "non-finite energy or gradient"."""
 
     iterations: int = 0
     value: float = math.nan
@@ -85,10 +91,22 @@ class StokesReport:
     converged: bool = False
     n_evals: int = 0
     hk_bound_ratio: float = None
+    stop_reason: str = ""
+
+
+def _sum_per_member(a: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the leading member axis."""
+    return np.sum(a, axis=tuple(range(1, a.ndim)))
 
 
 class _Workspace:
-    """Precomputed transforms and multipliers for one problem instance.
+    """Precomputed transforms and multipliers for a batch of problems.
+
+    The members share the grid, p, delta, g and the penalty; the density,
+    and with it the viscosity and the forcing, carries a leading member
+    axis. Coefficient stacks have shape (k, d) + grid.shape, and sel picks
+    the k members they belong to: a basic slice for the whole batch, which
+    reads the member data without copying, or an index array.
 
     The strain is symmetric, so it is carried as the stack of its d(d+1)/2
     entries i <= j (self.pairs); self.pair_weight counts each off-diagonal
@@ -96,7 +114,13 @@ class _Workspace:
     continuation ladder can reuse the cached density data across stages.
     """
 
-    def __init__(self, prob: StokesProblem, delta: float):
+    def __init__(self, problems, delta: float):
+        def shared(pr):
+            return pr.rho.grid, pr.params.p, pr.params.delta, pr.params.g, pr.penalty
+
+        prob = problems[0]
+        if any(shared(other) != shared(prob) for other in problems[1:]):
+            raise ValueError("batched problems must share the grid, p, delta, g and the penalty")
         grid = prob.rho.grid
         self.grid = grid
         self.delta = float(delta)
@@ -114,9 +138,10 @@ class _Workspace:
         self.pair_of = [[self.pairs.index((min(a, j), max(a, j))) for j in range(self.d)]
                         for a in range(self.d)]
 
-        rho_hat = to_spectral(prob.rho).coeffs
-        self.nu_fine = np.asarray(prob.law(self.engine.to_fine(rho_hat)))
-        self.forcing = np.stack([rho_hat * gj for gj in prob.params.g])
+        rho_hat = np.stack([to_spectral(member.rho).coeffs for member in problems])
+        rho_fine = self.engine.to_fine(rho_hat)
+        self.nu_fine = np.stack([np.asarray(member.law(r)) for member, r in zip(problems, rho_fine)])
+        self.forcing = np.stack([rho_hat * gj for gj in prob.params.g], axis=1)
         # the work integral is linear in u: its fine-grid quadrature of the
         # padded fields, summed in coefficient space
         self.work_weights = self.engine.nyquist_weight * self.forcing
@@ -146,74 +171,82 @@ class _Workspace:
         comps = tuple(SpectralField(self.grid, stack[j].copy()) for j in range(self.d))
         return VelocityField(comps, check=check)
 
+    def coeffs(self, x_flat: np.ndarray) -> np.ndarray:
+        """Coefficient stacks of flat real rows of shape (k, 2 d n^d)."""
+        return x_flat.view(np.complex128).reshape((len(x_flat),) + self.stack_shape)
+
     # -- fine-grid evaluation --------------------------------------------------
 
     def _strain_fine(self, c: np.ndarray) -> np.ndarray:
-        """Strain entries i <= j on the quadrature grid, shape (len(pairs),) + fine."""
-        kd = self.kd
-        s_hat = np.empty((len(self.pairs),) + self.grid.shape, dtype=np.complex128)
+        """Strain entries i <= j on the quadrature grid, shape (k, len(pairs)) + fine.
+        to_fine reads only the last axis's first n/2 + 1 coefficients, so
+        only those are formed."""
+        half = slice(0, self.grid.n // 2 + 1)
+        kd = [k[..., half] for k in self.kd]
+        c = c[..., half]
+        s_hat = np.empty((len(c), len(self.pairs)) + c.shape[2:], dtype=np.complex128)
         for q, (i, j) in enumerate(self.pairs):
-            s_hat[q] = 0.5j * (kd[i] * c[j] + kd[j] * c[i])
+            s_hat[:, q] = 0.5j * (kd[i] * c[:, j] + kd[j] * c[:, i])
         return self.engine.to_fine(s_hat)
 
     def _contract(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Pointwise A : B of two symmetric tensors given by their pair stacks."""
-        return np.einsum("q,q...,q...->...", self.pair_weight, A, B)
+        return np.einsum("q,bq...,bq...->b...", self.pair_weight, A, B)
 
-    def _eval_state(self, c: np.ndarray) -> "_EvalState":
+    def _eval_state(self, c: np.ndarray, sel=slice(None)) -> "_EvalState":
         S = self._strain_fine(c)
         mag2 = self._contract(S, S)
-        return _EvalState(S, mag2, self.nu_fine * _power_factor(mag2, self.p, self.delta))
+        return _EvalState(S, mag2, self.nu_fine[sel] * _power_factor(mag2, self.p, self.delta))
 
-    def _penalty_energy_half(self, c: np.ndarray) -> float:
+    def _penalty_energy_half(self, c: np.ndarray):
         """(1/(2N)) int |grad^k u|^2 via the coefficient sum."""
         if self.pen_N is None:
             return 0.0
-        tot = float(np.sum(self.pen_mult * (c.real ** 2 + c.imag ** 2)))
+        tot = _sum_per_member(self.pen_mult * (c.real ** 2 + c.imag ** 2))
         return 0.5 * self.vol_factor * tot / self.pen_N
 
-    def work_integral(self, c: np.ndarray) -> float:
+    def work_integral(self, c: np.ndarray, sel=slice(None)) -> np.ndarray:
         """int rho g . u, exact for the band-limited fields."""
-        return l2_inner(self.grid, c, self.work_weights)
+        return np.array([l2_inner(self.grid, ci, wi) for ci, wi in zip(c, self.work_weights[sel])])
 
-    def _energy(self, c: np.ndarray, mag2: np.ndarray) -> float:
+    def _energy(self, c: np.ndarray, mag2: np.ndarray, sel=slice(None)) -> np.ndarray:
         dsq = self.delta * self.delta
-        primitive = (self.nu_fine / self.p) * ((dsq + mag2) ** (self.p / 2.0) - self.delta ** self.p)
-        diss = float(self.hfd * np.sum(primitive))
-        return diss - self.work_integral(c) + self._penalty_energy_half(c)
+        primitive = (self.nu_fine[sel] / self.p) * ((dsq + mag2) ** (self.p / 2.0) - self.delta ** self.p)
+        diss = self.hfd * _sum_per_member(primitive)
+        return diss - self.work_integral(c, sel) + self._penalty_energy_half(c)
 
-    def value(self, c: np.ndarray) -> float:
+    def value(self, c: np.ndarray) -> np.ndarray:
         return self._energy(c, self._eval_state(c).mag2)
 
-    def energy_balance(self, c: np.ndarray):
-        """(dissipation + penalty, work, residual) with the balance residual
-        |dissipation + penalty - work| / max(1, |work|); all quadratures on
-        the fine grid, so a converged minimizer balances to solver tolerance."""
-        state = self._eval_state(c)
-        diss = float(self.hfd * np.sum(state.afield * state.mag2)) + 2.0 * self._penalty_energy_half(c)
+    def energy_balance(self, c: np.ndarray, state: "_EvalState"):
+        """(dissipation + penalty, work, residual) per member at the state
+        of c, with the balance residual |dissipation + penalty - work| /
+        max(1, |work|); all quadratures on the fine grid, so a converged
+        minimizer balances to solver tolerance."""
+        diss = self.hfd * _sum_per_member(state.afield * state.mag2) + 2.0 * self._penalty_energy_half(c)
         work = self.work_integral(c)
-        return diss, work, float(abs(diss - work) / max(1.0, abs(work)))
+        return diss, work, np.abs(diss - work) / np.maximum(1.0, np.abs(work))
 
-    def force_balance(self, state: "_EvalState") -> np.ndarray:
+    def force_balance(self, state: "_EvalState", sel=slice(None)) -> np.ndarray:
         """Coefficients of rho g + div(stress) before the projection."""
-        T = self.engine.to_coarse(state.afield * state.S)
-        out = self.forcing.copy()
+        T = self.engine.to_coarse(state.afield[:, None] * state.S)
+        out = self.forcing[sel].copy()
         for j in range(self.d):
-            out[j] += 1j * sum(self.kd[a] * T[self.pair_of[a][j]] for a in range(self.d))
+            out[:, j] += 1j * sum(self.kd[a] * T[:, self.pair_of[a][j]] for a in range(self.d))
         return out
 
-    def value_grad(self, c: np.ndarray):
-        state = self._eval_state(c)
-        f = self._energy(c, state.mag2)
-        bracket = -self.force_balance(state)
+    def value_grad(self, c: np.ndarray, sel=slice(None)):
+        state = self._eval_state(c, sel)
+        f = self._energy(c, state.mag2, sel)
+        bracket = -self.force_balance(state, sel)
         if self.pen_N is not None:
             bracket += (self.pen_mult / self.pen_N) * c
         g = self.vol_factor * self.project(bracket)
         return f, g, state
 
-    def curvature_along(self, state: "_EvalState", w: np.ndarray) -> float:
-        """Second directional derivative of the energy at the state's point
-        along the coefficient stack w. Exact for the quadrature in use, so
+    def curvature_along(self, state: "_EvalState", w: np.ndarray, sel=slice(None)) -> np.ndarray:
+        """Second directional derivative of the energy at the state's points
+        along the coefficient stacks w. Exact for the quadrature in use, so
         -slope/curvature is the exact minimizer of the quadratic model."""
         Sw = self._strain_fine(w)
         quad = state.afield * self._contract(Sw, Sw)
@@ -221,145 +254,209 @@ class _Workspace:
             base = self.delta * self.delta + state.mag2
             safe = np.where(base > 0, base, 1.0) ** ((self.p - 4.0) / 2.0)
             cross = self._contract(state.S, Sw)
-            quad = quad + self.nu_fine * (self.p - 2.0) * np.where(base > 0, safe, 0.0) * cross ** 2
-        out = float(self.hfd * np.sum(quad))
+            quad = quad + self.nu_fine[sel] * (self.p - 2.0) * np.where(base > 0, safe, 0.0) * cross ** 2
+        out = self.hfd * _sum_per_member(quad)
         if self.pen_N is not None:
-            out += self.vol_factor * float(np.sum(self.pen_mult * (w.real ** 2 + w.imag ** 2))) / self.pen_N
+            out = out + self.vol_factor * _sum_per_member(self.pen_mult * (w.real ** 2 + w.imag ** 2)) / self.pen_N
         return out
 
-    def grad_l2_norm(self, g_flat: np.ndarray) -> float:
-        """L2 norm of the strong-form residual field the flat gradient represents."""
-        return float(np.linalg.norm(g_flat) / self.vol_factor ** 0.5)
+    def grad_l2_norm(self, g_flat: np.ndarray) -> np.ndarray:
+        """L2 norm of the strong-form residual field each flat gradient row represents."""
+        return np.sqrt(_rowdot(g_flat, g_flat)) / self.vol_factor ** 0.5
 
     def precond_flat(self, g_flat: np.ndarray) -> np.ndarray:
-        g = g_flat.view(np.complex128).reshape(self.stack_shape)
-        y = g * self.precond_mult
-        return np.ascontiguousarray(y).view(np.float64).ravel()
+        y = self.coeffs(g_flat) * self.precond_mult
+        return np.ascontiguousarray(y).view(np.float64).reshape(len(g_flat), -1)
 
-    def hk_norm(self, c: np.ndarray, k: int) -> float:
+    def hk_norm(self, c: np.ndarray, k: int) -> np.ndarray:
         mult = (1.0 + self.k2) ** k
-        return float(math.sqrt(self.vol_factor * np.sum(mult * (c.real ** 2 + c.imag ** 2))))
+        return np.sqrt(self.vol_factor * _sum_per_member(mult * (c.real ** 2 + c.imag ** 2)))
 
 
-class _EvalState:
-    """Fine-grid strain pair stack S, |Du|^2 and the stress factor
-    nu (delta^2 + |Du|^2)^{(p-2)/2} at one point; value_grad returns it
-    for curvature reuse."""
-
-    __slots__ = ("S", "mag2", "afield")
-
-    def __init__(self, S, mag2, afield):
-        self.S = S
-        self.mag2 = mag2
-        self.afield = afield
+# Fine-grid strain pair stacks S, |Du|^2 and the stress factor
+# nu (delta^2 + |Du|^2)^{(p-2)/2} at the points of k members; value_grad
+# returns it for curvature reuse.
+_EvalState = namedtuple("_EvalState", "S mag2 afield")
 
 
-class _Objective:
-    """Caches value, gradient, and strain state at the latest iterate."""
-
-    def __init__(self, ws: _Workspace):
-        self.ws = ws
-        self.n_evals = 0
-        self._x = None
-        self._f = None
-        self._g = None
-        self._state = None
-
-    def _ensure(self, x: np.ndarray):
-        if self._x is not None and x.shape == self._x.shape and np.array_equal(x, self._x):
-            return
-        c = x.view(np.complex128).reshape(self.ws.stack_shape)
-        # drop the previous point's fine-grid fields first, so the old and
-        # new ones are never held together (this sets the peak memory)
-        self._x = self._state = None
-        f, g, state = self.ws.value_grad(c)
-        self._x = x.copy()
-        self._f = f
-        self._g = np.ascontiguousarray(g).view(np.float64).ravel()
-        self._state = state
-        self.n_evals += 1
-
-    def fg(self, x):
-        self._ensure(np.ascontiguousarray(x))
-        return self._f, self._g
-
-    def curvature(self, x, d_flat):
-        self._ensure(np.ascontiguousarray(x))
-        w = np.ascontiguousarray(d_flat).view(np.complex128).reshape(self.ws.stack_shape)
-        return self.ws.curvature_along(self._state, w)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each pair of rows of two (k, N) arrays, bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _minimize_ncg(obj: _Objective, ws: _Workspace, x0, tol, max_iter, callback=None):
-    """Preconditioned Polak-Ribiere conjugate gradients.
+def _sel(members: np.ndarray, size: int):
+    """Basic slice when members lists all size rows, so reads are views."""
+    return slice(None) if len(members) == size else members
+
+
+def _put(a: np.ndarray, rows, v: np.ndarray) -> np.ndarray:
+    """a with the given rows set to v: v itself for the whole batch."""
+    if isinstance(rows, slice):
+        return v
+    a[rows] = v
+    return a
+
+
+_CONVERGED = "converged"
+_ITERATION_LIMIT = "iteration limit"
+_LINE_SEARCH_FAILED = "line search failed"
+_NON_FINITE = "non-finite energy or gradient"
+
+# what each member of the batched minimizer waits for; the last three are
+# evaluations: the first one, x again for a stale state, a trial point
+_DONE, _CURVATURE, _START, _EVAL_X, _TRIAL = range(5)
+
+
+def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None):
+    """Preconditioned Polak-Ribiere conjugate gradients on a batch of members.
 
     Each step is sized by the exact second directional derivative of the
     energy along the search direction, so the first trial point is the
     minimizer of the local quadratic model. Trials are accepted on an
     Armijo decrease or, when value differences fall below the floating
-    point noise floor near the minimum, on a strict residual decrease.
+    point noise floor near the minimum, on a strict residual decrease; a
+    rejected trial halves the step, at most 40 times, and a failed line
+    search is retried once along steepest descent. A member whose energy
+    or gradient at its iterate is non-finite stops at once.
+
+    x holds one flat row per member and max_iter one iteration budget per
+    member. A round runs one batched value_grad over the members that need
+    an evaluation (a trial point, or x again when the state cached at x is
+    stale after a failed line search), then curvature_along over those that
+    choose a step; converged and stopped members freeze. Each member goes
+    through the operations it would go through alone. callback(member,
+    iteration, value, grad_norm) is called at each iterate. Returns
+    (x, grad_norm, iterations, n_evals, stop_reason).
     """
-    x = np.ascontiguousarray(x0, dtype=np.float64)
-    f, g = obj.fg(x)
-    y = ws.precond_flat(g)
-    gy = float(np.dot(g, y))
-    d = -y
-    iterations = 0
-    converged = False
+    B = len(x)
+    x_try, g, d = (np.empty_like(x) for _ in range(3))
+    f, gy, gnorm, slope, alpha, g_ref = (np.full(B, np.nan) for _ in range(6))
+    halvings, iterations, n_evals = (np.zeros(B, dtype=int) for _ in range(3))
+    tried_steepest = np.zeros(B, dtype=bool)
+    fresh = np.zeros(B, dtype=bool)  # the member's latest evaluation was at x
+    reason = np.full(B, "", dtype=object)
+    phase = np.full(B, _START)
 
-    while True:
-        gnorm = ws.grad_l2_norm(g)
+    def direction(m):
+        if not m.size:
+            return
+        sel = _sel(m, B)
+        slope[m] = _rowdot(g[sel], d[sel])
+        up = m[slope[m] >= 0.0]
+        if up.size:
+            d[up] = -ws.precond_flat(g[up])
+            slope[up] = _rowdot(g[up], d[up])
+            tried_steepest[up] = True
+        phase[m] = np.where(fresh[m], _CURVATURE, _EVAL_X)
+
+    def line_search_failed(m):
+        if not m.size:
+            return
+        phase[m] = _DONE
+        reason[m[tried_steepest[m]]] = _LINE_SEARCH_FAILED
+        retry = m[~tried_steepest[m]]
+        if retry.size:
+            d[retry] = -ws.precond_flat(g[retry])
+        tried_steepest[retry] = True
+        direction(retry)
+
+    def check(m):
+        gn = ws.grad_l2_norm(g[_sel(m, B)])
+        gnorm[m] = gn
         if callback is not None:
-            callback(iterations, f, gnorm)
-        if gnorm <= tol * (1.0 + abs(f)):
-            converged = True
-            break
-        if iterations >= max_iter:
-            break
+            for i in m:
+                callback(int(i), int(iterations[i]), float(f[i]), float(gnorm[i]))
+        finite = np.isfinite(f[m]) & np.isfinite(gn)
+        conv = finite & (gn <= tol * (1.0 + np.abs(f[m])))
+        limit = finite & ~conv & (iterations[m] >= max_iter[m])
+        for mask, why in ((~finite, _NON_FINITE), (conv, _CONVERGED), (limit, _ITERATION_LIMIT)):
+            reason[m[mask]] = why
+        go = m[finite & ~conv & ~limit]
+        phase[m] = _DONE
+        tried_steepest[go] = False
+        direction(go)
 
-        accepted = False
-        tried_steepest = False
-        x_try = f_try = g_try = None
+    while np.any(phase != _DONE):
+        # drop the previous round's fine-grid state first, so the old and new
+        # ones are never held together (this sets the peak memory)
+        state = None
+        ev = np.flatnonzero(phase >= _START)
+        sel = _sel(ev, B)
+        kind = phase[ev]
+        trial = kind == _TRIAL
+        points = x_try[sel] if trial.all() else np.where(trial[:, None], x_try[sel], x[sel])
+        f_new, g_new, state = ws.value_grad(ws.coeffs(points), sel)
+        g_new = g_new.view(np.float64).reshape(ev.size, -1)
+        del points
+        n_evals[ev] += 1
+        fresh[ev] = ~trial
+        phase[ev[kind == _EVAL_X]] = _CURVATURE
+
+        start = kind == _START
+        m = ev[start]
+        if m.size:
+            rows = _sel(m, B)
+            f[m] = f_new[start]
+            g = _put(g, rows, g_new if start.all() else g_new[start])
+            d = _put(d, rows, -ws.precond_flat(g[rows]))
+            gy[m] = -_rowdot(g[rows], d[rows])
+            check(m)
+
+        m = ev[trial]
+        if m.size:
+            f_t, g_t = (f_new, g_new) if trial.all() else (f_new[trial], g_new[trial])
+            ok = ((f_t <= f[m] + 1e-4 * alpha[m] * slope[m])
+                  | ((np.sqrt(_rowdot(g_t, g_t)) < g_ref[m])
+                     & (f_t <= f[m] + 1e-14 * (1.0 + np.abs(f[m])))))
+            a = m[ok]
+            if a.size:
+                rows = _sel(a, B)
+                g_a = g_t if ok.all() else g_t[ok]
+                y_new = ws.precond_flat(g_a)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    beta = _rowdot(y_new, g_a - g[rows]) / gy[a]
+                beta = np.where((gy[a] > 1e-300) & (beta > 0.0), beta, 0.0)
+                if isinstance(rows, slice):
+                    x, x_try = x_try, x
+                else:
+                    x[rows] = x_try[rows]
+                f[a] = f_t[ok]
+                g = _put(g, rows, g_a)
+                d = _put(d, rows, -y_new + beta[:, None] * d[rows])
+                gy[a] = _rowdot(g_a, y_new)
+                iterations[a] += 1
+                fresh[a] = True
+                check(a)
+
+            r = m[~ok]
+            halvings[r] += 1
+            alpha[r] *= 0.5
+            line_search_failed(r[halvings[r] >= 40])
+
+        # a member whose step vanishes against x retries within the round
         while True:
-            slope = float(np.dot(g, d))
-            if slope >= 0.0:
-                d = -y
-                slope = float(np.dot(g, d))
-                tried_steepest = True
-            curv = obj.curvature(x, d)
-            alpha = -slope / curv if (math.isfinite(curv) and curv > 0.0) else 1.0
-            g_ref = float(np.linalg.norm(g))
-            for _ in range(40):
-                x_try = x + alpha * d
-                if np.array_equal(x_try, x):
-                    break
-                f_try, g_try = obj.fg(x_try)
-                armijo = f_try <= f + 1e-4 * alpha * slope
-                resid_ok = (float(np.linalg.norm(g_try)) < g_ref
-                            and f_try <= f + 1e-14 * (1.0 + abs(f)))
-                if armijo or resid_ok:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if accepted or tried_steepest:
+            cv = np.flatnonzero(phase == _CURVATURE)
+            if cv.size:
+                sel = _sel(cv, B)
+                part = state
+                if cv.size < ev.size:
+                    rows = np.searchsorted(ev, cv)
+                    part = _EvalState(*(a[rows] for a in state))
+                curv = ws.curvature_along(part, ws.coeffs(d[sel]), sel)
+                del part
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    alpha[cv] = np.where(np.isfinite(curv) & (curv > 0.0), -slope[cv] / curv, 1.0)
+                g_ref[cv] = np.sqrt(_rowdot(g[sel], g[sel]))
+                halvings[cv] = 0
+                phase[cv] = _TRIAL
+            tr = np.flatnonzero(phase == _TRIAL)
+            sel = _sel(tr, B)
+            x_try = _put(x_try, sel, x[sel] + alpha[tr, None] * d[sel])
+            line_search_failed(tr[np.all(x_try[sel] == x[sel], axis=1)])
+            if not np.any(phase == _CURVATURE):
                 break
-            d = -y
-            tried_steepest = True
-        if not accepted:
-            break
 
-        x = x_try
-        g_old = g
-        f = f_try
-        g = g_try
-        y_new = ws.precond_flat(g)
-        gy_new = float(np.dot(g, y_new))
-        beta = max(0.0, float(np.dot(y_new, g - g_old)) / gy) if gy > 1e-300 else 0.0
-        d = -y_new + beta * d
-        y = y_new
-        gy = gy_new
-        iterations += 1
-
-    return x, f, g, iterations, converged
+    return x, gnorm, iterations, n_evals, reason
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +464,8 @@ def _minimize_ncg(obj: _Objective, ws: _Workspace, x0, tol, max_iter, callback=N
 
 def functional_value(prob: StokesProblem, u: VelocityField) -> float:
     """Energy of a trial velocity, normalized so the zero field gives zero."""
-    ws = _Workspace(prob, prob.params.delta)
-    return ws.value(u.coeff_stack())
+    ws = _Workspace([prob], prob.params.delta)
+    return float(ws.value(u.coeff_stack()[None])[0])
 
 
 def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
@@ -377,84 +474,113 @@ def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
     with p < 2."""
     if prob.params.p < 2 and prob.params.delta == 0:
         raise ValueError("gradient is singular for p < 2 at delta = 0; use delta > 0")
-    ws = _Workspace(prob, prob.params.delta)
-    _, g, _ = ws.value_grad(u.coeff_stack())
-    return ws.velocity_from_stack(g / ws.vol_factor, check=False)
+    ws = _Workspace([prob], prob.params.delta)
+    _, g, _ = ws.value_grad(u.coeff_stack()[None])
+    return ws.velocity_from_stack(g[0] / ws.vol_factor, check=False)
+
+
+def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 10000,
+                       strict: bool = False, callback=None):
+    """Minimize the energies of a batch of problems; returns one
+    (velocity, report) pair per problem.
+
+    The members must share the grid, p, delta, g and the penalty (a
+    ValueError otherwise); their densities and viscosity laws may differ.
+    u0 is None (a cold start), one velocity shared by every member, or a
+    sequence of one velocity per member. Each member takes the iterates,
+    and gets the counts and report, that it would get solved alone;
+    callback(member, iteration, value, grad_norm) is called at each of its
+    iterates.
+
+    For 1 < p < 2 with delta = 0 requested, a continuation ladder over
+    decreasing delta is run stage by stage over the whole batch and
+    reported in report.delta_schedule; the reported gradient norm and
+    energy residual refer to the terminal regularized stage, while value
+    is evaluated at the requested delta. With strict=True a
+    non-converged member raises MaxIterations instead of returning
+    converged=False.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    params = problems[0].params
+    B = len(problems)
+    ws = _Workspace(problems, params.delta)
+    if problems[0].penalty is None and np.any(ws.nu_fine.reshape(B, -1).max(axis=1) == 0.0):
+        raise DegenerateViscosity(
+            "viscosity vanishes on the whole grid and no penalty is active"
+        )
+
+    schedule = _DELTA_LADDER if params.p < 2 and params.delta == 0.0 else (params.delta,)
+
+    if u0 is None:
+        # Newtonian preconditioner solve of the projected forcing: for
+        # p = 2 and constant unit viscosity this is already the minimizer.
+        stack = ws.precond_mult * ws.vol_factor * ws.project(ws.forcing.copy())
+    else:
+        u0 = [u0] * B if isinstance(u0, VelocityField) else list(u0)
+        if len(u0) != B:
+            raise ValueError(f"u0 has {len(u0)} fields for {B} problems")
+        comps = np.stack([comp.coeffs for u in u0 for comp in u.components])
+        stack = ws.project(comps.reshape((B,) + ws.stack_shape))
+    x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
+
+    total_iters = np.zeros(B, dtype=int)
+    total_evals = np.zeros(B, dtype=int)
+    for delta in schedule:
+        ws.delta = float(delta)
+        x, gnorm, iters, evals, reason = _minimize_batch(ws, x, tol, max_iter - total_iters, callback)
+        total_iters += iters
+        total_evals += evals
+
+    c = ws.project(ws.coeffs(x))
+    # Balance residual at the terminal continuation stage, where the
+    # minimizer is stationary; value at the requested delta, from the same
+    # strain, which does not depend on delta.
+    state = ws._eval_state(c)
+    _, _, residual = ws.energy_balance(c, state)
+    ws.delta = params.delta
+    value = ws._energy(c, state.mag2)
+    hk = None if problems[0].penalty is None else ws.hk_norm(c, problems[0].penalty[1])
+
+    results = []
+    for i, prob in enumerate(problems):
+        report = StokesReport(
+            iterations=int(total_iters[i]),
+            value=float(value[i]),
+            grad_norm=float(gnorm[i]),
+            energy_residual=float(residual[i]),
+            delta_schedule=tuple(schedule),
+            converged=reason[i] == _CONVERGED,
+            n_evals=int(total_evals[i]),
+            stop_reason=reason[i],
+        )
+        if hk is not None:
+            rho_l2 = lebesgue_norm(prob.rho, 2)
+            if rho_l2 > 0:
+                report.hk_bound_ratio = float(hk[i]) / (math.sqrt(prob.penalty[0]) * rho_l2)
+        if strict and not report.converged:
+            member = f"member {i}: " if B > 1 else ""
+            raise MaxIterations(
+                f"{member}no convergence in {report.iterations} iterations "
+                f"(grad norm {report.grad_norm:.3e}, {report.stop_reason})", report
+            )
+        # the projection enforces the subspace constraints by construction; a
+        # relative re-check would reject near-zero solutions made of rounding dust
+        results.append((ws.velocity_from_stack(c[i], check=False), report))
+    return results
 
 
 def solve_stokes(prob: StokesProblem, u0: VelocityField = None, tol: float = 1e-8,
                  max_iter: int = 10000, strict: bool = False, callback=None):
     """Minimize the energy; returns (velocity, report).
 
-    For 1 < p < 2 with delta = 0 requested, a continuation ladder over
-    decreasing delta is run and reported in report.delta_schedule; the
-    reported gradient norm and energy residual refer to the terminal
-    regularized stage, while value is evaluated at the requested delta.
-    With strict=True a non-converged solve raises MaxIterations instead
-    of returning converged=False.
+    solve_stokes_batch on a batch of one, with callback(iteration, value,
+    grad_norm) called at each iterate.
     """
-    params = prob.params
-    ws = _Workspace(prob, params.delta)
-    if float(ws.nu_fine.max()) == 0.0 and prob.penalty is None:
-        raise DegenerateViscosity(
-            "viscosity vanishes on the whole grid and no penalty is active"
-        )
-
-    if params.p < 2 and params.delta == 0.0:
-        schedule = _DELTA_LADDER
-    else:
-        schedule = (params.delta,)
-
-    if u0 is not None:
-        stack = ws.project(u0.coeff_stack())
-    else:
-        # Newtonian preconditioner solve of the projected forcing: for
-        # p = 2 and constant unit viscosity this is already the minimizer.
-        stack = ws.precond_mult * ws.vol_factor * ws.project(ws.forcing.copy())
-    x = np.ascontiguousarray(stack).view(np.float64).ravel()
-
-    total_iters = 0
-    total_evals = 0
-    converged = False
-    gnorm = math.nan
-    for delta in schedule:
-        ws.delta = float(delta)
-        obj = _Objective(ws)
-        x, f, g, iters, converged = _minimize_ncg(obj, ws, x, tol, max_iter - total_iters, callback)
-        total_iters += iters
-        total_evals += obj.n_evals
-        gnorm = ws.grad_l2_norm(g)
-
-    c = ws.project(x.view(np.complex128).reshape(ws.stack_shape))
-    # the projection enforces the subspace constraints by construction; a
-    # relative re-check would reject near-zero solutions made of rounding dust
-    u = ws.velocity_from_stack(c, check=False)
-
-    # Balance residual at the terminal continuation stage, where the
-    # minimizer is stationary; value at the requested delta.
-    _, _, residual = ws.energy_balance(c)
-
-    ws.delta = params.delta
-    value = ws.value(c)
-    report = StokesReport(
-        iterations=total_iters,
-        value=value,
-        grad_norm=gnorm,
-        energy_residual=residual,
-        delta_schedule=tuple(schedule),
-        converged=converged,
-        n_evals=total_evals,
-    )
-    if prob.penalty is not None:
-        N, k = prob.penalty
-        rho_l2 = lebesgue_norm(prob.rho, 2)
-        if rho_l2 > 0:
-            report.hk_bound_ratio = ws.hk_norm(c, k) / (math.sqrt(N) * rho_l2)
-    if strict and not report.converged:
-        raise MaxIterations(
-            f"no convergence in {total_iters} iterations (grad norm {gnorm:.3e})", report
-        )
-    return u, report
+    member_callback = None if callback is None else (lambda member, *args: callback(*args))
+    return solve_stokes_batch([prob], u0=u0, tol=tol, max_iter=max_iter, strict=strict,
+                              callback=member_callback)[0]
 
 
 def solve_stokes_penalized(prob: StokesProblem, **kwargs):
@@ -467,8 +593,9 @@ def solve_stokes_penalized(prob: StokesProblem, **kwargs):
 def energy_balance_residual(prob: StokesProblem, u: VelocityField) -> float:
     """|dissipation + penalty - work| / max(1, |work|), all quadratures on
     the fine grid so a converged minimizer balances to solver tolerance."""
-    ws = _Workspace(prob, prob.params.delta)
-    return ws.energy_balance(u.coeff_stack())[2]
+    ws = _Workspace([prob], prob.params.delta)
+    c = u.coeff_stack()[None]
+    return float(ws.energy_balance(c, ws._eval_state(c))[2][0])
 
 
 def apriori_check(prob: StokesProblem, u: VelocityField):
@@ -531,20 +658,19 @@ def minty_sweep(rho_sequence, rho_limit, test_functions, params: FluidParams,
                 max_iter: int = 10000):
     """Weak-continuity probe of the inverse map along a density sequence.
 
-    Solves the limit problem and every member problem (warm-started from
-    the limit solution) and tabulates the L2 pairings
+    Solves the limit problem, then every member problem in one batch
+    warm-started from the limit solution, and tabulates the L2 pairings
     <Psi(rho_n) - Psi(rho_limit), phi> for each test field phi. Returns a
     dict with the signed pairings, their magnitudes of shape
     (len(rho_sequence), len(test_functions)), and solver iteration counts.
     """
     prob_lim = StokesProblem(rho_limit, params, law, penalty)
     u_lim, rep_lim = solve_stokes(prob_lim, tol=tol, max_iter=max_iter, strict=True)
-    raw = np.zeros((len(rho_sequence), len(test_functions)))
-    iters = [rep_lim.iterations]
-    for i, rho_n in enumerate(rho_sequence):
-        prob_n = StokesProblem(rho_n, params, law, penalty)
-        u_n, rep_n = solve_stokes(prob_n, u0=u_lim, tol=tol, max_iter=max_iter, strict=True)
-        iters.append(rep_n.iterations)
+    members = solve_stokes_batch([StokesProblem(rho_n, params, law, penalty) for rho_n in rho_sequence],
+                                 u0=u_lim, tol=tol, max_iter=max_iter, strict=True)
+    raw = np.zeros((len(members), len(test_functions)))
+    iters = [rep_lim.iterations] + [rep_n.iterations for _, rep_n in members]
+    for i, (u_n, _) in enumerate(members):
         diff = u_n.coeff_stack() - u_lim.coeff_stack()
         for j, phi in enumerate(test_functions):
             raw[i, j] = l2_inner(u_n.grid, diff, phi.coeff_stack())
@@ -555,8 +681,8 @@ def recover_pressure(prob: StokesProblem, u: VelocityField) -> SpectralField:
     """Zero-mean pressure whose gradient absorbs the non-solenoidal part of
     rho g + div(stress); at a converged minimizer the projected remainder
     is at solver tolerance."""
-    ws = _Workspace(prob, prob.params.delta)
-    R = ws.force_balance(ws._eval_state(u.coeff_stack()))
+    ws = _Workspace([prob], prob.params.delta)
+    R = ws.force_balance(ws._eval_state(u.coeff_stack()[None]))[0]
     kdotR = sum(ws.kd[j] * R[j] for j in range(ws.d))
     with np.errstate(divide="ignore", invalid="ignore"):
         pi_hat = np.where(ws.k2 > 0, -1j * kdotR / np.where(ws.k2 > 0, ws.k2, 1.0), 0.0)
@@ -565,12 +691,13 @@ def recover_pressure(prob: StokesProblem, u: VelocityField) -> SpectralField:
 
 def solution_diagnostics(prob: StokesProblem, u: VelocityField) -> dict:
     """Norms and energy bookkeeping for one solved velocity."""
-    ws = _Workspace(prob, prob.params.delta)
-    dissipation, work, residual = ws.energy_balance(u.coeff_stack())
+    ws = _Workspace([prob], prob.params.delta)
+    c = u.coeff_stack()[None]
+    dissipation, work, residual = ws.energy_balance(c, ws._eval_state(c))
     lhs, _ = apriori_check(prob, u)
     return {
         "du_beta": lhs,
-        "dissipation": dissipation,
-        "work": work,
-        "energy_residual": residual,
+        "dissipation": float(dissipation[0]),
+        "work": float(work[0]),
+        "energy_residual": float(residual[0]),
     }

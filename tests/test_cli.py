@@ -3,6 +3,7 @@
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from nnstokes import CSV_HEADER, TorusGrid, read_snapshot, sines2_field, write_snapshot
@@ -51,6 +52,18 @@ kind = sines2
 params = 1.0, 0.25, 0.1
 [time]
 T = 0.0
+"""
+
+HUGE_DENSITY = """\
+[grid]
+d = 2
+n = 16
+[fluid]
+p = 3.0
+q = 1.5
+[init]
+kind = constant
+params = 1e308
 """
 
 SUB_UNIT_BETA = """\
@@ -218,11 +231,21 @@ class TestSolveStokes:
         assert "delta_schedule" in out
 
     def test_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
-        stub = SimpleNamespace(converged=False)
+        stub = SimpleNamespace(converged=False, stop_reason="stub reason")
         monkeypatch.setattr(cli, "solve_stokes", lambda prob: (None, stub))
         path = write_config(tmp_path, SUBCRITICAL)
         assert main(["solve-stokes", path, "--quiet"]) == 3
-        assert "did not converge" in capsys.readouterr().err
+        assert "did not converge: stub reason" in capsys.readouterr().err
+
+    def test_non_finite_energy_names_reason(self, tmp_path, capsys):
+        """A constant density of 1e308 overflows the transform: the solver
+        stops after one evaluation and the error line says why."""
+        path = write_config(tmp_path, HUGE_DENSITY)
+        with np.errstate(all="ignore"):
+            assert main(["solve-stokes", path]) == 3
+        captured = capsys.readouterr()
+        assert "evaluations = 1" in captured.out
+        assert "did not converge: non-finite energy or gradient" in captured.err
 
 
 class TestVerify:

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from nnstokes import (
     AdvectionScheme,
+    CflViolation,
     DiagnosticsSeries,
     FluidParams,
     GridField,
@@ -30,6 +31,8 @@ from nnstokes import (
     low_freq_truncate,
     parse_config,
     penalty_sweep_N,
+    read_diagnostics,
+    read_snapshot,
     run,
     sines2_field,
     smooth_density,
@@ -39,7 +42,7 @@ from nnstokes import (
     velocity_l2_distance,
     velocity_l2_norm,
 )
-from nnstokes import simulator
+from nnstokes import cli, simulator
 from nnstokes.fields import random_velocity
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +236,31 @@ class TestRun:
         assert "stalled" in result.reason
         assert len(result.series) == 0
         assert result.snapshots == []
+
+    def test_cfl_violation_keeps_partial_output(self, grid2d, monkeypatch, tmp_path):
+        """A CflViolation in the first advection step ends the run with the
+        t = 0 row and snapshot, and simulate still writes them (exit 3)."""
+        def breakdown(rho, u, scheme, dt=None):
+            raise CflViolation("stub breakdown")
+
+        monkeypatch.setattr(simulator, "advect_step", breakdown)
+        result = run(newtonian_config(grid2d, sines2_field(grid2d)))
+        assert not result.completed
+        assert "CFL" in result.reason and "stub breakdown" in result.reason
+        assert result.series.t == [0.0]
+        assert [t for t, _ in result.snapshots] == [0.0]
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nd = 2\nn = 16\n[fluid]\np = 2.0\nq = 1.5\n"
+                       "[init]\nkind = sines2\nparams = 1.0, 0.5, 0.25\n"
+                       "[time]\nT = 0.2\noutput_every = 0.1\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(cfg), "--quiet", "--out", str(out)]) == 3
+        series = read_diagnostics((out / "diagnostics.csv").read_text())
+        assert series.t == [0.0]
+        assert sorted(p.name for p in out.iterdir() if p.suffix == ".nnst") == ["snapshot_0000.nnst"]
+        _, t0 = read_snapshot(str(out / "snapshot_0000.nnst"))
+        assert t0 == 0.0
 
 
 class TestTimeGrid:

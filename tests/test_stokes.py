@@ -30,10 +30,12 @@ from nnstokes import (
     recover_pressure,
     solution_diagnostics,
     solve_stokes,
+    solve_stokes_batch,
     solve_stokes_penalized,
     to_grid,
     to_spectral,
 )
+from nnstokes import stokes
 from nnstokes.fields import random_band_field, random_velocity, sine1_field
 from nnstokes.simulator import velocity_l2_distance, velocity_l2_norm
 from nnstokes.spectral import k_squared, project_div_free
@@ -281,6 +283,151 @@ class TestSolveStokes:
             u2, _ = solve_stokes(prob, u0=random_velocity(grid, seed=70 + seed, kmax=6), strict=True)
             rel = velocity_l2_distance(u1, u2) / velocity_l2_norm(u1)
             assert rel <= 1e-6
+
+
+BATCH_LAWS = (constant_law(1.0), bounded_power_law(1.0, 0.5, 10.0), constant_law(2.0))
+
+
+def batch_problems(p, laws=BATCH_LAWS, n=16, **params):
+    """One n = 16 problem per law, each on its own random density."""
+    grid = TorusGrid(2, n)
+    return [
+        StokesProblem(
+            random_band_field(grid, seed=20 + s, kmax=4, amplitude=0.5, offset=1.2),
+            FluidParams(p=p, q=1.5, **params),
+            law,
+        )
+        for s, law in enumerate(laws)
+    ]
+
+
+def assert_same_solves(batch, solos):
+    """Velocities and reports equal bit for bit, member by member."""
+    assert len(batch) == len(solos)
+    for (u, report), (u_solo, report_solo) in zip(batch, solos):
+        assert np.array_equal(u.coeff_stack(), u_solo.coeff_stack())
+        assert report == report_solo
+
+
+class TestSolveStokesBatch:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_batch_equals_batches_of_one(self, p):
+        probs = batch_problems(p)
+        assert_same_solves(solve_stokes_batch(probs), [solve_stokes(prob) for prob in probs])
+
+    # (iterations, evaluations) of each member solved alone by the scalar
+    # minimizer that the batched one replaced
+    SEQUENTIAL_COUNTS = {
+        1.5: [(50, 54), (57, 61), (47, 51)],
+        2.0: [(0, 1), (6, 7), (1, 2)],
+        3.0: [(17, 19), (16, 18), (17, 18)],
+        4.0: [(26, 30), (25, 29), (26, 29)],
+    }
+
+    @pytest.mark.parametrize("p", sorted(SEQUENTIAL_COUNTS))
+    def test_counts_match_sequential_solver(self, p):
+        reports = [report for _, report in solve_stokes_batch(batch_problems(p))]
+        assert [(r.iterations, r.n_evals) for r in reports] == self.SEQUENTIAL_COUNTS[p]
+        assert all(r.converged and r.stop_reason == "converged" for r in reports)
+
+    def test_member_converged_at_start_freezes(self):
+        """For p = 2 and unit viscosity the cold start is the minimizer: that
+        member stops at iteration 0 while the others iterate."""
+        probs = batch_problems(2.0)
+        batch = solve_stokes_batch(probs)
+        assert batch[0][1].iterations == 0 and batch[0][1].converged
+        assert all(report.iterations > 0 for _, report in batch[1:])
+        assert_same_solves(batch, [solve_stokes(prob) for prob in probs])
+
+    def test_iteration_limit_per_member(self):
+        probs = batch_problems(3.0)
+        batch = solve_stokes_batch(probs, max_iter=1)
+        for _, report in batch:
+            assert not report.converged
+            assert report.iterations == 1
+            assert report.stop_reason == "iteration limit"
+        with pytest.raises(MaxIterations, match="member 0") as excinfo:
+            solve_stokes_batch(probs, max_iter=1, strict=True)
+        assert excinfo.value.report == batch[0][1]
+
+    def test_shared_and_per_member_warm_starts(self):
+        probs = batch_problems(3.0)
+        grid = probs[0].rho.grid
+        u0 = random_velocity(grid, seed=5, kmax=4)
+        shared = solve_stokes_batch(probs, u0=u0)
+        assert_same_solves(shared, solve_stokes_batch(probs, u0=[u0] * len(probs)))
+        starts = [random_velocity(grid, seed=6 + i, kmax=4) for i in range(len(probs))]
+        assert_same_solves(solve_stokes_batch(probs, u0=starts),
+                           [solve_stokes(prob, u0=v) for prob, v in zip(probs, starts)])
+        with pytest.raises(ValueError, match="u0"):
+            solve_stokes_batch(probs, u0=starts[:2])
+
+    @pytest.mark.parametrize("other", [
+        batch_problems(4.0)[0],
+        batch_problems(3.0, n=32)[0],
+        batch_problems(3.0, delta=1e-3)[0],
+        batch_problems(3.0, g=(1.0, 0.0))[0],
+    ], ids=["p", "grid", "delta", "g"])
+    def test_members_must_share_parameters(self, other):
+        with pytest.raises(ValueError, match="must share"):
+            solve_stokes_batch(batch_problems(3.0)[:2] + [other])
+
+    def test_mismatched_penalty_rejected(self):
+        probs = batch_problems(3.0)
+        penalized = StokesProblem(probs[1].rho, probs[1].params, probs[1].law, penalty=(100.0, 3))
+        with pytest.raises(ValueError, match="must share"):
+            solve_stokes_batch([probs[0], penalized])
+
+    def test_empty_batch(self):
+        assert solve_stokes_batch([]) == []
+
+    def test_non_finite_member_stops_at_once(self):
+        """A constant density of 1e308 overflows the transform: that member
+        stops after its first evaluation with a stated reason, and the
+        others solve as they would alone."""
+        probs = batch_problems(3.0)
+        grid = probs[0].rho.grid
+        huge = StokesProblem(GridField(grid, np.full(grid.shape, 1e308)), probs[0].params,
+                             constant_law(1.0))
+        with np.errstate(all="ignore"):
+            batch = solve_stokes_batch(probs[:1] + [huge] + probs[1:])
+            _, report = solve_stokes(huge)
+        assert report.n_evals == 1 and report.iterations == 0
+        assert not report.converged
+        assert report.stop_reason == "non-finite energy or gradient"
+        assert batch[1][1].n_evals == 1
+        assert batch[1][1].stop_reason == report.stop_reason
+        assert_same_solves(batch[:1] + batch[2:], [solve_stokes(prob) for prob in probs])
+
+    def test_failed_line_search_retries_then_stops(self, monkeypatch):
+        """A curvature of 1e-300 sends the viscosity-2 member's trial points
+        to overflow: 40 halvings fail, the steepest-descent retry
+        re-evaluates the stale point and fails 40 more, and the member stops
+        after 82 evaluations while the others solve as they would alone."""
+        curvature_along = stokes._Workspace.curvature_along
+
+        def patched(ws, state, w, sel=slice(None)):
+            curv = curvature_along(ws, state, w, sel)
+            flagged = ws.nu_fine[sel].reshape(len(curv), -1)[:, 0] == 2.0
+            return np.where(flagged, 1e-300, curv)
+
+        monkeypatch.setattr(stokes._Workspace, "curvature_along", patched)
+        probs = batch_problems(3.0)
+        with np.errstate(all="ignore"):
+            batch = solve_stokes_batch(probs)
+            solos = [solve_stokes(prob) for prob in probs]
+        assert_same_solves(batch, solos)
+        report = batch[2][1]
+        assert (report.iterations, report.n_evals) == (0, 82)
+        assert report.stop_reason == "line search failed"
+        assert all(r.converged for _, r in batch[:2])
+
+    def test_callback_names_members(self):
+        probs = batch_problems(3.0)
+        seen = []
+        batch = solve_stokes_batch(probs, callback=lambda i, it, f, g: seen.append((i, it)))
+        for i, (_, report) in enumerate(batch):
+            assert [it for j, it in seen if j == i] == list(range(report.iterations + 1))
 
 
 class TestPenalizedSolve:
