@@ -56,6 +56,7 @@ from .rheology import (
 from .fields import (
     constant_field,
     random_band_field,
+    random_velocities,
     random_velocity,
     rough_field,
     sine1_field,
@@ -72,6 +73,7 @@ from .stokes import (
     minty_sweep,
     monotonicity_gap,
     monotonicity_gap_with_scale,
+    monotonicity_gaps,
     pairing_l2,
     recover_pressure,
     solution_diagnostics,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .batteries import BATTERIES, run_battery
 from .errors import CflViolation, MaxIterations, NnstokesError
@@ -122,12 +123,15 @@ def _cmd_verify(args) -> int:
     names = sorted(BATTERIES) if args.suite == "all" else [args.suite]
     all_passed = True
     for name in names:
+        start = time.perf_counter()
         result = run_battery(name, seed=args.seed)
+        wall = time.perf_counter() - start
         if args.quiet:
             verdict = "passed" if result.passed else "FAILED"
             print(f"battery {name}: {verdict}")
         else:
             print(result.report())
+        print(f"battery {name}: wall time {wall:.2f} s")
         all_passed = all_passed and result.passed
     return 0 if all_passed else 4
 

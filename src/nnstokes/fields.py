@@ -15,9 +15,7 @@ from .spectral import (
     TorusGrid,
     VelocityField,
     k_squared,
-    leray_project,
-    to_grid,
-    to_spectral,
+    project_div_free,
 )
 
 
@@ -42,14 +40,14 @@ def stratified_field(grid: TorusGrid, offset: float = 2.0, amp: float = 0.5) -> 
     return GridField(grid, offset + amp * np.cos(grid.coordinate(grid.d - 1)))
 
 
-def _masked_noise(grid: TorusGrid, rng: np.random.Generator, mask: np.ndarray) -> GridField:
-    white = rng.standard_normal(grid.shape)
-    coeffs = to_spectral(GridField(grid, white, check=False)).coeffs * mask
-    field = to_grid(SpectralField(grid, coeffs), check=False).values
-    peak = np.abs(field).max()
-    if peak > 0:
-        field = field / peak
-    return GridField(grid, field, check=False)
+def _masked_noise(grid: TorusGrid, white: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masked white noise of shape batch + grid.shape, each field scaled to
+    unit sup norm."""
+    axes = tuple(range(-grid.d, 0))
+    coeffs = np.fft.fftn(white, axes=axes) / grid.npoints * mask
+    field = (np.fft.ifftn(coeffs, axes=axes) * grid.npoints).real
+    peak = np.abs(field).max(axis=axes, keepdims=True)
+    return field / np.where(peak > 0, peak, 1.0)
 
 
 def random_band_field(grid: TorusGrid, seed, kmax: float, amplitude: float = 1.0,
@@ -59,8 +57,8 @@ def random_band_field(grid: TorusGrid, seed, kmax: float, amplitude: float = 1.0
     rng = np.random.default_rng(seed)
     k2 = k_squared(grid)
     mask = (k2 > 0) & (k2 <= kmax * kmax)
-    f = _masked_noise(grid, rng, mask)
-    return GridField(grid, offset + amplitude * f.values)
+    f = _masked_noise(grid, rng.standard_normal(grid.shape), mask)
+    return GridField(grid, offset + amplitude * f)
 
 
 def rough_field(grid: TorusGrid, seed, slope: float = -1.1, amplitude: float = 0.5,
@@ -72,17 +70,27 @@ def rough_field(grid: TorusGrid, seed, slope: float = -1.1, amplitude: float = 0
     with np.errstate(divide="ignore"):
         envelope = np.where(k2 > 0, np.sqrt(k2), 1.0) ** slope
     envelope = np.where(k2 > 0, envelope, 0.0)
-    f = _masked_noise(grid, rng, envelope)
-    return GridField(grid, offset + amplitude * f.values)
+    f = _masked_noise(grid, rng.standard_normal(grid.shape), envelope)
+    return GridField(grid, offset + amplitude * f)
+
+
+def random_velocities(grid: TorusGrid, seeds, kmax: float, amplitude: float = 1.0) -> list:
+    """One divergence-free zero-mean velocity with random band-limited
+    components per seed, each member drawn from its own generator; all
+    members are transformed and projected together."""
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    k2 = k_squared(grid)
+    mask = (k2 > 0) & (k2 <= kmax * kmax)
+    white = np.stack([np.random.default_rng(seed).standard_normal((grid.d,) + grid.shape)
+                      for seed in seeds])
+    f = _masked_noise(grid, white, mask)
+    coeffs = np.fft.fftn(amplitude * f, axes=tuple(range(-grid.d, 0))) / grid.npoints
+    return [VelocityField(tuple(SpectralField(grid, c) for c in member), check=False)
+            for member in project_div_free(coeffs, grid)]
 
 
 def random_velocity(grid: TorusGrid, seed, kmax: float, amplitude: float = 1.0) -> VelocityField:
     """Divergence-free zero-mean velocity with random band-limited components."""
-    rng = np.random.default_rng(seed)
-    k2 = k_squared(grid)
-    mask = (k2 > 0) & (k2 <= kmax * kmax)
-    comps = []
-    for _ in range(grid.d):
-        f = _masked_noise(grid, rng, mask)
-        comps.append(to_spectral(GridField(grid, amplitude * f.values, check=False)))
-    return leray_project(comps)
+    return random_velocities(grid, [seed], kmax, amplitude)[0]

@@ -132,10 +132,12 @@ class _Reader:
         return self._get(key, convert, f"an integer{floor}", default)
 
     def number(self, key, default=None, low=None, high=None,
-               strict_low=False, strict_high=False):
+               strict_low=False, strict_high=False, allow_inf=False):
+        """A float within the bounds; NaN is always rejected, and +-inf
+        unless allow_inf."""
         def convert(s):
             out = float(s)
-            if math.isnan(out):
+            if math.isnan(out) or (math.isinf(out) and not allow_inf):
                 raise ValueError
             if low is not None and (out <= low if strict_low else out < low):
                 raise ValueError
@@ -147,7 +149,8 @@ class _Reader:
             bounds.append((">" if strict_low else ">=") + f" {low}")
         if high is not None:
             bounds.append(("<" if strict_high else "<=") + f" {high}")
-        describe = "a number" + (" " + " and ".join(bounds) if bounds else "")
+        describe = ("a number" if allow_inf else "a finite number") + (
+            " " + " and ".join(bounds) if bounds else "")
         return self._get(key, convert, describe, default)
 
     def choice(self, key, options, default=None):
@@ -168,9 +171,13 @@ class _Reader:
 
 
 def _parse_float_list(value: str):
+    """Comma-separated finite floats; ValueError on anything else."""
     if value is None or value.strip() == "":
         return []
-    return [float(tok) for tok in value.split(",")]
+    out = [float(tok) for tok in value.split(",")]
+    if not all(math.isfinite(x) for x in out):
+        raise ValueError("non-finite number")
+    return out
 
 
 def _build_rho0(kind, params_text, grid, seed, base_dir, reader):
@@ -199,7 +206,7 @@ def _build_rho0(kind, params_text, grid, seed, base_dir, reader):
     try:
         args = _parse_float_list(params_text)
     except ValueError:
-        reader.flag_bad("init.params", f"init.params must be comma-separated numbers "
+        reader.flag_bad("init.params", f"init.params must be comma-separated finite numbers "
                                        f"(got {params_text!r})")
         return None
 
@@ -252,7 +259,7 @@ def parse_config(text: str, force: bool = False, seed: int = None,
 
     p = reader.number("fluid.p", low=1.0, strict_low=True)
     q = reader.number("fluid.q", low=1.0, high=2.0, strict_low=True, strict_high=True)
-    sigma = reader.number("fluid.sigma", default=math.inf, low=1.0)
+    sigma = reader.number("fluid.sigma", default=math.inf, low=1.0, allow_inf=True)
     gamma = reader.number("fluid.gamma", default=0.0, low=0.0)
     nu_star = reader.number("fluid.nu_star", default=1.0, low=0.0, strict_low=True)
     nu_max = reader.number("fluid.nu_max", default=None, low=0.0, strict_low=True)
@@ -267,7 +274,7 @@ def parse_config(text: str, force: bool = False, seed: int = None,
         try:
             g = tuple(_parse_float_list(reader.text("fluid.g")))
         except ValueError:
-            reader.flag_bad("fluid.g", "fluid.g must be comma-separated numbers")
+            reader.flag_bad("fluid.g", "fluid.g must be comma-separated finite numbers")
         if g is not None and d is not None and len(g) != d:
             reader.flag_bad("fluid.g", f"fluid.g needs {d} components, got {len(g)}")
             g = None

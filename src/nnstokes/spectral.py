@@ -268,19 +268,27 @@ def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def strain_tensor(u: VelocityField) -> np.ndarray:
-    """Symmetric strain (d_i u_j + d_j u_i)/2 as a real array (d, d) + grid.shape."""
-    grid = u.grid
+def strain_from_coeffs(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Symmetric strain (d_i u_j + d_j u_i)/2 of a stacked coefficient array of
+    shape (d,) + grid.shape, with any leading batch axes, as a real array of
+    shape batch + (d, d) + grid.shape."""
     d = grid.d
     ks = deriv_vectors(grid)
-    out = np.empty((d, d) + grid.shape)
+    comps = np.moveaxis(stack, -d - 1, 0)
+    out = np.empty(stack.shape[:-d - 1] + (d, d) + grid.shape)
+    tensor = np.moveaxis(out, (-d - 2, -d - 1), (0, 1))
     for i in range(d):
         for j in range(i, d):
-            cij = 0.5j * (ks[i] * u.components[j].coeffs + ks[j] * u.components[i].coeffs)
-            sij = np.fft.ifftn(cij).real * grid.npoints
-            out[i, j] = sij
-            out[j, i] = sij
+            cij = 0.5j * (ks[i] * comps[j] + ks[j] * comps[i])
+            sij = np.fft.ifftn(cij, axes=tuple(range(-d, 0))).real * grid.npoints
+            tensor[i, j] = sij
+            tensor[j, i] = sij
     return out
+
+
+def strain_tensor(u: VelocityField) -> np.ndarray:
+    """Symmetric strain (d_i u_j + d_j u_i)/2 as a real array (d, d) + grid.shape."""
+    return strain_from_coeffs(u.coeff_stack(), u.grid)
 
 
 def sharp_truncate(F: SpectralField, N: float) -> SpectralField:

@@ -45,6 +45,7 @@ from .spectral import (
     lebesgue_norm,
     project_div_free,
     reciprocal_norm,
+    strain_from_coeffs,
     strain_tensor,
     to_spectral,
 )
@@ -617,35 +618,42 @@ def apriori_check(prob: StokesProblem, u: VelocityField):
     return float(lhs), float(rhs)
 
 
-def _monotonicity_terms(prob: StokesProblem, u: VelocityField, phi: VelocityField):
+def monotonicity_gaps(prob: StokesProblem, u: VelocityField, phis):
+    """Monotonicity gaps of u against each test field phi, with their scales.
+
+    Returns (gaps, scales), 1-D arrays with one entry per phi: the gap is
+    int nu(rho) (s(Du) - s(Dphi)) : (Du - Dphi) with s the stress power,
+    nonnegative by operator monotonicity, expanded into four terms
+    t1 - t2 - t3 + t4, and the scale is |t1| + |t2| + |t3| + |t4|.
+    """
     params = prob.params
+    grid = prob.rho.grid
     nu = prob.law(prob.rho.values)
-    Su = strain_tensor(u)
-    Sp = strain_tensor(phi)
-    hd = prob.rho.grid.h ** prob.rho.grid.d
-
-    def stress_of(S):
-        return _power_factor(strain_magnitude_sq(S), params.p, params.delta)[None, None] * S
-
-    Au = stress_of(Su)
-    Ap = stress_of(Sp)
+    hd = grid.h ** grid.d
+    # u is member 0 of one strain batch; its size-1 axis broadcasts in the pairings
+    S = strain_from_coeffs(np.stack([v.coeff_stack() for v in [u, *phis]]), grid)
+    mag2 = np.einsum("kij...,kij...->k...", S, S)
+    A = _power_factor(mag2, params.p, params.delta)[:, None, None] * S
+    axes = tuple(range(-grid.d, 0))
 
     def pair(A, B):
-        return float(hd * np.sum(nu * np.einsum("ij...,ij...->...", A, B)))
+        return hd * np.sum(nu * np.einsum("kij...,kij...->k...", A, B), axis=axes)
 
-    return pair(Au, Su), pair(Au, Sp), pair(Ap, Su), pair(Ap, Sp)
+    t1 = pair(A[:1], S[:1])
+    t2, t3, t4 = pair(A[:1], S[1:]), pair(A[1:], S[:1]), pair(A[1:], S[1:])
+    return t1 - t2 - t3 + t4, np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)
 
 
 def monotonicity_gap(prob: StokesProblem, u: VelocityField, phi: VelocityField) -> float:
     """int nu(rho) (s(Du) - s(Dphi)) : (Du - Dphi) with s the stress power;
     nonnegative for every pair of fields by operator monotonicity."""
-    t1, t2, t3, t4 = _monotonicity_terms(prob, u, phi)
-    return t1 - t2 - t3 + t4
+    return monotonicity_gap_with_scale(prob, u, phi)[0]
 
 
 def monotonicity_gap_with_scale(prob: StokesProblem, u: VelocityField, phi: VelocityField):
-    t1, t2, t3, t4 = _monotonicity_terms(prob, u, phi)
-    return t1 - t2 - t3 + t4, abs(t1) + abs(t2) + abs(t3) + abs(t4)
+    """(gap, scale) of monotonicity_gaps for a single test field."""
+    gaps, scales = monotonicity_gaps(prob, u, [phi])
+    return float(gaps[0]), float(scales[0])
 
 
 def pairing_l2(u: VelocityField, v: VelocityField) -> float:

@@ -1,6 +1,7 @@
 """Exit codes and output files of the command-line entry points."""
 
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,6 +190,13 @@ class TestSimulate:
         assert main(["simulate", path]) == 2
         assert "fluid.p" in capsys.readouterr().err
 
+    def test_non_finite_number_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, SUBCRITICAL.replace("p = 2.0", "p = inf"))
+        assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "line 6: fluid.p must be a finite number" in err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_inadmissible_refused_without_force(self, tmp_path, capsys):
         path = write_config(tmp_path, INADMISSIBLE)
         assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
@@ -258,6 +266,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "battery exponents:" in out
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]])
+    def test_prints_wall_time_after_report(self, capsys, quiet):
+        assert main(["verify", "exponents"] + quiet) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == ("battery exponents: passed" if quiet
+                             else "battery exponents: 14 checks, passed")
+        assert re.fullmatch(r"battery exponents: wall time \d+\.\d\d s", lines[-1])
 
     def test_failing_battery_exits_4(self, capsys, monkeypatch):
         stub = BatteryResult("leray", [(False, "forced failure")])

@@ -1,6 +1,7 @@
 """Config parsing, the diagnostics CSV, and the binary snapshot format."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -262,6 +263,53 @@ class TestParseConfigErrors:
     def test_gravity_arity(self):
         text = BASE_CONFIG.replace("q = 1.5", "q = 1.5\ng = 1.0, 0.0, 0.0")
         with pytest.raises(BadValue, match="components"):
+            parse_config(text)
+
+
+NUMBER_KEYS = ("fluid.p", "fluid.q", "fluid.gamma", "fluid.nu_star", "fluid.nu_max",
+               "fluid.delta", "scheme.cfl", "time.T", "time.output_every", "penalty.N")
+
+
+def with_number(key, value):
+    """BASE_CONFIG with key set to value, and the line number of that entry."""
+    section, name = key.split(".")
+    if key in ("fluid.p", "fluid.q"):
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", BASE_CONFIG, flags=re.M)
+    elif section == "fluid":
+        text = BASE_CONFIG.replace("q = 1.5", f"q = 1.5\n{name} = {value}")
+    else:
+        extra = "k = 3\n" if section == "penalty" else ""
+        text = BASE_CONFIG + f"[{section}]\n{name} = {value}\n{extra}"
+    return text, text.splitlines().index(f"{name} = {value}") + 1
+
+
+class TestParseConfigNonFinite:
+    """Infinite numbers are rejected where they enter: T = inf used to
+    hang the run loop, p = inf to crash in FluidParams, and delta or
+    nu_star = inf to end in a solve on NaN."""
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_number_key_rejects(self, key, value):
+        text, lineno = with_number(key, value)
+        with pytest.raises(BadValue, match=rf"line {lineno}: {key} must be a finite number"):
+            parse_config(text)
+
+    def test_sigma_accepts_infinity(self):
+        text = BASE_CONFIG.replace("q = 1.5", "q = 1.5\nsigma = inf")
+        assert parse_config(text).params.sigma == math.inf
+        with pytest.raises(BadValue, match="fluid.sigma must be a number >= 1.0"):
+            parse_config(BASE_CONFIG.replace("q = 1.5", "q = 1.5\nsigma = -inf"))
+
+    @pytest.mark.parametrize("text", [
+        BASE_CONFIG.replace("q = 1.5", "q = 1.5\ng = 0.0, -inf"),
+        BASE_CONFIG.replace("q = 1.5", "q = 1.5\ng = nan, -1.0"),
+        BASE_CONFIG.replace("params = 1.0, 0.5, 0.25", "params = 1.0, inf, 0.25"),
+        BASE_CONFIG.replace("kind = sines2\nparams = 1.0, 0.5, 0.25",
+                            "kind = random_band\nparams = inf"),
+    ])
+    def test_number_lists_reject(self, text):
+        with pytest.raises(BadValue, match="comma-separated finite numbers"):
             parse_config(text)
 
 

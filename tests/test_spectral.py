@@ -31,13 +31,14 @@ from nnstokes import (
     to_grid,
     to_spectral,
 )
-from nnstokes.fields import random_band_field
+from nnstokes.fields import random_band_field, random_velocities
 from nnstokes.spectral import (
     dealiaser,
     fine_size,
     l2_inner,
     pad_coeffs,
     restrict_coeffs,
+    strain_from_coeffs,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -209,6 +210,16 @@ class TestStrainTensor:
         trace = Du[0, 0] + Du[1, 1]
         assert np.abs(trace).max() < 1e-10
         assert np.abs(Du[0, 1] - Du[1, 0]).max() < 1e-12
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_batched_strain_equals_per_member(self, d, n):
+        grid = TorusGrid(d, n)
+        fields = random_velocities(grid, range(6), kmax=3)
+        stack = np.stack([u.coeff_stack() for u in fields]).reshape((2, 3, d) + grid.shape)
+        batched = strain_from_coeffs(stack, grid)
+        assert batched.shape == (2, 3, d, d) + grid.shape
+        for b, u in enumerate(fields):
+            assert np.array_equal(batched[b // 3, b % 3], strain_tensor(u))
 
 
 class TestDyadicBlocks:

@@ -25,6 +25,7 @@ from nnstokes import (
     minty_sweep,
     monotonicity_gap,
     monotonicity_gap_with_scale,
+    monotonicity_gaps,
     pairing_l2,
     power_law,
     recover_pressure,
@@ -35,8 +36,9 @@ from nnstokes import (
     to_grid,
     to_spectral,
 )
-from nnstokes import stokes
-from nnstokes.fields import random_band_field, random_velocity, sine1_field
+from nnstokes import run_battery, stokes, strain_tensor
+from nnstokes.fields import random_band_field, random_velocities, random_velocity, sine1_field
+from nnstokes.rheology import _power_factor
 from nnstokes.simulator import velocity_l2_distance, velocity_l2_norm
 from nnstokes.spectral import k_squared, project_div_free
 
@@ -350,6 +352,25 @@ class TestSolveStokesBatch:
             solve_stokes_batch(probs, max_iter=1, strict=True)
         assert excinfo.value.report == batch[0][1]
 
+    def test_members_may_differ_in_law_parameters(self):
+        """Members share p, delta and g but not sigma, gamma, nu_max or the
+        law, as in the energy battery."""
+        grid = TorusGrid(2, 16)
+        probs = [
+            StokesProblem(random_band_field(grid, seed=30, kmax=4, amplitude=0.5, offset=1.5),
+                          FluidParams(p=1.5, q=1.5), constant_law(1.0)),
+            StokesProblem(random_band_field(grid, seed=31, kmax=4, amplitude=0.5, offset=1.5),
+                          FluidParams(p=1.5, q=1.5, sigma=2.0, gamma=0.5, nu_max=10.0),
+                          bounded_power_law(1.0, 0.5, 10.0)),
+        ]
+        assert_same_solves(solve_stokes_batch(probs), [solve_stokes(prob) for prob in probs])
+
+    def test_energy_battery_verdict_unchanged(self):
+        assert run_battery("energy", seed=0).checks == [
+            (True, "all 20 solves converged"),
+            (True, "worst relative energy residual 1.91e-10 <= 1e-6"),
+        ]
+
     def test_shared_and_per_member_warm_starts(self):
         probs = batch_problems(3.0)
         grid = probs[0].rho.grid
@@ -576,6 +597,49 @@ class TestMonotonicity:
             phi = random_velocity(grid, seed=int(gen.integers(1 << 30)), kmax=4)
             gap, scale = monotonicity_gap_with_scale(prob, u, phi)
             assert gap >= -1e-10 * scale
+
+
+def loop_gap_with_scale(prob, u, phi):
+    """Reference: the four terms of the gap for one test field, each an
+    einsum contraction summed over the grid."""
+    params = prob.params
+    nu = prob.law(prob.rho.values)
+    hd = prob.rho.grid.h ** prob.rho.grid.d
+
+    def stress_of(S):
+        mag2 = np.einsum("ij...,ij...->...", S, S)
+        return _power_factor(mag2, params.p, params.delta)[None, None] * S
+
+    def pair(A, B):
+        return float(hd * np.sum(nu * np.einsum("ij...,ij...->...", A, B)))
+
+    Su, Sp = strain_tensor(u), strain_tensor(phi)
+    Au, Ap = stress_of(Su), stress_of(Sp)
+    t1, t2, t3, t4 = pair(Au, Su), pair(Au, Sp), pair(Ap, Su), pair(Ap, Sp)
+    return t1 - t2 - t3 + t4, abs(t1) + abs(t2) + abs(t3) + abs(t4)
+
+
+class TestMonotonicityGaps:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("law", [constant_law(1.0), bounded_power_law(1.0, 0.5, 10.0)])
+    def test_batch_equals_scalar_loop(self, p, delta, law):
+        grid = TorusGrid(2, 16)
+        rho = random_band_field(grid, seed=11, kmax=4, amplitude=0.5, offset=1.2)
+        prob = StokesProblem(rho, FluidParams(p=p, q=1.5, delta=delta), law)
+        u = random_velocity(grid, seed=12, kmax=4, amplitude=0.5)
+        phis = random_velocities(grid, range(13, 18), kmax=4, amplitude=0.5) + [u]
+        gaps, scales = monotonicity_gaps(prob, u, phis)
+        assert gaps.shape == scales.shape == (len(phis),)
+        expected = np.array([loop_gap_with_scale(prob, u, phi) for phi in phis])
+        assert np.array_equal(np.stack([gaps, scales], axis=1), expected)
+        scalar = np.array([monotonicity_gap_with_scale(prob, u, phi) for phi in phis])
+        assert np.array_equal(scalar, expected)
+        assert [monotonicity_gap(prob, u, phi) for phi in phis] == list(expected[:, 0])
+
+    def test_battery_verdict_unchanged(self):
+        checks = run_battery("monotonicity", seed=0).checks
+        assert checks[1] == (True, "smallest gap/scale over 1000 pairs is 4.77e-01 >= -1e-10")
 
 
 class TestMintySweep:
