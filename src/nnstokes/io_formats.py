@@ -400,6 +400,8 @@ def parse_snapshot(data: bytes):
         raise BadValue(f"bad snapshot magic {magic!r}")
     if version != _VERSION:
         raise BadValue(f"unsupported snapshot version {version}")
+    if not math.isfinite(time):
+        raise BadValue(f"snapshot time must be finite, got {time}")
     try:
         grid = TorusGrid(d, n)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import CflViolation, InadmissibleExponents, MaxIterations
+from .errors import BadValue, CflViolation, InadmissibleExponents, MaxIterations
 from .rheology import FluidParams, ViscosityLaw
 from .spectral import (
     GridField,
@@ -171,8 +171,12 @@ def run(config: SimulationConfig) -> SimulationResult:
     cap, and steps end exactly on the output times and on t_final. A
     non-converged solve or a CflViolation in the advection step aborts with
     the rows and snapshots recorded so far, completed=False and the reason.
+    A pack with beta < 1, whose du_beta column is not a norm, raises
+    BadValue before the first solve.
     """
     params = config.params
+    if params.beta < 1:
+        raise BadValue(f"du_beta needs a Lebesgue exponent beta >= 1, got beta = {params.beta:.6g}")
     series = DiagnosticsSeries()
     snapshots = []
     rho = smooth_density(config.rho0, config.smoothing_n)

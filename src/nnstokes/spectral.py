@@ -268,27 +268,19 @@ def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def strain_from_coeffs(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Symmetric strain (d_i u_j + d_j u_i)/2 of a stacked coefficient array of
-    shape (d,) + grid.shape, with any leading batch axes, as a real array of
-    shape batch + (d, d) + grid.shape."""
-    d = grid.d
-    ks = deriv_vectors(grid)
-    comps = np.moveaxis(stack, -d - 1, 0)
-    out = np.empty(stack.shape[:-d - 1] + (d, d) + grid.shape)
-    tensor = np.moveaxis(out, (-d - 2, -d - 1), (0, 1))
-    for i in range(d):
-        for j in range(i, d):
-            cij = 0.5j * (ks[i] * comps[j] + ks[j] * comps[i])
-            sij = np.fft.ifftn(cij, axes=tuple(range(-d, 0))).real * grid.npoints
-            tensor[i, j] = sij
-            tensor[j, i] = sij
-    return out
-
-
 def strain_tensor(u: VelocityField) -> np.ndarray:
     """Symmetric strain (d_i u_j + d_j u_i)/2 as a real array (d, d) + grid.shape."""
-    return strain_from_coeffs(u.coeff_stack(), u.grid)
+    grid = u.grid
+    d = grid.d
+    ks = deriv_vectors(grid)
+    out = np.empty((d, d) + grid.shape)
+    for i in range(d):
+        for j in range(i, d):
+            cij = 0.5j * (ks[i] * u.components[j].coeffs + ks[j] * u.components[i].coeffs)
+            sij = np.fft.ifftn(cij).real * grid.npoints
+            out[i, j] = sij
+            out[j, i] = sij
+    return out
 
 
 def sharp_truncate(F: SpectralField, N: float) -> SpectralField:
@@ -390,7 +382,9 @@ def reciprocal_norm(rho: GridField, sigma: float) -> float:
 
 def besov_norm(F: SpectralField, s: float, p: float, r: float) -> float:
     """Nonhomogeneous Besov norm: l^r over j >= -1 of 2^{js} |block_j|_{L^p}."""
-    if p < 1 or r < 1:
+    if not math.isfinite(s):
+        raise ValueError(f"Besov regularity index must be finite, got {s}")
+    if not (p >= 1 and r >= 1):
         raise ValueError("Besov integrability exponents must be >= 1")
     terms = []
     for j in range(-1, j_max(F.grid) + 1):

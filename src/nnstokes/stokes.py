@@ -15,12 +15,13 @@ The minimizer is computed over divergence-free zero-mean trigonometric
 polynomials by preconditioned nonlinear conjugate gradients in Fourier
 coefficients, vectorized over a batch of problems that share the grid and
 the parameters (solve_stokes_batch; solve_stokes is a batch of one). The
-stress and the dissipation are evaluated on a 3/2-times
-finer quadrature grid, which keeps the discrete gradient an exact
-derivative of the discrete energy; the work integral, linear in u, is
-summed exactly from the coefficients. For 1 < p < 2 with delta = 0 the
-solver runs a continuation ladder delta = 1e-1 ... 1e-4, warm-starting
-each stage, and never differentiates the singular delta = 0 energy.
+stress, the dissipation, the monotonicity gap and the a-priori strain norm
+are evaluated on one 3/2-times finer quadrature grid, which keeps the
+discrete gradient an exact derivative of the discrete energy; the work
+integral, linear in u, is summed exactly from the coefficients. For
+1 < p < 2 with delta = 0 the solver runs a continuation ladder
+delta = 1e-1 ... 1e-4, warm-starting each stage, and never differentiates
+the singular delta = 0 energy.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateViscosity, MaxIterations
-from .rheology import FluidParams, ViscosityLaw, _power_factor, strain_magnitude_sq
+from .rheology import FluidParams, ViscosityLaw, _power_factor
 from .spectral import (
     GridField,
     SpectralField,
@@ -45,8 +46,6 @@ from .spectral import (
     lebesgue_norm,
     project_div_free,
     reciprocal_norm,
-    strain_from_coeffs,
-    strain_tensor,
     to_spectral,
 )
 
@@ -211,9 +210,12 @@ class _Workspace:
         return np.array([l2_inner(self.grid, ci, wi) for ci, wi in zip(c, self.work_weights[sel])])
 
     def _energy(self, c: np.ndarray, mag2: np.ndarray, sel=slice(None)) -> np.ndarray:
-        dsq = self.delta * self.delta
-        primitive = (self.nu_fine[sel] / self.p) * ((dsq + mag2) ** (self.p / 2.0) - self.delta ** self.p)
-        diss = self.hfd * _sum_per_member(primitive)
+        if self.delta > 0:
+            # (delta^2 + |Du|^2)^{p/2} - delta^p, free of cancellation where delta^2 >> |Du|^2
+            lifted = self.delta ** self.p * np.expm1(0.5 * self.p * np.log1p(mag2 / self.delta ** 2))
+        else:
+            lifted = mag2 ** (self.p / 2.0)
+        diss = self.hfd * _sum_per_member((self.nu_fine[sel] / self.p) * lifted)
         return diss - self.work_integral(c, sel) + self._penalty_energy_half(c)
 
     def value(self, c: np.ndarray) -> np.ndarray:
@@ -256,10 +258,13 @@ class _Workspace:
             safe = np.where(base > 0, base, 1.0) ** ((self.p - 4.0) / 2.0)
             cross = self._contract(state.S, Sw)
             quad = quad + self.nu_fine[sel] * (self.p - 2.0) * np.where(base > 0, safe, 0.0) * cross ** 2
-        out = self.hfd * _sum_per_member(quad)
-        if self.pen_N is not None:
-            out = out + self.vol_factor * _sum_per_member(self.pen_mult * (w.real ** 2 + w.imag ** 2)) / self.pen_N
-        return out
+        return self.hfd * _sum_per_member(quad) + 2.0 * self._penalty_energy_half(w)
+
+    def strain_norm(self, state: "_EvalState", r: float) -> np.ndarray:
+        """L^r norm of |Du| per member on the quadrature grid."""
+        if not 1 <= r < math.inf:
+            raise ValueError(f"Lebesgue exponent must be >= 1 and finite, got {r}")
+        return (self.hfd * _sum_per_member(state.mag2 ** (0.5 * r))) ** (1.0 / r)
 
     def grad_l2_norm(self, g_flat: np.ndarray) -> np.ndarray:
         """L2 norm of the strong-form residual field each flat gradient row represents."""
@@ -608,9 +613,8 @@ def apriori_check(prob: StokesProblem, u: VelocityField):
     the bound vacuous; callers should flag that case.
     """
     params = prob.params
-    S = strain_tensor(u)
-    mag = np.sqrt(strain_magnitude_sq(S))
-    lhs = lebesgue_norm(GridField(u.grid, mag, check=False), params.beta)
+    ws = _Workspace([prob], params.delta)
+    lhs = ws.strain_norm(ws._eval_state(u.coeff_stack()[None]), params.beta)[0]
     expo = 1.0 / (params.p - 1.0)
     rhs = lebesgue_norm(prob.rho, params.q) ** expo
     if params.gamma > 0:
@@ -626,21 +630,13 @@ def monotonicity_gaps(prob: StokesProblem, u: VelocityField, phis):
     nonnegative by operator monotonicity, expanded into four terms
     t1 - t2 - t3 + t4, and the scale is |t1| + |t2| + |t3| + |t4|.
     """
-    params = prob.params
-    grid = prob.rho.grid
-    nu = prob.law(prob.rho.values)
-    hd = grid.h ** grid.d
+    ws = _Workspace([prob], prob.params.delta)
     # u is member 0 of one strain batch; its size-1 axis broadcasts in the pairings
-    S = strain_from_coeffs(np.stack([v.coeff_stack() for v in [u, *phis]]), grid)
-    mag2 = np.einsum("kij...,kij...->k...", S, S)
-    A = _power_factor(mag2, params.p, params.delta)[:, None, None] * S
-    axes = tuple(range(-grid.d, 0))
+    S, _, a = ws._eval_state(np.stack([v.coeff_stack() for v in [u, *phis]]))
 
-    def pair(A, B):
-        return hd * np.sum(nu * np.einsum("kij...,kij...->k...", A, B), axis=axes)
-
-    t1 = pair(A[:1], S[:1])
-    t2, t3, t4 = pair(A[:1], S[1:]), pair(A[1:], S[:1]), pair(A[1:], S[1:])
+    u0, rest = slice(0, 1), slice(1, None)
+    t1, t2, t3, t4 = (ws.hfd * _sum_per_member(a[i] * ws._contract(S[i], S[j]))
+                      for i, j in ((u0, u0), (u0, rest), (rest, u0), (rest, rest)))
     return t1 - t2 - t3 + t4, np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)
 
 
@@ -701,10 +697,10 @@ def solution_diagnostics(prob: StokesProblem, u: VelocityField) -> dict:
     """Norms and energy bookkeeping for one solved velocity."""
     ws = _Workspace([prob], prob.params.delta)
     c = u.coeff_stack()[None]
-    dissipation, work, residual = ws.energy_balance(c, ws._eval_state(c))
-    lhs, _ = apriori_check(prob, u)
+    state = ws._eval_state(c)
+    dissipation, work, residual = ws.energy_balance(c, state)
     return {
-        "du_beta": lhs,
+        "du_beta": float(ws.strain_norm(state, prob.params.beta)[0]),
         "dissipation": float(dissipation[0]),
         "work": float(work[0]),
         "energy_residual": float(residual[0]),

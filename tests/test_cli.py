@@ -218,6 +218,18 @@ class TestSimulate:
         assert rc == 2
         assert "Lebesgue exponent" in capsys.readouterr().err
 
+    def test_sub_unit_beta_rejected_before_first_solve(self, monkeypatch):
+        from nnstokes import parse_config, simulator
+        from nnstokes.errors import BadValue
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("run reached a Stokes solve with beta < 1")
+
+        monkeypatch.setattr(simulator, "solve_stokes", no_solve)
+        config = parse_config(SUB_UNIT_BETA, force=True)
+        with pytest.raises(BadValue, match=r"Lebesgue exponent beta >= 1, got beta = 0\.366667"):
+            simulator.run(config)
+
     def test_stalled_solver_exits_3(self, tmp_path, capsys, monkeypatch):
         from nnstokes.simulator import DiagnosticsSeries, SimulationResult
 
@@ -290,6 +302,15 @@ class TestBesov:
         assert main(["besov", str(snap), "--s", "0.5", "--p", "2", "--r", "2"]) == 0
         value = float(capsys.readouterr().out.strip())
         assert value > 0.0
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_regularity_exits_2(self, tmp_path, capsys, s):
+        snap = tmp_path / "rho.nnst"
+        write_snapshot(str(snap), sines2_field(TorusGrid(2, 16)), 0.0)
+        assert main(["besov", str(snap), "--s", s, "--p", "2", "--r", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "regularity index must be finite" in captured.err
 
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
         snap = tmp_path / "bad.nnst"

@@ -164,6 +164,12 @@ class TestSnapshot:
         with pytest.raises(BadValue, match="length"):
             parse_snapshot(data[:-1])
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, time):
+        data = snapshot_bytes(sines2_field(TorusGrid(2, 8)), time)
+        with pytest.raises(BadValue, match="snapshot time must be finite"):
+            parse_snapshot(data)
+
     def test_crc_mismatch(self):
         data = bytearray(snapshot_bytes(sines2_field(TorusGrid(2, 8)), 0.0))
         data[40] ^= 0xFF

@@ -31,14 +31,13 @@ from nnstokes import (
     to_grid,
     to_spectral,
 )
-from nnstokes.fields import random_band_field, random_velocities
+from nnstokes.fields import random_band_field
 from nnstokes.spectral import (
     dealiaser,
     fine_size,
     l2_inner,
     pad_coeffs,
     restrict_coeffs,
-    strain_from_coeffs,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -211,16 +210,6 @@ class TestStrainTensor:
         assert np.abs(trace).max() < 1e-10
         assert np.abs(Du[0, 1] - Du[1, 0]).max() < 1e-12
 
-    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
-    def test_batched_strain_equals_per_member(self, d, n):
-        grid = TorusGrid(d, n)
-        fields = random_velocities(grid, range(6), kmax=3)
-        stack = np.stack([u.coeff_stack() for u in fields]).reshape((2, 3, d) + grid.shape)
-        batched = strain_from_coeffs(stack, grid)
-        assert batched.shape == (2, 3, d, d) + grid.shape
-        for b, u in enumerate(fields):
-            assert np.array_equal(batched[b // 3, b % 3], strain_tensor(u))
-
 
 class TestDyadicBlocks:
     @given(seed=st.integers(0, 2**31))
@@ -360,6 +349,18 @@ class TestBesovNorm:
         F = to_spectral(random_grid_field(grid2d, 23))
         with pytest.raises(ValueError):
             besov_norm(F, 0.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("s, p, r", [(math.nan, 2.0, 2.0), (math.inf, 2.0, 2.0),
+                                         (-math.inf, 2.0, 2.0), (0.0, math.nan, 2.0),
+                                         (0.0, 2.0, math.nan)])
+    def test_rejects_non_finite_index_and_nan_exponents(self, grid2d, s, p, r):
+        F = to_spectral(random_grid_field(grid2d, 23))
+        with pytest.raises(ValueError):
+            besov_norm(F, s, p, r)
+
+    def test_infinite_summation_exponent_allowed(self, grid2d):
+        F = to_spectral(random_grid_field(grid2d, 23))
+        assert math.isfinite(besov_norm(F, 0.5, 2.0, math.inf))
 
     def test_zero_field(self, grid2d):
         F = SpectralField(grid2d, np.zeros(grid2d.shape, dtype=np.complex128))

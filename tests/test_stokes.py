@@ -36,11 +36,17 @@ from nnstokes import (
     to_grid,
     to_spectral,
 )
-from nnstokes import run_battery, stokes, strain_tensor
-from nnstokes.fields import random_band_field, random_velocities, random_velocity, sine1_field
+from nnstokes import partial_derivative, run_battery, stokes, strain_tensor
+from nnstokes.fields import (
+    random_band_field,
+    random_velocities,
+    random_velocity,
+    sine1_field,
+    sines2_field,
+)
 from nnstokes.rheology import _power_factor
 from nnstokes.simulator import velocity_l2_distance, velocity_l2_norm
-from nnstokes.spectral import k_squared, project_div_free
+from nnstokes.spectral import fine_size, k_squared, pad_coeffs, project_div_free
 
 TWO_PI = 2.0 * math.pi
 
@@ -522,6 +528,19 @@ class TestEnergyBalance:
         u = random_velocity(grid2d, seed=22, kmax=4, amplitude=1.0)
         assert energy_balance_residual(prob, u) > 0.01
 
+    def test_minimum_value_at_large_delta(self):
+        """With delta^2 >> |Du|^2 the energy is quadratic in u, so its minimum
+        is -work/2; (delta^2 + |Du|^2)^{p/2} - delta^p cancels to noise there."""
+        prob = StokesProblem(
+            rho=sines2_field(TorusGrid(2, 8), 1.5, 0.4, 0.3),
+            params=FluidParams(p=12.0, q=1.5, delta=100.0),
+            law=constant_law(1.0),
+        )
+        u, report = solve_stokes(prob, strict=True)
+        work = solution_diagnostics(prob, u)["work"]
+        assert work > 0
+        assert report.value == pytest.approx(-0.5 * work, rel=1e-6, abs=0.0)
+
 
 class TestAprioriCheck:
     def test_rest_state(self, grid2d):
@@ -555,6 +574,19 @@ class TestAprioriCheck:
         lhs, rhs = apriori_check(prob, u)
         assert 0 < lhs
         assert np.isfinite(rhs)
+
+    def test_quadratic_norm_matches_coarse_rectangle_rule(self, grid2d):
+        """At beta = 2, |Du|^2 is a trigonometric polynomial that the fine
+        and the coarse grid both integrate exactly."""
+        rho = random_band_field(grid2d, seed=32, kmax=4, amplitude=0.5, offset=1.5)
+        prob = StokesProblem(
+            rho=rho, params=FluidParams(p=2.0, q=1.5), law=constant_law(1.0)
+        )
+        u = random_velocity(grid2d, seed=33, kmax=12)
+        lhs, _ = apriori_check(prob, u)
+        S = strain_tensor(u)
+        coarse = math.sqrt(grid2d.h ** 2 * float(np.sum(S * S)))
+        assert abs(lhs - coarse) <= 1e-13 * coarse
 
 
 class TestMonotonicity:
@@ -599,21 +631,32 @@ class TestMonotonicity:
             assert gap >= -1e-10 * scale
 
 
+def fine_values(coeffs, m):
+    """Real values on the m-grid of normalized coarse coefficients."""
+    return np.fft.ifftn(pad_coeffs(coeffs, m)).real * m ** coeffs.ndim
+
+
 def loop_gap_with_scale(prob, u, phi):
-    """Reference: the four terms of the gap for one test field, each an
-    einsum contraction summed over the grid."""
-    params = prob.params
-    nu = prob.law(prob.rho.values)
-    hd = prob.rho.grid.h ** prob.rho.grid.d
+    """Reference: the four terms of the gap for one test field on the 3/2
+    grid, each a contraction of full strain tensors padded with pad_coeffs."""
+    params, grid = prob.params, prob.rho.grid
+    m = fine_size(grid.n)
+    hfd = (TWO_PI / m) ** grid.d
+    nu = prob.law(fine_values(to_spectral(prob.rho).coeffs, m))
+
+    def strain_of(v):
+        return np.array([[fine_values(0.5 * (partial_derivative(v.components[j], i).coeffs
+                                             + partial_derivative(v.components[i], j).coeffs), m)
+                          for j in range(grid.d)] for i in range(grid.d)])
 
     def stress_of(S):
         mag2 = np.einsum("ij...,ij...->...", S, S)
         return _power_factor(mag2, params.p, params.delta)[None, None] * S
 
     def pair(A, B):
-        return float(hd * np.sum(nu * np.einsum("ij...,ij...->...", A, B)))
+        return float(hfd * np.sum(nu * np.einsum("ij...,ij...->...", A, B)))
 
-    Su, Sp = strain_tensor(u), strain_tensor(phi)
+    Su, Sp = strain_of(u), strain_of(phi)
     Au, Ap = stress_of(Su), stress_of(Sp)
     t1, t2, t3, t4 = pair(Au, Su), pair(Au, Sp), pair(Ap, Su), pair(Ap, Sp)
     return t1 - t2 - t3 + t4, abs(t1) + abs(t2) + abs(t3) + abs(t4)
@@ -632,14 +675,16 @@ class TestMonotonicityGaps:
         gaps, scales = monotonicity_gaps(prob, u, phis)
         assert gaps.shape == scales.shape == (len(phis),)
         expected = np.array([loop_gap_with_scale(prob, u, phi) for phi in phis])
-        assert np.array_equal(np.stack([gaps, scales], axis=1), expected)
+        assert np.all(np.abs(gaps - expected[:, 0]) <= 1e-13 * expected[:, 1])
+        assert np.all(np.abs(scales - expected[:, 1]) <= 1e-13 * expected[:, 1])
+        assert gaps[-1] == 0.0
         scalar = np.array([monotonicity_gap_with_scale(prob, u, phi) for phi in phis])
-        assert np.array_equal(scalar, expected)
-        assert [monotonicity_gap(prob, u, phi) for phi in phis] == list(expected[:, 0])
+        assert np.array_equal(scalar, np.stack([gaps, scales], axis=1))
+        assert [monotonicity_gap(prob, u, phi) for phi in phis] == list(gaps)
 
     def test_battery_verdict_unchanged(self):
         checks = run_battery("monotonicity", seed=0).checks
-        assert checks[1] == (True, "smallest gap/scale over 1000 pairs is 4.77e-01 >= -1e-10")
+        assert checks[1] == (True, "smallest gap/scale over 1000 pairs is 4.76e-01 >= -1e-10")
 
 
 class TestMintySweep:
@@ -714,3 +759,14 @@ class TestSolutionDiagnostics:
         assert set(diag) == {"du_beta", "dissipation", "work", "energy_residual"}
         assert diag["dissipation"] == pytest.approx(diag["work"], rel=1e-5)
         assert diag["du_beta"] > 0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_du_beta_is_apriori_lhs(self, grid2d, p):
+        rho = random_band_field(grid2d, seed=67, kmax=4, amplitude=0.5, offset=1.5)
+        prob = StokesProblem(
+            rho=rho,
+            params=FluidParams(p=p, q=1.5, gamma=0.5, sigma=2.0, nu_max=10.0),
+            law=bounded_power_law(1.0, 0.5, 10.0),
+        )
+        u = random_velocity(grid2d, seed=68, kmax=4)
+        assert solution_diagnostics(prob, u)["du_beta"] == apriori_check(prob, u)[0]
