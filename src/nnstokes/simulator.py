@@ -16,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import BadValue, CflViolation, InadmissibleExponents, MaxIterations
 from .rheology import FluidParams, ViscosityLaw
 from .spectral import (
     GridField,
+    SpectralField,
     TorusGrid,
     VelocityField,
     l2_inner,
@@ -29,7 +32,7 @@ from .spectral import (
     to_grid,
     to_spectral,
 )
-from .stokes import StokesProblem, solution_diagnostics, solve_stokes
+from .stokes import StokesProblem, newtonian_start, solution_diagnostics, solve_stokes
 from .transport import AdvectionScheme, advect_step, speed_sup
 
 _CLASSIFY_TOL = 1e-12
@@ -164,15 +167,18 @@ def velocity_l2_norm(u: VelocityField) -> float:
 def run(config: SimulationConfig) -> SimulationResult:
     """March the coupled system to t_final.
 
-    Each pass solves the Stokes problem for the current density (warm
-    started from the previous minimizer), records diagnostics when an
-    output time is reached, then advects the density with the smoothed
-    velocity. The step length never jumps past an output time or the CFL
-    cap, and steps end exactly on the output times and on t_final. A
-    non-converged solve or a CflViolation in the advection step aborts with
-    the rows and snapshots recorded so far, completed=False and the reason.
-    A pack with beta < 1, whose du_beta column is not a norm, raises
-    BadValue before the first solve.
+    Each pass solves the Stokes problem for the current density, records
+    diagnostics when an output time is reached, then advects the density
+    with the smoothed velocity. The first solve starts cold; each later one
+    starts from the Newtonian predictor v_prev + M P((rho - rho_prev) g):
+    the previous minimizer plus the solver's Newtonian preconditioner M
+    applied to the projected change of forcing, which is the exact
+    minimizer for p = 2 with unit viscosity. The step length never jumps
+    past an output time or the CFL cap, and steps end exactly on the
+    output times and on t_final. A non-converged solve or a CflViolation
+    in the advection step aborts with the rows and snapshots recorded so
+    far, completed=False and the reason. A pack with beta < 1, whose
+    du_beta column is not a norm, raises BadValue before the first solve.
     """
     params = config.params
     if params.beta < 1:
@@ -182,15 +188,23 @@ def run(config: SimulationConfig) -> SimulationResult:
     rho = smooth_density(config.rho0, config.smoothing_n)
     t = 0.0
     next_out = 0.0
-    v_prev = None
+    # The predictor carries one stack, lag = v_prev - M P(rho_prev g), and
+    # starts the next solve from lag + M P(rho g). During a solve run holds
+    # only that u0 and the new start, one stack more than v_prev alone.
+    lag = None
 
     while True:
         prob = StokesProblem(rho, params, config.law, config.penalty)
-        v, report = solve_stokes(prob, u0=v_prev)
+        start = newtonian_start(np.multiply.outer(params.g, to_spectral(rho).coeffs),
+                                config.grid, config.penalty)
+        u0 = None if lag is None else VelocityField(
+            tuple(SpectralField(config.grid, c) for c in lag + start), check=False)
+        lag = None
+        v, report = solve_stokes(prob, u0=u0)
         if not report.converged:
             return SimulationResult(series, snapshots, completed=False,
                                     reason=f"stokes solve stalled at t = {t:.6g}")
-        v_prev = v
+        lag = v.coeff_stack() - start
         u = smooth_velocity(v, config.smoothing_n)
 
         if t >= next_out - _TIME_TOL:
@@ -208,6 +222,7 @@ def run(config: SimulationConfig) -> SimulationResult:
             )
             snapshots.append((t, rho))
             next_out = t + config.output_every
+        del v, u0, start
 
         if t >= config.t_final - _TIME_TOL:
             break

@@ -193,6 +193,15 @@ def k_squared(grid: TorusGrid) -> np.ndarray:
     return _k_squared_cached(grid.d, grid.n)
 
 
+@lru_cache(maxsize=32)
+def _k_squared_safe_cached(d: int, n: int):
+    """|k|^2 with 1 at the zero mode, so that it divides without a mask."""
+    k2 = _k_squared_cached(d, n).copy()
+    k2[(0,) * d] = 1.0
+    k2.flags.writeable = False
+    return k2
+
+
 def j_max(grid: TorusGrid) -> int:
     """Largest dyadic block index carrying lattice content."""
     return math.ceil(math.log2(grid.n)) + 1
@@ -251,17 +260,17 @@ def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
     and sit outside the solver's search space.
     """
     ks = wave_vectors(grid)
-    k2 = k_squared(grid)
     d = grid.d
     comps = np.moveaxis(stack, -d - 1, 0)
     dot = np.zeros(comps.shape[1:], dtype=np.complex128)
     for j in range(d):
         dot += ks[j] * comps[j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dot = np.where(k2 > 0, dot / k2, 0.0)
+    # the zero mode divides by 1 here and is zeroed below
+    dot /= _k_squared_safe_cached(d, grid.n)
     out = np.empty_like(stack)
     for j, out_j in enumerate(np.moveaxis(out, -d - 1, 0)):
-        out_j[...] = comps[j] - ks[j] * dot
+        np.multiply(ks[j], dot, out=out_j)
+        np.subtract(comps[j], out_j, out=out_j)
     out[(Ellipsis,) + (0,) * d] = 0.0
     for ax in range(d):
         out[(Ellipsis, grid.n // 2) + (slice(None),) * (d - 1 - ax)] = 0.0

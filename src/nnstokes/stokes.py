@@ -22,6 +22,13 @@ integral, linear in u, is summed exactly from the coefficients. For
 1 < p < 2 with delta = 0 the solver runs a continuation ladder
 delta = 1e-1 ... 1e-4, warm-starting each stage, and never differentiates
 the singular delta = 0 energy.
+
+The preconditioner M is the inverse of the Newtonian (plus penalty)
+coefficient Hessian. A cold solve starts from the Newtonian solve
+M P(rho g) (newtonian_start, P the divergence-free projection), which is
+the exact minimizer for p = 2 and unit viscosity. The coupled run
+(simulator.run) starts each later solve from the Newtonian predictor
+v_prev + M P((rho - rho_prev) g), exact under the same conditions.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .rheology import FluidParams, ViscosityLaw, _power_factor
 from .spectral import (
     GridField,
     SpectralField,
+    TorusGrid,
     VelocityField,
     TWO_PI,
     dealiaser,
@@ -92,6 +101,30 @@ class StokesReport:
     n_evals: int = 0
     hk_bound_ratio: float = None
     stop_reason: str = ""
+
+
+@lru_cache(maxsize=32)
+def _newtonian_mult(grid: TorusGrid, penalty) -> np.ndarray:
+    """Inverse of the Newtonian (plus penalty) coefficient Hessian on the
+    lattice: the solver's preconditioner M, 0 at the zero mode."""
+    k2 = k_squared(grid)
+    vol_factor = TWO_PI ** grid.d
+    hess = vol_factor * (0.5 * k2)
+    if penalty is not None:
+        N, k = penalty
+        hess = hess + vol_factor * k2 ** k / N
+    with np.errstate(divide="ignore"):
+        inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, hess, 1.0), 0.0)
+    inv.flags.writeable = False
+    return inv
+
+
+def newtonian_start(forcing: np.ndarray, grid: TorusGrid, penalty) -> np.ndarray:
+    """Newtonian solve M P f of forcing coefficient stacks f = rho g of shape
+    (d,) + grid.shape, with any leading member axes: the cold start of the
+    solver, and the exact minimizer for p = 2 and unit viscosity. Applied to
+    a change of forcing it predicts the change of the minimizer."""
+    return _newtonian_mult(grid, penalty) * TWO_PI ** grid.d * project_div_free(forcing, grid)
 
 
 def _sum_per_member(a: np.ndarray) -> np.ndarray:
@@ -154,13 +187,7 @@ class _Workspace:
             self.pen_N = None
             self.pen_mult = None
 
-        # inverse of the Newtonian (plus penalty) coefficient Hessian
-        hess = self.vol_factor * (0.5 * self.k2)
-        if self.pen_N is not None:
-            hess = hess + self.vol_factor * self.pen_mult / self.pen_N
-        with np.errstate(divide="ignore"):
-            inv = np.where(self.k2 > 0, 1.0 / np.where(self.k2 > 0, hess, 1.0), 0.0)
-        self.precond_mult = inv
+        self.precond_mult = _newtonian_mult(grid, prob.penalty)
 
     # -- subspace handling ---------------------------------------------------
 
@@ -520,9 +547,7 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     schedule = _DELTA_LADDER if params.p < 2 and params.delta == 0.0 else (params.delta,)
 
     if u0 is None:
-        # Newtonian preconditioner solve of the projected forcing: for
-        # p = 2 and constant unit viscosity this is already the minimizer.
-        stack = ws.precond_mult * ws.vol_factor * ws.project(ws.forcing.copy())
+        stack = newtonian_start(ws.forcing, ws.grid, problems[0].penalty)
     else:
         u0 = [u0] * B if isinstance(u0, VelocityField) else list(u0)
         if len(u0) != B:

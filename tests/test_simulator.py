@@ -263,6 +263,81 @@ class TestRun:
         assert t0 == 0.0
 
 
+def counted_iterations(monkeypatch):
+    """Record the iterations of every solve that run makes."""
+    iterations = []
+    solve = simulator.solve_stokes
+
+    def wrapper(prob, u0=None):
+        v, report = solve(prob, u0=u0)
+        iterations.append(report.iterations)
+        return v, report
+
+    monkeypatch.setattr(simulator, "solve_stokes", wrapper)
+    return iterations
+
+
+class TestNewtonianPredictor:
+    """Warm solves start from v_prev + M P((rho - rho_prev) g)."""
+
+    def test_newtonian_warm_solves_take_no_iterations(self, grid2d, monkeypatch):
+        """At p = 2 with unit viscosity the predictor is the exact
+        minimizer (a plain warm start from v_prev took one iteration)."""
+        iterations = counted_iterations(monkeypatch)
+        result = run(newtonian_config(grid2d, sines2_field(grid2d)))
+        assert result.completed
+        assert iterations == [0] * 5
+        assert result.series.iters == [0, 0, 0]
+
+    def test_penalized_warm_solves_take_no_iterations(self, grid2d, monkeypatch):
+        """The predictor uses the penalty's multiplier, so it stays exact."""
+        iterations = counted_iterations(monkeypatch)
+        result = run(newtonian_config(grid2d, sines2_field(grid2d), penalty=(10.0, 3)))
+        assert result.completed
+        assert len(iterations) > 1
+        assert iterations == [0] * len(iterations)
+
+    def test_power_law_iterations_pinned(self, grid2d, monkeypatch):
+        """p = 3: the five solves take 64 iterations in all, against 68 with
+        a plain warm start from v_prev."""
+        iterations = counted_iterations(monkeypatch)
+        result = run(newtonian_config(grid2d, sines2_field(grid2d),
+                                      params=FluidParams(p=3.0, q=1.5, d=2)))
+        assert result.completed
+        assert len(iterations) == 5
+        assert sum(iterations) == 64
+
+    # newtonian2d.cfg at n = 32, recorded with the plain warm start from v_prev
+    PARENT_CSV = {
+        "lq_norm": [17.633887763402566, 17.63388772024247, 17.63388768024002,
+                    17.63388764267205, 17.63388760665772],
+        "l2_norm": [9.683038872706693, 9.683038828028279, 9.683038786071787,
+                    9.683038746201992, 9.683038707597786],
+        "recip_norm": [1.25, 1.2499863262187674, 1.2499279761922772,
+                       1.2497620331240658, 1.2493827209386474],
+        "du_beta": [2.513274122871834, 2.516640426703458, 2.5279657959455006,
+                    2.5445640290853118, 2.5629089946524077],
+        "dissipation": [6.316546816697188, 6.333479037318164, 6.3906110654703685,
+                        6.4748060981148745, 6.5685025148702145],
+        "work": [6.3165468166971905, 6.333479037318164, 6.3906110654703685,
+                 6.474806098114874, 6.5685025148702145],
+    }
+
+    def test_shipped_config_csv_within_stated_tolerance(self, tmp_path):
+        """The CSV columns move by rounding only: 1e-13 relative, the energy
+        residual stays at rounding level and iters reads 0 after row 0."""
+        text = (ROOT / "configs" / "newtonian2d.cfg").read_text().replace("n = 128", "n = 32")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(cfg), "--quiet", "--out", str(out)]) == 0
+        series = read_diagnostics((out / "diagnostics.csv").read_text())
+        for name, expected in self.PARENT_CSV.items():
+            assert getattr(series, name) == pytest.approx(expected, rel=1e-13, abs=0), name
+        assert max(series.energy_residual) <= 1e-12
+        assert series.iters == [0, 0, 0, 0, 0]
+
+
 class TestTimeGrid:
     """Steps end exactly on the output times and on t_final."""
 

@@ -457,6 +457,37 @@ class TestSolveStokesBatch:
             assert [it for j, it in seen if j == i] == list(range(report.iterations + 1))
 
 
+class TestNewtonianStart:
+    @staticmethod
+    def inline_cold_start(prob):
+        """The cold start as solve_stokes_batch first formed it, with the
+        multiplier built as _Workspace first built it."""
+        grid = prob.rho.grid
+        k2 = k_squared(grid)
+        vol_factor = TWO_PI ** grid.d
+        hess = vol_factor * (0.5 * k2)
+        if prob.penalty is not None:
+            N, k = prob.penalty
+            pen_mult = k2 ** k
+            hess = hess + vol_factor * pen_mult / N
+        with np.errstate(divide="ignore"):
+            precond_mult = np.where(k2 > 0, 1.0 / np.where(k2 > 0, hess, 1.0), 0.0)
+        rho_hat = to_spectral(prob.rho).coeffs[None]
+        forcing = np.stack([rho_hat * gj for gj in prob.params.g], axis=1)
+        return precond_mult, precond_mult * vol_factor * project_div_free(forcing.copy(), grid)
+
+    @pytest.mark.parametrize("penalty", [None, (100.0, 3)], ids=["plain", "penalized"])
+    def test_bitwise_equal_to_inline_cold_start(self, grid2d, penalty):
+        rho = random_band_field(grid2d, seed=12, kmax=4, amplitude=0.5, offset=1.5)
+        prob = StokesProblem(rho, FluidParams(p=3.0, q=1.5, g=(0.3, -1.0)), constant_law(1.0),
+                             penalty=penalty)
+        precond_mult, expected = self.inline_cold_start(prob)
+        ws = stokes._Workspace([prob], prob.params.delta)
+        assert ws.precond_mult.tobytes() == precond_mult.tobytes()
+        got = stokes.newtonian_start(ws.forcing, grid2d, prob.penalty)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestPenalizedSolve:
     def test_requires_penalty(self, grid2d):
         prob = newtonian_problem(grid2d)
