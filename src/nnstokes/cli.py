@@ -137,8 +137,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    config = parse_config(_read_text(args.config), force=True, base_dir=base_dir)
+    config = _load_config(args, force=True)
     verdict = classify_exponents(config.params)
     print(verdict.label)
     print(f"Q = {verdict.Q:.12g}; q floor 2d/(d+2) = {verdict.q_floor:.12g}; "

@@ -13,8 +13,11 @@ which is the Euler-Lagrange system of the strictly convex energy
 
 The minimizer is computed over divergence-free zero-mean trigonometric
 polynomials by preconditioned nonlinear conjugate gradients in Fourier
-coefficients, vectorized over a batch of problems that share the grid and
-the parameters (solve_stokes_batch; solve_stokes is a batch of one). The
+coefficients. The iteration is written once, for one problem (_ncg); for
+a batch of problems that share the grid and the parameters
+(solve_stokes_batch; solve_stokes is a batch of one) a scheduler runs one
+iteration per member and gathers their energy, gradient and curvature
+requests into batched evaluations (_minimize_batch). The
 stress, the dissipation, the monotonicity gap and the a-priori strain norm
 are evaluated on one 3/2-times finer quadrature grid, which keeps the
 discrete gradient an exact derivative of the discrete energy; the work
@@ -147,7 +150,7 @@ class _Workspace:
     continuation ladder can reuse the cached density data across stages.
     """
 
-    def __init__(self, problems, delta: float):
+    def __init__(self, problems):
         def shared(pr):
             return pr.rho.grid, pr.params.p, pr.params.delta, pr.params.g, pr.penalty
 
@@ -156,7 +159,7 @@ class _Workspace:
             raise ValueError("batched problems must share the grid, p, delta, g and the penalty")
         grid = prob.rho.grid
         self.grid = grid
-        self.delta = float(delta)
+        self.delta = float(prob.params.delta)
         self.p = prob.params.p
         self.d = grid.d
         self.stack_shape = (self.d,) + grid.shape
@@ -293,13 +296,10 @@ class _Workspace:
             raise ValueError(f"Lebesgue exponent must be >= 1 and finite, got {r}")
         return (self.hfd * _sum_per_member(state.mag2 ** (0.5 * r))) ** (1.0 / r)
 
-    def grad_l2_norm(self, g_flat: np.ndarray) -> np.ndarray:
-        """L2 norm of the strong-form residual field each flat gradient row represents."""
-        return np.sqrt(_rowdot(g_flat, g_flat)) / self.vol_factor ** 0.5
-
     def precond_flat(self, g_flat: np.ndarray) -> np.ndarray:
-        y = self.coeffs(g_flat) * self.precond_mult
-        return np.ascontiguousarray(y).view(np.float64).reshape(len(g_flat), -1)
+        """The preconditioner M applied to one flat gradient row."""
+        y = g_flat.view(np.complex128).reshape(self.stack_shape) * self.precond_mult
+        return y.view(np.float64).ravel()
 
     def hk_norm(self, c: np.ndarray, k: int) -> np.ndarray:
         mult = (1.0 + self.k2) ** k
@@ -312,22 +312,14 @@ class _Workspace:
 _EvalState = namedtuple("_EvalState", "S mag2 afield")
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot of each pair of rows of two (k, N) arrays, bit for bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _sel(members: np.ndarray, size: int):
+def _sel(members, size: int):
     """Basic slice when members lists all size rows, so reads are views."""
     return slice(None) if len(members) == size else members
 
 
-def _put(a: np.ndarray, rows, v: np.ndarray) -> np.ndarray:
-    """a with the given rows set to v: v itself for the whole batch."""
-    if isinstance(rows, slice):
-        return v
-    a[rows] = v
-    return a
+def _rows(arrays) -> np.ndarray:
+    """The 1-D arrays as the rows of one array, a view for a single one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 _CONVERGED = "converged"
@@ -335,13 +327,13 @@ _ITERATION_LIMIT = "iteration limit"
 _LINE_SEARCH_FAILED = "line search failed"
 _NON_FINITE = "non-finite energy or gradient"
 
-# what each member of the batched minimizer waits for; the last three are
-# evaluations: the first one, x again for a stale state, a trial point
-_DONE, _CURVATURE, _START, _EVAL_X, _TRIAL = range(5)
+# what a member of the minimizer asks for: energy and gradient at a point,
+# or the curvature along a direction at its latest evaluated point
+_EVAL, _CURV = "eval", "curvature"
 
 
-def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None):
-    """Preconditioned Polak-Ribiere conjugate gradients on a batch of members.
+def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=None):
+    """Preconditioned Polak-Ribiere conjugate gradients on one member.
 
     Each step is sized by the exact second directional derivative of the
     energy along the search direction, so the first trial point is the
@@ -349,147 +341,115 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
     Armijo decrease or, when value differences fall below the floating
     point noise floor near the minimum, on a strict residual decrease; a
     rejected trial halves the step, at most 40 times, and a failed line
-    search is retried once along steepest descent. A member whose energy
-    or gradient at its iterate is non-finite stops at once.
+    search is retried once along steepest descent. The member stops at once
+    when its energy or gradient at its iterate is non-finite.
 
-    x holds one flat row per member and max_iter one iteration budget per
-    member. A round runs one batched value_grad over the members that need
-    an evaluation (a trial point, or x again when the state cached at x is
-    stale after a failed line search), then curvature_along over those that
-    choose a step; converged and stopped members freeze. Each member goes
-    through the operations it would go through alone. callback(member,
-    iteration, value, grad_norm) is called at each iterate. Returns
-    (x, grad_norm, iterations, n_evals, stop_reason).
+    A generator: it yields (_EVAL, point) and is sent (energy, gradient)
+    there, and yields (_CURV, d) and is sent the curvature along d at its
+    latest evaluated point, which it first re-evaluates when a failed line
+    search has moved on from it. callback(member, iteration, value,
+    grad_norm) is called at each iterate. Returns (x, grad_norm,
+    iterations, n_evals, stop_reason).
+    """
+    f, g = yield _EVAL, x
+    n_evals = 1
+    fresh = True  # the latest evaluation was at x
+    d = -ws.precond_flat(g)
+    gy = -np.dot(g, d)
+    iterations = 0
+    while True:
+        gnorm = np.sqrt(np.dot(g, g)) / ws.vol_factor ** 0.5
+        if callback is not None:
+            callback(member, iterations, float(f), float(gnorm))
+        if not (np.isfinite(f) and np.isfinite(gnorm)):
+            return x, gnorm, iterations, n_evals, _NON_FINITE
+        if gnorm <= tol * (1.0 + abs(f)):
+            return x, gnorm, iterations, n_evals, _CONVERGED
+        if iterations >= max_iter:
+            return x, gnorm, iterations, n_evals, _ITERATION_LIMIT
+
+        tried_steepest = accepted = False
+        while not accepted:
+            slope = np.dot(g, d)
+            if slope >= 0.0:
+                d = -ws.precond_flat(g)
+                slope = np.dot(g, d)
+                tried_steepest = True
+            if not fresh:
+                yield _EVAL, x
+                n_evals += 1
+                fresh = True
+            curv = yield _CURV, d
+            alpha = -slope / curv if np.isfinite(curv) and curv > 0.0 else 1.0
+            g_ref = np.sqrt(np.dot(g, g))
+            for _ in range(40):
+                x_try = x + alpha * d
+                if np.array_equal(x_try, x):
+                    break
+                f_try, g_try = yield _EVAL, x_try
+                n_evals += 1
+                fresh = False
+                accepted = (f_try <= f + 1e-4 * alpha * slope
+                            or (np.sqrt(np.dot(g_try, g_try)) < g_ref
+                                and f_try <= f + 1e-14 * (1.0 + abs(f))))
+                if accepted:
+                    break
+                alpha *= 0.5
+            if not accepted:
+                if tried_steepest:
+                    return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED
+                d = -ws.precond_flat(g)
+                tried_steepest = True
+
+        y = ws.precond_flat(g_try)
+        beta = np.dot(y, g_try - g) / gy if gy > 1e-300 else 0.0
+        d = -y + (beta if beta > 0.0 else 0.0) * d
+        x, f, g, gy = x_try, f_try, g_try, np.dot(g_try, y)
+        iterations += 1
+        fresh = True
+
+
+def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None):
+    """Run _ncg on each row of x with its own iteration budget in max_iter,
+    batching the members' requests: each round evaluates every pending point
+    in one value_grad, then serves the curvature requests from that round's
+    fine-grid state, one curvature_along per pass, until none are left. Each
+    member goes through the operations it would go through alone. Returns
+    (x, grad_norm, iterations, n_evals, stop_reason), one entry per member.
     """
     B = len(x)
-    x_try, g, d = (np.empty_like(x) for _ in range(3))
-    f, gy, gnorm, slope, alpha, g_ref = (np.full(B, np.nan) for _ in range(6))
-    halvings, iterations, n_evals = (np.zeros(B, dtype=int) for _ in range(3))
-    tried_steepest = np.zeros(B, dtype=bool)
-    fresh = np.zeros(B, dtype=bool)  # the member's latest evaluation was at x
-    reason = np.full(B, "", dtype=object)
-    phase = np.full(B, _START)
+    members = [_ncg(ws, i, x[i], tol, max_iter[i], callback) for i in range(B)]
+    requests = [next(m) for m in members]
+    results = [None] * B
 
-    def direction(m):
-        if not m.size:
-            return
-        sel = _sel(m, B)
-        slope[m] = _rowdot(g[sel], d[sel])
-        up = m[slope[m] >= 0.0]
-        if up.size:
-            d[up] = -ws.precond_flat(g[up])
-            slope[up] = _rowdot(g[up], d[up])
-            tried_steepest[up] = True
-        phase[m] = np.where(fresh[m], _CURVATURE, _EVAL_X)
+    def answer(i, reply):
+        try:
+            requests[i] = members[i].send(reply)
+        except StopIteration as stop:
+            requests[i], results[i] = None, stop.value
 
-    def line_search_failed(m):
-        if not m.size:
-            return
-        phase[m] = _DONE
-        reason[m[tried_steepest[m]]] = _LINE_SEARCH_FAILED
-        retry = m[~tried_steepest[m]]
-        if retry.size:
-            d[retry] = -ws.precond_flat(g[retry])
-        tried_steepest[retry] = True
-        direction(retry)
-
-    def check(m):
-        gn = ws.grad_l2_norm(g[_sel(m, B)])
-        gnorm[m] = gn
-        if callback is not None:
-            for i in m:
-                callback(int(i), int(iterations[i]), float(f[i]), float(gnorm[i]))
-        finite = np.isfinite(f[m]) & np.isfinite(gn)
-        conv = finite & (gn <= tol * (1.0 + np.abs(f[m])))
-        limit = finite & ~conv & (iterations[m] >= max_iter[m])
-        for mask, why in ((~finite, _NON_FINITE), (conv, _CONVERGED), (limit, _ITERATION_LIMIT)):
-            reason[m[mask]] = why
-        go = m[finite & ~conv & ~limit]
-        phase[m] = _DONE
-        tried_steepest[go] = False
-        direction(go)
-
-    while np.any(phase != _DONE):
+    while any(requests):
         # drop the previous round's fine-grid state first, so the old and new
         # ones are never held together (this sets the peak memory)
         state = None
-        ev = np.flatnonzero(phase >= _START)
-        sel = _sel(ev, B)
-        kind = phase[ev]
-        trial = kind == _TRIAL
-        points = x_try[sel] if trial.all() else np.where(trial[:, None], x_try[sel], x[sel])
-        f_new, g_new, state = ws.value_grad(ws.coeffs(points), sel)
-        g_new = g_new.view(np.float64).reshape(ev.size, -1)
+        ev = [i for i in range(B) if requests[i]]  # all pending requests are evaluations here
+        points = _rows([requests[i][1] for i in ev])
+        f, g, state = ws.value_grad(ws.coeffs(points), _sel(ev, B))
+        g = g.view(np.float64).reshape(len(ev), -1)
         del points
-        n_evals[ev] += 1
-        fresh[ev] = ~trial
-        phase[ev[kind == _EVAL_X]] = _CURVATURE
+        for j, i in enumerate(ev):
+            answer(i, (f[j], g[j]))
+        # a member whose step vanishes against x asks again within the round
+        while rows := [j for j, i in enumerate(ev) if requests[i] and requests[i][0] == _CURV]:
+            cv = [ev[j] for j in rows]
+            part = state if len(rows) == len(ev) else _EvalState(*(a[rows] for a in state))
+            curv = ws.curvature_along(part, ws.coeffs(_rows([requests[i][1] for i in cv])), _sel(cv, B))
+            del part
+            for k, i in enumerate(cv):
+                answer(i, curv[k])
 
-        start = kind == _START
-        m = ev[start]
-        if m.size:
-            rows = _sel(m, B)
-            f[m] = f_new[start]
-            g = _put(g, rows, g_new if start.all() else g_new[start])
-            d = _put(d, rows, -ws.precond_flat(g[rows]))
-            gy[m] = -_rowdot(g[rows], d[rows])
-            check(m)
-
-        m = ev[trial]
-        if m.size:
-            f_t, g_t = (f_new, g_new) if trial.all() else (f_new[trial], g_new[trial])
-            ok = ((f_t <= f[m] + 1e-4 * alpha[m] * slope[m])
-                  | ((np.sqrt(_rowdot(g_t, g_t)) < g_ref[m])
-                     & (f_t <= f[m] + 1e-14 * (1.0 + np.abs(f[m])))))
-            a = m[ok]
-            if a.size:
-                rows = _sel(a, B)
-                g_a = g_t if ok.all() else g_t[ok]
-                y_new = ws.precond_flat(g_a)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    beta = _rowdot(y_new, g_a - g[rows]) / gy[a]
-                beta = np.where((gy[a] > 1e-300) & (beta > 0.0), beta, 0.0)
-                if isinstance(rows, slice):
-                    x, x_try = x_try, x
-                else:
-                    x[rows] = x_try[rows]
-                f[a] = f_t[ok]
-                g = _put(g, rows, g_a)
-                d = _put(d, rows, -y_new + beta[:, None] * d[rows])
-                gy[a] = _rowdot(g_a, y_new)
-                iterations[a] += 1
-                fresh[a] = True
-                check(a)
-
-            r = m[~ok]
-            halvings[r] += 1
-            alpha[r] *= 0.5
-            line_search_failed(r[halvings[r] >= 40])
-
-        # a member whose step vanishes against x retries within the round
-        while True:
-            cv = np.flatnonzero(phase == _CURVATURE)
-            if cv.size:
-                sel = _sel(cv, B)
-                part = state
-                if cv.size < ev.size:
-                    rows = np.searchsorted(ev, cv)
-                    part = _EvalState(*(a[rows] for a in state))
-                curv = ws.curvature_along(part, ws.coeffs(d[sel]), sel)
-                del part
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    alpha[cv] = np.where(np.isfinite(curv) & (curv > 0.0), -slope[cv] / curv, 1.0)
-                g_ref[cv] = np.sqrt(_rowdot(g[sel], g[sel]))
-                halvings[cv] = 0
-                phase[cv] = _TRIAL
-            tr = np.flatnonzero(phase == _TRIAL)
-            sel = _sel(tr, B)
-            x_try = _put(x_try, sel, x[sel] + alpha[tr, None] * d[sel])
-            line_search_failed(tr[np.all(x_try[sel] == x[sel], axis=1)])
-            if not np.any(phase == _CURVATURE):
-                break
-
-    return x, gnorm, iterations, n_evals, reason
+    x, gnorm, iterations, n_evals, reason = zip(*results)
+    return np.stack(x), gnorm, np.array(iterations), np.array(n_evals), reason
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +457,7 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
 
 def functional_value(prob: StokesProblem, u: VelocityField) -> float:
     """Energy of a trial velocity, normalized so the zero field gives zero."""
-    ws = _Workspace([prob], prob.params.delta)
+    ws = _Workspace([prob])
     return float(ws.value(u.coeff_stack()[None])[0])
 
 
@@ -507,7 +467,7 @@ def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
     with p < 2."""
     if prob.params.p < 2 and prob.params.delta == 0:
         raise ValueError("gradient is singular for p < 2 at delta = 0; use delta > 0")
-    ws = _Workspace([prob], prob.params.delta)
+    ws = _Workspace([prob])
     _, g, _ = ws.value_grad(u.coeff_stack()[None])
     return ws.velocity_from_stack(g[0] / ws.vol_factor, check=False)
 
@@ -538,7 +498,7 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         return []
     params = problems[0].params
     B = len(problems)
-    ws = _Workspace(problems, params.delta)
+    ws = _Workspace(problems)
     if problems[0].penalty is None and np.any(ws.nu_fine.reshape(B, -1).max(axis=1) == 0.0):
         raise DegenerateViscosity(
             "viscosity vanishes on the whole grid and no penalty is active"
@@ -624,7 +584,7 @@ def solve_stokes_penalized(prob: StokesProblem, **kwargs):
 def energy_balance_residual(prob: StokesProblem, u: VelocityField) -> float:
     """|dissipation + penalty - work| / max(1, |work|), all quadratures on
     the fine grid so a converged minimizer balances to solver tolerance."""
-    ws = _Workspace([prob], prob.params.delta)
+    ws = _Workspace([prob])
     c = u.coeff_stack()[None]
     return float(ws.energy_balance(c, ws._eval_state(c))[2][0])
 
@@ -638,7 +598,7 @@ def apriori_check(prob: StokesProblem, u: VelocityField):
     the bound vacuous; callers should flag that case.
     """
     params = prob.params
-    ws = _Workspace([prob], params.delta)
+    ws = _Workspace([prob])
     lhs = ws.strain_norm(ws._eval_state(u.coeff_stack()[None]), params.beta)[0]
     expo = 1.0 / (params.p - 1.0)
     rhs = lebesgue_norm(prob.rho, params.q) ** expo
@@ -655,7 +615,7 @@ def monotonicity_gaps(prob: StokesProblem, u: VelocityField, phis):
     nonnegative by operator monotonicity, expanded into four terms
     t1 - t2 - t3 + t4, and the scale is |t1| + |t2| + |t3| + |t4|.
     """
-    ws = _Workspace([prob], prob.params.delta)
+    ws = _Workspace([prob])
     # u is member 0 of one strain batch; its size-1 axis broadcasts in the pairings
     S, _, a = ws._eval_state(np.stack([v.coeff_stack() for v in [u, *phis]]))
 
@@ -710,7 +670,7 @@ def recover_pressure(prob: StokesProblem, u: VelocityField) -> SpectralField:
     """Zero-mean pressure whose gradient absorbs the non-solenoidal part of
     rho g + div(stress); at a converged minimizer the projected remainder
     is at solver tolerance."""
-    ws = _Workspace([prob], prob.params.delta)
+    ws = _Workspace([prob])
     R = ws.force_balance(ws._eval_state(u.coeff_stack()[None]))[0]
     kdotR = sum(ws.kd[j] * R[j] for j in range(ws.d))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -720,7 +680,7 @@ def recover_pressure(prob: StokesProblem, u: VelocityField) -> SpectralField:
 
 def solution_diagnostics(prob: StokesProblem, u: VelocityField) -> dict:
     """Norms and energy bookkeeping for one solved velocity."""
-    ws = _Workspace([prob], prob.params.delta)
+    ws = _Workspace([prob])
     c = u.coeff_stack()[None]
     state = ws._eval_state(c)
     dissipation, work, residual = ws.energy_balance(c, state)

@@ -457,6 +457,44 @@ class TestSolveStokesBatch:
             assert [it for j, it in seen if j == i] == list(range(report.iterations + 1))
 
 
+def path_problem(p, law=constant_law(1.0), penalty=None, **params):
+    grid = TorusGrid(2, 32)
+    rho = random_band_field(grid, seed=7, kmax=6, amplitude=0.5, offset=1.5)
+    return StokesProblem(rho, FluidParams(p=p, q=1.5, **params), law, penalty=penalty)
+
+
+class TestSolverPaths:
+    """Counts, gradient norm and stop reason on the n = 32 solver paths that
+    SEQUENTIAL_COUNTS does not reach: an explicit delta, the penalty, the
+    continuation ladder with a bounded law, a warm start, and an iteration
+    limit hit among rejected trials."""
+
+    # case: (problem and solve_stokes arguments, (iterations, evaluations, grad_norm, stop_reason))
+    CASES = {
+        "p1.5_delta": (lambda: (path_problem(1.5, delta=1e-2), {}),
+                       (15, 16, 2.5340219890365896e-09, "converged")),
+        "p3_penalty": (lambda: (path_problem(3.0, penalty=(100.0, 3)), {}),
+                       (20, 21, 6.416106478382536e-09, "converged")),
+        "p1.5_ladder_bounded": (lambda: (path_problem(1.5, bounded_power_law(1.0, 0.5, 10.0),
+                                                      sigma=2.0, gamma=0.5, nu_max=10.0), {}),
+                                (69, 73, 6.275625643077208e-09, "converged")),
+        "p4_warm": (lambda: (path_problem(4.0),
+                             {"u0": random_velocity(TorusGrid(2, 32), seed=3, kmax=4)}),
+                    (39, 41, 1.2683882578774589e-08, "converged")),
+        "p4_max_iter": (lambda: (path_problem(4.0), {"max_iter": 3}),
+                        (3, 7, 0.27144352197340454, "iteration limit")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pinned_path(self, case):
+        make, (iterations, n_evals, grad_norm, reason) = self.CASES[case]
+        prob, kwargs = make()
+        _, report = solve_stokes(prob, **kwargs)
+        assert (report.iterations, report.n_evals) == (iterations, n_evals)
+        assert report.grad_norm == pytest.approx(grad_norm, rel=1e-12)
+        assert report.stop_reason == reason
+
+
 class TestNewtonianStart:
     @staticmethod
     def inline_cold_start(prob):
@@ -482,7 +520,7 @@ class TestNewtonianStart:
         prob = StokesProblem(rho, FluidParams(p=3.0, q=1.5, g=(0.3, -1.0)), constant_law(1.0),
                              penalty=penalty)
         precond_mult, expected = self.inline_cold_start(prob)
-        ws = stokes._Workspace([prob], prob.params.delta)
+        ws = stokes._Workspace([prob])
         assert ws.precond_mult.tobytes() == precond_mult.tobytes()
         got = stokes.newtonian_start(ws.forcing, grid2d, prob.penalty)
         assert got.tobytes() == expected.tobytes()
