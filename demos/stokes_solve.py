@@ -31,10 +31,10 @@ for p in (1.5, 2.0, 3.0):
     print(f"p = {p:g}")
     print(f"  converged in {report.iterations} iterations "
           f"({report.n_evals} energy evaluations)")
-    print(f"  delta ladder {list(report.delta_schedule)}")
-    # For p < 2 the solver ends on the last rung of its regularization
-    # ladder, so the report's residual is measured there while the
-    # recheck below uses the problem's own delta.
+    print(f"  delta minimized {list(report.delta_schedule)}")
+    # For p < 2 the solver minimizes the energy regularized at delta = 1e-4,
+    # so the report's residual is measured there while the recheck below
+    # uses the problem's own delta.
     print(f"  energy balance residual {report.energy_residual:.2e}")
     print(f"  recheck via quadrature  {energy_balance_residual(prob, u):.2e}")
     print(f"  strain norm {lhs:.4f} against bound core {rhs:.4f} "

@@ -13,7 +13,7 @@ import sys
 import time
 
 from .batteries import BATTERIES, run_battery
-from .errors import CflViolation, MaxIterations, NnstokesError
+from .errors import BadValue, CflViolation, MaxIterations, NnstokesError
 from .io_formats import parse_config, read_snapshot, write_diagnostics, write_snapshot
 from .simulator import INADMISSIBLE, classify_exponents, run, smooth_density
 from .spectral import besov_norm, to_spectral
@@ -147,7 +147,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_besov(args) -> int:
     rho, _ = read_snapshot(args.snapshot)
-    value = besov_norm(to_spectral(rho), args.s, args.p, args.r)
+    try:
+        value = besov_norm(to_spectral(rho), args.s, args.p, args.r)
+    except ValueError as exc:  # the index arguments are user input
+        raise BadValue(str(exc)) from exc
     print("%.17g" % value)
     return 0
 
@@ -172,7 +175,7 @@ def main(argv=None) -> int:
     except (MaxIterations, CflViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NnstokesError, OSError, ValueError) as exc:
+    except (NnstokesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,9 +22,9 @@ stress, the dissipation, the monotonicity gap and the a-priori strain norm
 are evaluated on one 3/2-times finer quadrature grid, which keeps the
 discrete gradient an exact derivative of the discrete energy; the work
 integral, linear in u, is summed exactly from the coefficients. For
-1 < p < 2 with delta = 0 the solver runs a continuation ladder
-delta = 1e-1 ... 1e-4, warm-starting each stage, and never differentiates
-the singular delta = 0 energy.
+1 < p < 2 with delta = 0 the solver minimizes the delta = 1e-4 energy
+instead, from the same start, and never differentiates the singular
+delta = 0 energy.
 
 The preconditioner M is the inverse of the Newtonian (plus penalty)
 coefficient Hessian. A cold solve starts from the Newtonian solve
@@ -61,7 +61,7 @@ from .spectral import (
     to_spectral,
 )
 
-_DELTA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
+_DELTA_SINGULAR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ class _Workspace:
     The strain is symmetric, so it is carried as the stack of its d(d+1)/2
     entries i <= j (self.pairs); self.pair_weight counts each off-diagonal
     entry twice in contractions. The attribute delta is mutable so a
-    continuation ladder can reuse the cached density data across stages.
+    singular solve can minimize at the regularized delta and report its
+    value at the requested one.
     """
 
     def __init__(self, problems):
@@ -410,15 +411,15 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
 
 
 def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None):
-    """Run _ncg on each row of x with its own iteration budget in max_iter,
-    batching the members' requests: each round evaluates every pending point
-    in one value_grad, then serves the curvature requests from that round's
-    fine-grid state, one curvature_along per pass, until none are left. Each
-    member goes through the operations it would go through alone. Returns
+    """Run _ncg on each row of x, batching the members' requests: each round
+    evaluates every pending point in one value_grad, then serves the
+    curvature requests from that round's fine-grid state, one
+    curvature_along per pass, until none are left. Each member goes through
+    the operations it would go through alone. Returns
     (x, grad_norm, iterations, n_evals, stop_reason), one entry per member.
     """
     B = len(x)
-    members = [_ncg(ws, i, x[i], tol, max_iter[i], callback) for i in range(B)]
+    members = [_ncg(ws, i, x[i], tol, max_iter, callback) for i in range(B)]
     requests = [next(m) for m in members]
     results = [None] * B
 
@@ -485,13 +486,13 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     callback(member, iteration, value, grad_norm) is called at each of its
     iterates.
 
-    For 1 < p < 2 with delta = 0 requested, a continuation ladder over
-    decreasing delta is run stage by stage over the whole batch and
-    reported in report.delta_schedule; the reported gradient norm and
-    energy residual refer to the terminal regularized stage, while value
-    is evaluated at the requested delta. With strict=True a
-    non-converged member raises MaxIterations instead of returning
-    converged=False.
+    For 1 < p < 2 with delta = 0 requested, the solver minimizes the
+    regularized delta = 1e-4 energy from the same start, and
+    report.delta_schedule reads (1e-4,); otherwise it reads the requested
+    (delta,). The reported gradient norm and energy residual refer to the
+    delta minimized, while value is evaluated at the requested delta. With
+    strict=True a non-converged member raises MaxIterations instead of
+    returning converged=False.
     """
     problems = list(problems)
     if not problems:
@@ -504,7 +505,7 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
             "viscosity vanishes on the whole grid and no penalty is active"
         )
 
-    schedule = _DELTA_LADDER if params.p < 2 and params.delta == 0.0 else (params.delta,)
+    delta = _DELTA_SINGULAR if params.p < 2 and params.delta == 0.0 else float(params.delta)
 
     if u0 is None:
         stack = newtonian_start(ws.forcing, ws.grid, problems[0].penalty)
@@ -516,18 +517,13 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         stack = ws.project(comps.reshape((B,) + ws.stack_shape))
     x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
 
-    total_iters = np.zeros(B, dtype=int)
-    total_evals = np.zeros(B, dtype=int)
-    for delta in schedule:
-        ws.delta = float(delta)
-        x, gnorm, iters, evals, reason = _minimize_batch(ws, x, tol, max_iter - total_iters, callback)
-        total_iters += iters
-        total_evals += evals
+    ws.delta = delta
+    x, gnorm, iters, evals, reason = _minimize_batch(ws, x, tol, max_iter, callback)
 
     c = ws.project(ws.coeffs(x))
-    # Balance residual at the terminal continuation stage, where the
-    # minimizer is stationary; value at the requested delta, from the same
-    # strain, which does not depend on delta.
+    # Balance residual at the delta minimized, where the minimizer is
+    # stationary; value at the requested delta, from the same strain, which
+    # does not depend on delta.
     state = ws._eval_state(c)
     _, _, residual = ws.energy_balance(c, state)
     ws.delta = params.delta
@@ -537,13 +533,13 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     results = []
     for i, prob in enumerate(problems):
         report = StokesReport(
-            iterations=int(total_iters[i]),
+            iterations=int(iters[i]),
             value=float(value[i]),
             grad_norm=float(gnorm[i]),
             energy_residual=float(residual[i]),
-            delta_schedule=tuple(schedule),
+            delta_schedule=(delta,),
             converged=reason[i] == _CONVERGED,
-            n_evals=int(total_evals[i]),
+            n_evals=int(evals[i]),
             stop_reason=reason[i],
         )
         if hk is not None:

@@ -257,6 +257,18 @@ class TestSolveStokes:
         assert main(["solve-stokes", path, "--quiet"]) == 3
         assert "did not converge: stub reason" in capsys.readouterr().err
 
+    def test_internal_value_error_is_not_an_input_error(self, tmp_path, capsys, monkeypatch):
+        """A ValueError from inside the solver is a bug, not a bad config:
+        it propagates instead of exiting 2 with an input-error line."""
+        def broken(prob):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli, "solve_stokes", broken)
+        path = write_config(tmp_path, SUBCRITICAL)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["solve-stokes", path, "--quiet"])
+        assert "error:" not in capsys.readouterr().err
+
     def test_non_finite_energy_names_reason(self, tmp_path, capsys):
         """A constant density of 1e308 overflows the transform: the solver
         stops after one evaluation and the error line says why."""

@@ -338,6 +338,38 @@ class TestNewtonianPredictor:
         assert series.iters == [0, 0, 0, 0, 0]
 
 
+class TestSingularCoupledRun:
+    """newtonian2d.cfg with p = 1.5 at n = 32, T = 0.5: each solve minimizes
+    the delta = 1e-4 energy once from the Newtonian predictor."""
+
+    # recorded with the delta = 1e-1 ... 1e-4 continuation ladder, whose three
+    # solves took 82, 105 and 103 iterations
+    LADDER_CSV = {
+        "t": [0.0, 0.25, 0.5],
+        "lq_norm": [17.633887763402566, 17.63388774721733, 17.633887731063204],
+        "l2_norm": [9.683038872706693, 9.683038855983712, 9.683038839238511],
+        "recip_norm": [1.25, 1.242658500614169, 1.2496755314366301],
+        "du_beta": [2.0953182808916884, 2.0959005656613883, 2.0988223724500354],
+        "dissipation": [3.0330181074454217, 3.0342824997991933, 3.0406296589296598],
+        "work": [3.0330177408775634, 3.0342819648865023, 3.0406291634252263],
+    }
+
+    def test_csv_matches_ladder_run(self, tmp_path):
+        text = (ROOT / "configs" / "newtonian2d.cfg").read_text()
+        for old, new in (("n = 128", "n = 32"), ("p = 2.0", "p = 1.5"), ("T = 1.0", "T = 0.5")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(cfg), "--quiet", "--out", str(out)]) == 0
+        series = read_diagnostics((out / "diagnostics.csv").read_text())
+        for name, expected in self.LADDER_CSV.items():
+            assert getattr(series, name) == pytest.approx(expected, rel=1e-8, abs=0), name
+        assert max(series.energy_residual) <= 1e-6
+        assert series.iters == [60, 49, 44]
+
+
 class TestTimeGrid:
     """Steps end exactly on the output times and on t_final."""
 

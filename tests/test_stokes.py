@@ -216,7 +216,7 @@ class TestSolveStokes:
             rho=rho, params=FluidParams(p=1.5, q=1.5), law=constant_law(1.0)
         )
         u, report = solve_stokes(prob, strict=True)
-        assert report.delta_schedule == (1e-1, 1e-2, 1e-3, 1e-4)
+        assert report.delta_schedule == (1e-4,)
         assert report.converged
 
     def test_explicit_delta_skips_ladder(self, grid2d):
@@ -324,9 +324,10 @@ class TestSolveStokesBatch:
         assert_same_solves(solve_stokes_batch(probs), [solve_stokes(prob) for prob in probs])
 
     # (iterations, evaluations) of each member solved alone by the scalar
-    # minimizer that the batched one replaced
+    # minimizer that the batched one replaced; p = 1.5 re-recorded when its
+    # delta = 1e-1 ... 1e-4 continuation ladder became the single delta = 1e-4 solve
     SEQUENTIAL_COUNTS = {
-        1.5: [(50, 54), (57, 61), (47, 51)],
+        1.5: [(28, 29), (30, 31), (49, 50)],
         2.0: [(0, 1), (6, 7), (1, 2)],
         3.0: [(17, 19), (16, 18), (17, 18)],
         4.0: [(26, 30), (25, 29), (26, 29)],
@@ -466,7 +467,7 @@ def path_problem(p, law=constant_law(1.0), penalty=None, **params):
 class TestSolverPaths:
     """Counts, gradient norm and stop reason on the n = 32 solver paths that
     SEQUENTIAL_COUNTS does not reach: an explicit delta, the penalty, the
-    continuation ladder with a bounded law, a warm start, and an iteration
+    singular case with a bounded law, a warm start, and an iteration
     limit hit among rejected trials."""
 
     # case: (problem and solve_stokes arguments, (iterations, evaluations, grad_norm, stop_reason))
@@ -475,9 +476,9 @@ class TestSolverPaths:
                        (15, 16, 2.5340219890365896e-09, "converged")),
         "p3_penalty": (lambda: (path_problem(3.0, penalty=(100.0, 3)), {}),
                        (20, 21, 6.416106478382536e-09, "converged")),
-        "p1.5_ladder_bounded": (lambda: (path_problem(1.5, bounded_power_law(1.0, 0.5, 10.0),
-                                                      sigma=2.0, gamma=0.5, nu_max=10.0), {}),
-                                (69, 73, 6.275625643077208e-09, "converged")),
+        "p1.5_singular_bounded": (lambda: (path_problem(1.5, bounded_power_law(1.0, 0.5, 10.0),
+                                                        sigma=2.0, gamma=0.5, nu_max=10.0), {}),
+                                  (46, 47, 7.690713648519854e-09, "converged")),
         "p4_warm": (lambda: (path_problem(4.0),
                              {"u0": random_velocity(TorusGrid(2, 32), seed=3, kmax=4)}),
                     (39, 41, 1.2683882578774589e-08, "converged")),
@@ -493,6 +494,28 @@ class TestSolverPaths:
         assert (report.iterations, report.n_evals) == (iterations, n_evals)
         assert report.grad_norm == pytest.approx(grad_norm, rel=1e-12)
         assert report.stop_reason == reason
+
+
+class TestSingularSolve:
+    """1 < p < 2 at delta = 0 minimizes the delta = 1e-4 energy once, from
+    the same start as the explicit delta = 1e-4 solve."""
+
+    @pytest.mark.parametrize("law, params", [
+        (constant_law(1.0), {}),
+        (bounded_power_law(1.0, 0.5, 10.0), {"sigma": 2.0, "gamma": 0.5, "nu_max": 10.0}),
+    ], ids=["constant", "bounded"])
+    def test_equals_explicit_regularized_solve(self, law, params):
+        prob = path_problem(1.5, law, **params)
+        u, report = solve_stokes(prob)
+        u_reg, report_reg = solve_stokes(path_problem(1.5, law, delta=1e-4, **params))
+        assert u.coeff_stack().tobytes() == u_reg.coeff_stack().tobytes()
+        assert (report.iterations, report.n_evals) == (report_reg.iterations, report_reg.n_evals)
+        assert report.grad_norm == report_reg.grad_norm
+        assert report.energy_residual == report_reg.energy_residual
+        assert report.delta_schedule == report_reg.delta_schedule == (1e-4,)
+        assert report.converged and report.stop_reason == "converged"
+        # the value is taken at the requested delta = 0
+        assert report.value == functional_value(prob, u)
 
 
 class TestNewtonianStart:
