@@ -33,6 +33,7 @@ from nnstokes import (
 )
 from nnstokes.fields import random_band_field
 from nnstokes.spectral import (
+    Dealiaser,
     dealiaser,
     fine_size,
     k_squared,
@@ -508,6 +509,56 @@ class TestDealiaser:
         quad = (TWO_PI / engine.m) ** d * float(np.sum(engine.to_fine(a) * engine.to_fine(b)))
         coeff = l2_inner(grid, engine.nyquist_weight * a, b)
         assert coeff == pytest.approx(quad, rel=1e-12)
+
+    @staticmethod
+    def held_arrays(obj):
+        """Every array an engine holds, in its attributes or their containers."""
+        if isinstance(obj, np.ndarray):
+            return [obj]
+        if isinstance(obj, (tuple, list)):
+            return [a for item in obj for a in TestDealiaser.held_arrays(item)]
+        if isinstance(obj, dict):
+            return TestDealiaser.held_arrays(list(obj.values()))
+        if hasattr(obj, "__dict__"):
+            return TestDealiaser.held_arrays(list(vars(obj).values()))
+        return []
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_outputs_stay_apart_from_engine_scratch(self, d, n):
+        """No output shares memory with what the engine keeps, and a later
+        call leaves earlier outputs as they were."""
+        engine = Dealiaser(d, n)
+        m = fine_size(n)
+        coeffs = self.hermitian_stack(d, n, seed=11)
+        values = np.random.default_rng(12).standard_normal(self.BATCH + (m,) * d)
+        outputs = [engine.to_fine(coeffs), engine.to_coarse(values),
+                   engine.to_fine(coeffs[0]), engine.to_coarse(values[0])]
+        copies = [out.copy() for out in outputs]
+        engine.to_coarse(2.0 * values)
+        engine.to_fine(2.0 * coeffs)
+        for out, before in zip(outputs, copies):
+            assert not any(np.shares_memory(out, held) for held in self.held_arrays(engine))
+            assert np.array_equal(out, before)
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_interleaved_batch_sizes(self, d, n):
+        """Calls with changing batch sizes give bit for bit what a fresh
+        engine gives, and match the reference padding and restriction."""
+        engine = dealiaser(d, n)
+        m = fine_size(n)
+        gen = np.random.default_rng(13)
+        for size in (3, 1, 10, 2, 7, 1, 5, 10, 4, 9, 6, 8):
+            values = np.fft.fftn(gen.standard_normal((size,) + (n,) * d), axes=tuple(range(-d, 0)))
+            coeffs = values / n ** d
+            fine = engine.to_fine(coeffs)
+            assert np.array_equal(fine, Dealiaser(d, n).to_fine(coeffs))
+            ref = np.stack([np.fft.ifftn(pad_coeffs(c, m)).real * m ** d for c in coeffs])
+            assert np.abs(fine - ref).max() <= 1e-14 * np.abs(ref).max()
+            values = gen.standard_normal((size,) + (m,) * d)
+            coarse = engine.to_coarse(values)
+            assert np.array_equal(coarse, Dealiaser(d, n).to_coarse(values))
+            ref = np.stack([restrict_coeffs(np.fft.fftn(v) / m ** d, n) for v in values])
+            assert np.abs(coarse - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_engine_is_shared_per_lattice(self):
         assert dealiaser(2, 16) is dealiaser(2, 16)

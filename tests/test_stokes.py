@@ -46,7 +46,7 @@ from nnstokes.fields import (
 )
 from nnstokes.rheology import _power_factor
 from nnstokes.simulator import velocity_l2_distance, velocity_l2_norm
-from nnstokes.spectral import fine_size, k_squared, pad_coeffs, project_div_free
+from nnstokes.spectral import deriv_vectors, fine_size, k_squared, pad_coeffs, project_div_free
 
 TWO_PI = 2.0 * math.pi
 
@@ -462,6 +462,69 @@ def path_problem(p, law=constant_law(1.0), penalty=None, **params):
     grid = TorusGrid(2, 32)
     rho = random_band_field(grid, seed=7, kmax=6, amplitude=0.5, offset=1.5)
     return StokesProblem(rho, FluidParams(p=p, q=1.5, **params), law, penalty=penalty)
+
+
+def problem3d(grid, p, delta=0.0, law=constant_law(1.0)):
+    rho = random_band_field(grid, seed=31, kmax=3, amplitude=0.4, offset=1.2)
+    return StokesProblem(rho, FluidParams(p=p, q=1.5, d=3, delta=delta), law)
+
+
+class TestSolve3D:
+    """The energy, its gradient and the solver on the n = 8 lattice in 3D."""
+
+    @pytest.mark.parametrize("p,delta", [(3.0, 0.0), (1.5, 0.1)])
+    def test_gradient_matches_central_differences(self, grid3d, p, delta):
+        prob = problem3d(grid3d, p, delta)
+        u = random_velocity(grid3d, seed=32, kmax=3, amplitude=0.5)
+        w = random_velocity(grid3d, seed=33, kmax=3, amplitude=1.0)
+        directional = pairing_l2(functional_gradient(prob, u), w)
+        eps = 1e-5
+
+        def shifted(s):
+            return VelocityField(tuple(SpectralField(grid3d, cu.coeffs + s * cw.coeffs)
+                                       for cu, cw in zip(u.components, w.components)), check=False)
+
+        fd = (functional_value(prob, shifted(eps)) - functional_value(prob, shifted(-eps))) / (2 * eps)
+        assert directional == pytest.approx(fd, rel=1e-6)
+
+    def test_newtonian_solve_is_the_start(self, grid3d):
+        prob = problem3d(grid3d, 2.0)
+        u, report = solve_stokes(prob, strict=True)
+        rho_hat = to_spectral(prob.rho).coeffs
+        start = stokes.newtonian_start(np.multiply.outer(prob.params.g, rho_hat), grid3d, None)
+        assert report.iterations == 0
+        assert np.abs(u.coeff_stack() - start).max() <= 1e-12 * np.abs(start).max()
+
+    def test_p3_solve_converges(self, grid3d):
+        prob = problem3d(grid3d, 3.0)
+        u, report = solve_stokes(prob, strict=True)
+        assert report.iterations > 0
+        assert report.energy_residual <= 1e-8
+        assert energy_balance_residual(prob, u) <= 1e-8
+        assert report.value == pytest.approx(functional_value(prob, u), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+class TestStrainContraction:
+    """The workspace carries fewer strain entries than the full tensor; its
+    contractions must equal those of the full d x d tensor, each entry padded
+    on its own, for divergence-free fields."""
+
+    def full_strain(self, engine, c):
+        kd = deriv_vectors(TorusGrid(engine.d, engine.n))
+        return np.array([[engine.to_fine(0.5j * (kd[i] * c[j] + kd[j] * c[i]))
+                          for j in range(engine.d)] for i in range(engine.d)])
+
+    def test_contractions_match_full_tensor(self, d, n):
+        grid = TorusGrid(d, n)
+        rho = random_band_field(grid, seed=5, kmax=3, amplitude=0.4, offset=1.2)
+        ws = stokes._Workspace([StokesProblem(rho, FluidParams(p=3.0, q=1.5, d=d), constant_law(1.0))])
+        a, b = (v.coeff_stack() for v in random_velocities(grid, [6, 7], kmax=n // 2))
+        A, B = self.full_strain(ws.engine, a), self.full_strain(ws.engine, b)
+        S = ws._strain_fine(np.stack([a, b]))
+        for got, ref in ((ws._eval_state(a[None]).mag2[0], np.einsum("ij...,ij...->...", A, A)),
+                         (ws._contract(S[:1], S[1:])[0], np.einsum("ij...,ij...->...", A, B))):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestSolverPaths:
