@@ -234,7 +234,7 @@ def run(config: SimulationConfig) -> SimulationResult:
         cap = config.scheme.cfl_target * config.grid.h / vmax if vmax > 0 else math.inf
         dt, t_next = (target - t, target) if target - t <= cap + _TIME_TOL else (cap, t + cap)
         try:
-            rho = advect_step(rho, u, config.scheme, dt=dt)
+            rho = advect_step(rho, u, config.scheme, dt=dt, vmax=vmax)
         except CflViolation as exc:
             return SimulationResult(series, snapshots, completed=False,
                                     reason=f"CFL breakdown at t = {t:.6g}: {exc}")

@@ -21,6 +21,7 @@ Besov norm computation by rectangle-rule quadrature.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -353,12 +354,17 @@ def lp_block(F: SpectralField, j: int) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * mult)
 
 
+@lru_cache(maxsize=32)
+def _low_pass(d: int, n: int, j: int):
+    mult = _CUTOFF.chi(_lattice_radius(d, n) / float(2.0 ** (j - 1)))
+    mult.flags.writeable = False
+    return mult
+
+
 def low_freq_truncate(F: SpectralField, j: int) -> SpectralField:
     """Smooth low-pass companion of the blocks: identity on |k| <= 2^{j-1},
     zero on |k| >= 2^j, so it converges to the identity as j grows."""
-    r = _lattice_radius(F.grid.d, F.grid.n)
-    mult = _CUTOFF.chi(r / float(2.0 ** (j - 1)))
-    return SpectralField(F.grid, F.coeffs * mult)
+    return SpectralField(F.grid, F.coeffs * _low_pass(F.grid.d, F.grid.n, j))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +490,11 @@ class Dealiaser:
     +-n/2 and averaged back. Only the half spectrum along the last axis is
     transformed, and each other axis is padded or restricted next to its
     own transform, so no FFT runs over the zero band of the padding.
+
+    to_coarse writes its FFT outputs into two scratch buffers the engine
+    keeps, each replaced when a call needs a different size, so repeated
+    calls of one size reuse memory instead of faulting in fresh pages. Its
+    outputs are fresh arrays; an engine must not run two calls at once.
     """
 
     def __init__(self, d: int, n: int):
@@ -499,10 +510,17 @@ class Dealiaser:
         fine_index = np.r_[0:half + 1, m - half + 1:m]
         self._axes = tuple((at(ax, fine_index), at(ax, half), at(ax, m - half))
                            for ax in range(d - 1))
-        neg = (-np.arange(n)) % n
-        # k -> -k over every axis but the last, whose order is reversed
-        self._mirror = (Ellipsis,) + tuple(
-            neg.reshape((n,) + (1,) * (d - 2 - ax)) for ax in range(d - 1)) + (slice(None, None, -1),)
+        # restriction along an axis: the coarse indices below and above n/2
+        # copy their fine ones, and n/2 averages the two fine unpaired ones
+        self._restrict = tuple((at(ax, slice(0, half)), at(ax, slice(half + 1, None)),
+                                at(ax, slice(m - half + 1, None)), at(ax, half), at(ax, m - half))
+                               for ax in range(d - 1))
+        # k -> -k over every axis but the last, as blocks (destination,
+        # source) of index 0, which stays, and of 1.., which reverses
+        self._mirror = tuple(
+            ((Ellipsis,) + tuple(dst for dst, _ in block), (Ellipsis,) + tuple(src for _, src in block))
+            for block in itertools.product(((slice(0, 1), slice(0, 1)),
+                                            (slice(1, None), slice(None, 0, -1))), repeat=d - 1))
 
         weight = np.ones((n,) * d)
         for ax in range(d):
@@ -511,6 +529,7 @@ class Dealiaser:
         # the fine-grid integral of a product of two padded fields, read off
         # the coarse coefficients: each unpaired index halves the weight
         self.nyquist_weight = weight
+        self._scratch = [np.empty(0, dtype=np.complex128)] * 2
 
     def to_fine(self, stack: np.ndarray) -> np.ndarray:
         """Real m-grid values of coarse coefficients of shape batch + (n,)*d."""
@@ -530,18 +549,42 @@ class Dealiaser:
     def to_coarse(self, values: np.ndarray) -> np.ndarray:
         """Coarse full-layout coefficients of real m-grid values of shape
         batch + (m,)*d; the adjoint of to_fine."""
-        half = self.n // 2
-        src = np.fft.rfft(values, axis=-1, norm="forward")[..., :half + 1]
-        for ax in reversed(range(self.d - 1)):
-            coarse, nyq, nyq_neg = self._axes[ax]
-            src = np.fft.fft(src, axis=ax - self.d, norm="forward")
-            split = src[nyq] + src[nyq_neg]
-            src = src[coarse]
-            src[nyq] = 0.5 * split
+        d, n, half = self.d, self.n, self.n // 2
+        out = np.empty(values.shape[:-d] + (n,) * d, dtype=np.complex128)
+        spectrum = self._buffer(0, values.shape[:-1] + (self.m // 2 + 1,))
+        src = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)[..., :half + 1]
+        for ax in reversed(range(d - 1)):
+            axis = ax - d
+            if ax == d - 2:
+                # reads a view of the rfft output, so it cannot write there
+                fine = self._buffer(1, src.shape)
+            else:
+                # reads a fresh copy: the rfft output is spent, and larger
+                fine = spectrum.reshape(-1)[:src.size].reshape(src.shape)
+            np.fft.fft(src, axis=axis, norm="forward", out=fine)
+            src = out[..., :half + 1] if ax == 0 else np.empty(
+                fine.shape[:axis] + (n,) + fine.shape[axis + 1:], dtype=np.complex128)
+            low, high, fine_high, nyq, nyq_neg = self._restrict[ax]
+            src[low] = fine[low]
+            src[high] = fine[fine_high]
+            np.add(fine[nyq], fine[nyq_neg], out=src[nyq])
+            src[nyq] *= 0.5
         # the negative last-axis frequencies follow by Hermitian symmetry
-        mirror = np.conj(src[self._mirror])
-        src[..., half] = 0.5 * (src[..., half] + mirror[..., 0])
-        return np.concatenate([src, mirror[..., 1:-1]], axis=-1)
+        mirror_nyq = np.empty(out.shape[:-1], dtype=np.complex128)
+        for dst, origin in self._mirror:
+            np.conjugate(src[origin + (slice(half - 1, 0, -1),)], out=out[dst + (slice(half + 1, None),)])
+            np.conjugate(src[origin + (half,)], out=mirror_nyq[dst])
+        src[..., half] += mirror_nyq
+        src[..., half] *= 0.5
+        return out
+
+    def _buffer(self, which: int, shape: tuple) -> np.ndarray:
+        """Scratch buffer number which with the given shape, replaced when the
+        size changes."""
+        size = math.prod(shape)
+        if self._scratch[which].size != size:
+            self._scratch[which] = np.empty(size, dtype=np.complex128)
+        return self._scratch[which].reshape(shape)
 
 
 @lru_cache(maxsize=16)

@@ -144,11 +144,16 @@ class _Workspace:
     the k members they belong to: a basic slice for the whole batch, which
     reads the member data without copying, or an index array.
 
-    The strain is symmetric, so it is carried as the stack of its d(d+1)/2
-    entries i <= j (self.pairs); self.pair_weight counts each off-diagonal
-    entry twice in contractions. The attribute delta is mutable so a
-    singular solve can minimize at the regularized delta and report its
-    value at the requested one.
+    Every coefficient stack the workspace is given must be divergence-free,
+    k.c = 0 with the derivative wavevectors, as the projection leaves the
+    solver's iterates, gradients and directions and every VelocityField it
+    makes. The strain is then symmetric and traceless, so it is carried as
+    the stack of its d(d+1)/2 - 1 entries i <= j other than (d, d)
+    (self.pairs): 2 in 2D, 5 in 3D. The last diagonal entry is minus the
+    sum of the others, which _contract folds into its weights and
+    force_balance restores for the stress. The attribute delta is mutable
+    so a singular solve can minimize at the regularized delta and report
+    its value at the requested one.
     """
 
     def __init__(self, problems):
@@ -170,15 +175,23 @@ class _Workspace:
 
         self.kd = deriv_vectors(grid)
         self.k2 = k_squared(grid)
-        self.pairs = tuple((i, j) for i in range(self.d) for j in range(i, self.d))
+        last = (self.d - 1, self.d - 1)
+        self.pairs = tuple((i, j) for i in range(self.d) for j in range(i, self.d) if (i, j) != last)
+        self.diagonal = [q for q, (i, j) in enumerate(self.pairs) if i == j]
+        # A : B = sum of A_ij B_ij over the carried pairs, off-diagonal ones
+        # twice, plus A_dd B_dd = (sum of A_ii)(sum of B_ii); in 2D that last
+        # term is A_11 B_11 and doubles the diagonal weight instead
         self.pair_weight = np.array([1.0 if i == j else 2.0 for i, j in self.pairs])
-        self.pair_of = [[self.pairs.index((min(a, j), max(a, j))) for j in range(self.d)]
+        if self.d == 2:
+            self.pair_weight[self.diagonal] = 2.0
+        entries = self.pairs + (last,)
+        self.pair_of = [[entries.index((min(a, j), max(a, j))) for j in range(self.d)]
                         for a in range(self.d)]
 
         rho_hat = np.stack([to_spectral(member.rho).coeffs for member in problems])
         rho_fine = self.engine.to_fine(rho_hat)
-        self.nu_fine = np.stack([np.asarray(member.law(r)) for member, r in zip(problems, rho_fine)])
-        self.forcing = np.stack([rho_hat * gj for gj in prob.params.g], axis=1)
+        self.nu_fine = _rows([np.asarray(member.law(r)) for member, r in zip(problems, rho_fine)])
+        self.forcing = rho_hat[:, None] * np.reshape(prob.params.g, (-1,) + (1,) * self.d)
         # the work integral is linear in u: its fine-grid quadrature of the
         # padded fields, summed in coefficient space
         self.work_weights = self.engine.nyquist_weight * self.forcing
@@ -209,7 +222,7 @@ class _Workspace:
     # -- fine-grid evaluation --------------------------------------------------
 
     def _strain_fine(self, c: np.ndarray) -> np.ndarray:
-        """Strain entries i <= j on the quadrature grid, shape (k, len(pairs)) + fine.
+        """Strain entries self.pairs on the quadrature grid, shape (k, len(pairs)) + fine.
         to_fine reads only the last axis's first n/2 + 1 coefficients, so
         only those are formed."""
         half = slice(0, self.grid.n // 2 + 1)
@@ -221,8 +234,12 @@ class _Workspace:
         return self.engine.to_fine(s_hat)
 
     def _contract(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Pointwise A : B of two symmetric tensors given by their pair stacks."""
-        return np.einsum("q,bq...,bq...->b...", self.pair_weight, A, B)
+        """Pointwise A : B of two symmetric traceless tensors given by their
+        pair stacks."""
+        out = np.einsum("q,bq...,bq...->b...", self.pair_weight, A, B)
+        if self.d == 3:
+            out += sum(A[:, q] for q in self.diagonal) * sum(B[:, q] for q in self.diagonal)
+        return out
 
     def _eval_state(self, c: np.ndarray, sel=slice(None)) -> "_EvalState":
         S = self._strain_fine(c)
@@ -263,10 +280,11 @@ class _Workspace:
 
     def force_balance(self, state: "_EvalState", sel=slice(None)) -> np.ndarray:
         """Coefficients of rho g + div(stress) before the projection."""
-        T = self.engine.to_coarse(state.afield[:, None] * state.S)
+        T = list(np.moveaxis(self.engine.to_coarse(state.afield[:, None] * state.S), 1, 0))
+        T.append(-sum(T[q] for q in self.diagonal))  # the stress is traceless with the strain
         out = self.forcing[sel].copy()
         for j in range(self.d):
-            out[:, j] += 1j * sum(self.kd[a] * T[:, self.pair_of[a][j]] for a in range(self.d))
+            out[:, j] += 1j * sum(self.kd[a] * T[self.pair_of[a][j]] for a in range(self.d))
         return out
 
     def value_grad(self, c: np.ndarray, sel=slice(None)):
@@ -309,7 +327,8 @@ class _Workspace:
 
 # Fine-grid strain pair stacks S, |Du|^2 and the stress factor
 # nu (delta^2 + |Du|^2)^{(p-2)/2} at the points of k members; value_grad
-# returns it for curvature reuse.
+# returns it for curvature reuse, and the minimizer keeps each member's
+# |Du|^2 and stress factor at its returned point for the report.
 _EvalState = namedtuple("_EvalState", "S mag2 afield")
 
 
@@ -350,7 +369,8 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
     latest evaluated point, which it first re-evaluates when a failed line
     search has moved on from it. callback(member, iteration, value,
     grad_norm) is called at each iterate. Returns (x, grad_norm,
-    iterations, n_evals, stop_reason).
+    iterations, n_evals, stop_reason, fresh), fresh telling whether its
+    latest evaluation was at x; only a failed line search leaves it False.
     """
     f, g = yield _EVAL, x
     n_evals = 1
@@ -363,11 +383,11 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
         if callback is not None:
             callback(member, iterations, float(f), float(gnorm))
         if not (np.isfinite(f) and np.isfinite(gnorm)):
-            return x, gnorm, iterations, n_evals, _NON_FINITE
+            return x, gnorm, iterations, n_evals, _NON_FINITE, fresh
         if gnorm <= tol * (1.0 + abs(f)):
-            return x, gnorm, iterations, n_evals, _CONVERGED
+            return x, gnorm, iterations, n_evals, _CONVERGED, fresh
         if iterations >= max_iter:
-            return x, gnorm, iterations, n_evals, _ITERATION_LIMIT
+            return x, gnorm, iterations, n_evals, _ITERATION_LIMIT, fresh
 
         tried_steepest = accepted = False
         while not accepted:
@@ -398,7 +418,7 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
                 alpha *= 0.5
             if not accepted:
                 if tried_steepest:
-                    return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED
+                    return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED, fresh
                 d = -ws.precond_flat(g)
                 tried_steepest = True
 
@@ -416,18 +436,23 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
     curvature requests from that round's fine-grid state, one
     curvature_along per pass, until none are left. Each member goes through
     the operations it would go through alone. Returns
-    (x, grad_norm, iterations, n_evals, stop_reason), one entry per member.
+    (x, grad_norm, iterations, n_evals, stop_reason, final), one entry per
+    member; final is the member's (|Du|^2, stress factor) at its returned x
+    from its latest evaluation, or None when that evaluation was elsewhere.
     """
     B = len(x)
     members = [_ncg(ws, i, x[i], tol, max_iter, callback) for i in range(B)]
     requests = [next(m) for m in members]
     results = [None] * B
 
-    def answer(i, reply):
+    def answer(i, reply, state, j):
+        """Send member i its reply; state row j is its latest evaluation."""
         try:
             requests[i] = members[i].send(reply)
         except StopIteration as stop:
-            requests[i], results[i] = None, stop.value
+            *result, fresh = stop.value
+            final = (state.mag2[j].copy(), state.afield[j].copy()) if fresh else None
+            requests[i], results[i] = None, (*result, final)
 
     while any(requests):
         # drop the previous round's fine-grid state first, so the old and new
@@ -439,7 +464,7 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
         g = g.view(np.float64).reshape(len(ev), -1)
         del points
         for j, i in enumerate(ev):
-            answer(i, (f[j], g[j]))
+            answer(i, (f[j], g[j]), state, j)
         # a member whose step vanishes against x asks again within the round
         while rows := [j for j, i in enumerate(ev) if requests[i] and requests[i][0] == _CURV]:
             cv = [ev[j] for j in rows]
@@ -447,10 +472,10 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
             curv = ws.curvature_along(part, ws.coeffs(_rows([requests[i][1] for i in cv])), _sel(cv, B))
             del part
             for k, i in enumerate(cv):
-                answer(i, curv[k])
+                answer(i, curv[k], state, rows[k])
 
-    x, gnorm, iterations, n_evals, reason = zip(*results)
-    return np.stack(x), gnorm, np.array(iterations), np.array(n_evals), reason
+    x, gnorm, iterations, n_evals, reason, final = zip(*results)
+    return np.stack(x), gnorm, np.array(iterations), np.array(n_evals), reason, final
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +543,22 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
 
     ws.delta = delta
-    x, gnorm, iters, evals, reason = _minimize_batch(ws, x, tol, max_iter, callback)
+    x, gnorm, iters, evals, reason, final = _minimize_batch(ws, x, tol, max_iter, callback)
 
-    c = ws.project(ws.coeffs(x))
+    # every iterate lies in the projected subspace, and the minimizer's
+    # latest evaluation of a member was at its returned x unless a line
+    # search failed after it; only those members are evaluated again
+    c = ws.coeffs(x)
+    final = list(final)
+    stale = [i for i, f in enumerate(final) if f is None]
+    if stale:
+        again = ws._eval_state(c[stale], stale)
+        for k, i in enumerate(stale):
+            final[i] = again.mag2[k], again.afield[k]
+    state = _EvalState(None, _rows([f[0] for f in final]), _rows([f[1] for f in final]))
     # Balance residual at the delta minimized, where the minimizer is
     # stationary; value at the requested delta, from the same strain, which
     # does not depend on delta.
-    state = ws._eval_state(c)
     _, _, residual = ws.energy_balance(c, state)
     ws.delta = params.delta
     value = ws._energy(c, state.mag2)

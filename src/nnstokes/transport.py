@@ -126,12 +126,14 @@ def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: i
 
 
 def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
-                dt: float = None, mean_velocity=None) -> GridField:
+                dt: float = None, mean_velocity=None, vmax: float = None) -> GridField:
     """One advection step of length dt (default scheme.dt).
 
     The step is split into power-of-two substeps until each satisfies
     dt/m <= cfl_target * h / max|u|. Raises CflViolation when that would
-    push the substep below 1e-12.
+    push the substep below 1e-12. vmax is max|u|, speed_sup(u,
+    mean_velocity), for a caller that has it already; it is computed when
+    None.
     """
     if rho.grid is not u.grid and rho.grid != u.grid:
         raise ValueError("density and velocity live on different grids")
@@ -141,7 +143,8 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
     if dt == 0.0:
         return GridField(rho.grid, rho.values.copy(), check=False)
 
-    vmax = speed_sup(u, mean_velocity)
+    if vmax is None:
+        vmax = speed_sup(u, mean_velocity)
     if vmax > 0:
         cap = scheme.cfl_target * rho.grid.h / vmax
         m = _substep_count(dt, cap)

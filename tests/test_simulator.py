@@ -240,7 +240,7 @@ class TestRun:
     def test_cfl_violation_keeps_partial_output(self, grid2d, monkeypatch, tmp_path):
         """A CflViolation in the first advection step ends the run with the
         t = 0 row and snapshot, and simulate still writes them (exit 3)."""
-        def breakdown(rho, u, scheme, dt=None):
+        def breakdown(rho, u, scheme, dt=None, vmax=None):
             raise CflViolation("stub breakdown")
 
         monkeypatch.setattr(simulator, "advect_step", breakdown)
@@ -367,7 +367,9 @@ class TestSingularCoupledRun:
         for name, expected in self.LADDER_CSV.items():
             assert getattr(series, name) == pytest.approx(expected, rel=1e-8, abs=0), name
         assert max(series.energy_residual) <= 1e-6
-        assert series.iters == [60, 49, 44]
+        # 60, 49, 44 with the full strain stack; the traceless one rounds
+        # differently, and this singular solve's count follows the rounding
+        assert series.iters == [64, 50, 45]
 
 
 class TestTimeGrid:
@@ -415,7 +417,7 @@ class TestTimeGrid:
         zero = VelocityField([SpectralField(grid, np.zeros(grid.shape, np.complex128))] * 2)
         steps = []
 
-        def advect(rho, u, scheme, dt):
+        def advect(rho, u, scheme, dt, vmax):
             steps.append(dt)
             return rho
 

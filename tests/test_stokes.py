@@ -450,6 +450,27 @@ class TestSolveStokesBatch:
         assert report.stop_reason == "line search failed"
         assert all(r.converged for _, r in batch[:2])
 
+    def test_reports_describe_the_returned_velocities(self, monkeypatch):
+        """Each report's value and energy residual are those of the velocity
+        returned, also for the member whose last evaluation was a rejected
+        trial point of a failed line search."""
+        curvature_along = stokes._Workspace.curvature_along
+
+        def patched(ws, state, w, sel=slice(None)):
+            curv = curvature_along(ws, state, w, sel)
+            flagged = ws.nu_fine[sel].reshape(len(curv), -1)[:, 0] == 2.0
+            return np.where(flagged, 1e-300, curv)
+
+        monkeypatch.setattr(stokes._Workspace, "curvature_along", patched)
+        probs = batch_problems(3.0)
+        with np.errstate(all="ignore"):
+            batch = solve_stokes_batch(probs)
+        assert batch[2][1].stop_reason == "line search failed"
+        for prob, (u, report) in zip(probs, batch):
+            assert report.value == pytest.approx(functional_value(prob, u), rel=1e-13)
+            assert report.energy_residual == pytest.approx(energy_balance_residual(prob, u),
+                                                           rel=1e-6, abs=1e-15)
+
     def test_callback_names_members(self):
         probs = batch_problems(3.0)
         seen = []
