@@ -506,15 +506,12 @@ class Dealiaser:
         def at(ax, index):
             return (Ellipsis, index) + (slice(None),) * (d - 1 - ax)
 
-        # fine index of each coarse index along an axis, n/2 landing on +n/2
-        fine_index = np.r_[0:half + 1, m - half + 1:m]
-        self._axes = tuple((at(ax, fine_index), at(ax, half), at(ax, m - half))
+        # along each axis but the last, the coarse indices below n/2 and
+        # above it sit at the same and at the m-shifted fine indices; the
+        # unpaired n/2 is split onto the fine +-n/2 and averaged back
+        self._axes = tuple((at(ax, slice(0, half)), at(ax, slice(half + 1, None)),
+                            at(ax, slice(m - half + 1, None)), at(ax, half), at(ax, m - half))
                            for ax in range(d - 1))
-        # restriction along an axis: the coarse indices below and above n/2
-        # copy their fine ones, and n/2 averages the two fine unpaired ones
-        self._restrict = tuple((at(ax, slice(0, half)), at(ax, slice(half + 1, None)),
-                                at(ax, slice(m - half + 1, None)), at(ax, half), at(ax, m - half))
-                               for ax in range(d - 1))
         # k -> -k over every axis but the last, as blocks (destination,
         # source) of index 0, which stays, and of 1.., which reverses
         self._mirror = tuple(
@@ -535,11 +532,12 @@ class Dealiaser:
         """Real m-grid values of coarse coefficients of shape batch + (n,)*d."""
         m, half = self.m, self.n // 2
         src = stack[..., :half + 1]
-        for ax, (coarse, nyq, nyq_neg) in enumerate(self._axes):
+        for ax, (low, high, fine_high, nyq, nyq_neg) in enumerate(self._axes):
             axis = ax - self.d
             buf = np.zeros(src.shape[:axis] + (m,) + src.shape[axis + 1:], dtype=np.complex128)
-            buf[coarse] = src
-            buf[nyq] *= 0.5
+            buf[low] = src[low]
+            buf[fine_high] = src[high]
+            np.multiply(src[nyq], 0.5, out=buf[nyq])
             buf[nyq_neg] = buf[nyq]
             if ax == 0:
                 buf[..., half] *= 0.5  # the last axis stores only +n/2 of its split mode
@@ -564,7 +562,7 @@ class Dealiaser:
             np.fft.fft(src, axis=axis, norm="forward", out=fine)
             src = out[..., :half + 1] if ax == 0 else np.empty(
                 fine.shape[:axis] + (n,) + fine.shape[axis + 1:], dtype=np.complex128)
-            low, high, fine_high, nyq, nyq_neg = self._restrict[ax]
+            low, high, fine_high, nyq, nyq_neg = self._axes[ax]
             src[low] = fine[low]
             src[high] = fine[fine_high]
             np.add(fine[nyq], fine[nyq_neg], out=src[nyq])

@@ -515,9 +515,11 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     regularized delta = 1e-4 energy from the same start, and
     report.delta_schedule reads (1e-4,); otherwise it reads the requested
     (delta,). The reported gradient norm and energy residual refer to the
-    delta minimized, while value is evaluated at the requested delta. With
-    strict=True a non-converged member raises MaxIterations instead of
-    returning converged=False.
+    delta minimized, while value is evaluated at the requested delta. Both
+    come from the minimizer's own evaluation at the returned velocity; only
+    a member whose line search failed after that evaluation is evaluated
+    again. With strict=True a non-converged member raises MaxIterations
+    instead of returning converged=False.
     """
     problems = list(problems)
     if not problems:
