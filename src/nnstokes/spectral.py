@@ -433,6 +433,10 @@ def bernstein_ratio(F: SpectralField, j: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 # 3/2-rule padding for dealiased products
 
+# bytes of an rfft output a Dealiaser keeps for to_coarse
+_SCRATCH_BYTES = 1 << 20
+
+
 def fine_size(n: int) -> int:
     """Quadrature grid size for dealiased products (the 3/2 rule)."""
     return (3 * n) // 2
@@ -492,9 +496,11 @@ class Dealiaser:
     own transform, so no FFT runs over the zero band of the padding.
 
     to_coarse writes its FFT outputs into two scratch buffers the engine
-    keeps, each replaced when a call needs a different size, so repeated
-    calls of one size reuse memory instead of faulting in fresh pages. Its
-    outputs are fresh arrays; an engine must not run two calls at once.
+    keeps, so repeated calls reuse memory instead of faulting in fresh
+    pages. It transforms the fields of a batch in chunks that keep each
+    buffer within _SCRATCH_BYTES, or one field at a time where a single
+    field is larger. Its outputs are fresh arrays; an engine must not run
+    two calls at once.
     """
 
     def __init__(self, d: int, n: int):
@@ -527,6 +533,9 @@ class Dealiaser:
         # the coarse coefficients: each unpaired index halves the weight
         self.nyquist_weight = weight
         self._scratch = [np.empty(0, dtype=np.complex128)] * 2
+        # to_coarse restricts chunks of fields whose rfft output fits in
+        # _SCRATCH_BYTES, or single fields, so the scratch stays that small
+        self._chunk = max(1, _SCRATCH_BYTES // (16 * m ** (d - 1) * (m // 2 + 1)))
 
     def to_fine(self, stack: np.ndarray) -> np.ndarray:
         """Real m-grid values of coarse coefficients of shape batch + (n,)*d."""
@@ -547,8 +556,16 @@ class Dealiaser:
     def to_coarse(self, values: np.ndarray) -> np.ndarray:
         """Coarse full-layout coefficients of real m-grid values of shape
         batch + (m,)*d; the adjoint of to_fine."""
+        d, n = self.d, self.n
+        fields = values.reshape((-1,) + values.shape[-d:])
+        out = np.empty((len(fields),) + (n,) * d, dtype=np.complex128)
+        for start in range(0, len(fields), self._chunk):
+            self._restrict(fields[start:start + self._chunk], out[start:start + self._chunk])
+        return out.reshape(values.shape[:-d] + (n,) * d)
+
+    def _restrict(self, values: np.ndarray, out: np.ndarray):
+        """to_coarse of a stack of fields, written into out."""
         d, n, half = self.d, self.n, self.n // 2
-        out = np.empty(values.shape[:-d] + (n,) * d, dtype=np.complex128)
         spectrum = self._buffer(0, values.shape[:-1] + (self.m // 2 + 1,))
         src = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)[..., :half + 1]
         for ax in reversed(range(d - 1)):
@@ -574,15 +591,14 @@ class Dealiaser:
             np.conjugate(src[origin + (half,)], out=mirror_nyq[dst])
         src[..., half] += mirror_nyq
         src[..., half] *= 0.5
-        return out
 
     def _buffer(self, which: int, shape: tuple) -> np.ndarray:
-        """Scratch buffer number which with the given shape, replaced when the
-        size changes."""
+        """Scratch buffer number which viewed with the given shape; it grows
+        to the largest shape asked for, at most one chunk of fields."""
         size = math.prod(shape)
-        if self._scratch[which].size != size:
+        if self._scratch[which].size < size:
             self._scratch[which] = np.empty(size, dtype=np.complex128)
-        return self._scratch[which].reshape(shape)
+        return self._scratch[which][:size].reshape(shape)
 
 
 @lru_cache(maxsize=16)
