@@ -518,12 +518,11 @@ class Dealiaser:
         self._axes = tuple((at(ax, slice(0, half)), at(ax, slice(half + 1, None)),
                             at(ax, slice(m - half + 1, None)), at(ax, half), at(ax, m - half))
                            for ax in range(d - 1))
-        # k -> -k over every axis but the last, as blocks (destination,
-        # source) of index 0, which stays, and of 1.., which reverses
-        self._mirror = tuple(
-            ((Ellipsis,) + tuple(dst for dst, _ in block), (Ellipsis,) + tuple(src for _, src in block))
-            for block in itertools.product(((slice(0, 1), slice(0, 1)),
-                                            (slice(1, None), slice(None, 0, -1))), repeat=d - 1))
+        # k -> -k along an axis keeps index 0 and reverses 1..n-1; over every
+        # axis but the last it is a product of such (destination, source) blocks
+        flip = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+        self._mirror = [((Ellipsis, *dst), (Ellipsis, *src))
+                        for dst, src in (zip(*block) for block in itertools.product(flip, repeat=d - 1))]
 
         weight = np.ones((n,) * d)
         for ax in range(d):
