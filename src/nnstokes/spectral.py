@@ -433,10 +433,6 @@ def bernstein_ratio(F: SpectralField, j: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 # 3/2-rule padding for dealiased products
 
-# bytes of an rfft output a Dealiaser keeps for to_coarse
-_SCRATCH_BYTES = 1 << 20
-
-
 def fine_size(n: int) -> int:
     """Quadrature grid size for dealiased products (the 3/2 rule)."""
     return (3 * n) // 2
@@ -494,13 +490,6 @@ class Dealiaser:
     +-n/2 and averaged back. Only the half spectrum along the last axis is
     transformed, and each other axis is padded or restricted next to its
     own transform, so no FFT runs over the zero band of the padding.
-
-    to_coarse writes its FFT outputs into two scratch buffers the engine
-    keeps, so repeated calls reuse memory instead of faulting in fresh
-    pages. It transforms the fields of a batch in chunks that keep each
-    buffer within _SCRATCH_BYTES, or one field at a time where a single
-    field is larger. Its outputs are fresh arrays; an engine must not run
-    two calls at once.
     """
 
     def __init__(self, d: int, n: int):
@@ -531,10 +520,6 @@ class Dealiaser:
         # the fine-grid integral of a product of two padded fields, read off
         # the coarse coefficients: each unpaired index halves the weight
         self.nyquist_weight = weight
-        self._scratch = [np.empty(0, dtype=np.complex128)] * 2
-        # to_coarse restricts chunks of fields whose rfft output fits in
-        # _SCRATCH_BYTES, or single fields, so the scratch stays that small
-        self._chunk = max(1, _SCRATCH_BYTES // (16 * m ** (d - 1) * (m // 2 + 1)))
 
     def to_fine(self, stack: np.ndarray) -> np.ndarray:
         """Real m-grid values of coarse coefficients of shape batch + (n,)*d."""
@@ -555,29 +540,19 @@ class Dealiaser:
     def to_coarse(self, values: np.ndarray) -> np.ndarray:
         """Coarse full-layout coefficients of real m-grid values of shape
         batch + (m,)*d; the adjoint of to_fine."""
-        d, n = self.d, self.n
-        fields = values.reshape((-1,) + values.shape[-d:])
-        out = np.empty((len(fields),) + (n,) * d, dtype=np.complex128)
-        for start in range(0, len(fields), self._chunk):
-            self._restrict(fields[start:start + self._chunk], out[start:start + self._chunk])
-        return out.reshape(values.shape[:-d] + (n,) * d)
-
-    def _restrict(self, values: np.ndarray, out: np.ndarray):
-        """to_coarse of a stack of fields, written into out."""
         d, n, half = self.d, self.n, self.n // 2
-        spectrum = self._buffer(0, values.shape[:-1] + (self.m // 2 + 1,))
-        src = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)[..., :half + 1]
+        src = np.fft.rfft(values, axis=-1, norm="forward")[..., :half + 1]
         for ax in reversed(range(d - 1)):
             axis = ax - d
-            if ax == d - 2:
-                # reads a view of the rfft output, so it cannot write there
-                fine = self._buffer(1, src.shape)
+            fine = np.fft.fft(src, axis=axis, norm="forward")
+            # free the spent input first: the restricted copy then reuses
+            # its memory instead of faulting in fresh pages
+            del src
+            if ax == 0:
+                out = np.empty(values.shape[:-d] + (n,) * d, dtype=np.complex128)
+                src = out[..., :half + 1]
             else:
-                # reads a fresh copy: the rfft output is spent, and larger
-                fine = spectrum.reshape(-1)[:src.size].reshape(src.shape)
-            np.fft.fft(src, axis=axis, norm="forward", out=fine)
-            src = out[..., :half + 1] if ax == 0 else np.empty(
-                fine.shape[:axis] + (n,) + fine.shape[axis + 1:], dtype=np.complex128)
+                src = np.empty(fine.shape[:axis] + (n,) + fine.shape[axis + 1:], dtype=np.complex128)
             low, high, fine_high, nyq, nyq_neg = self._axes[ax]
             src[low] = fine[low]
             src[high] = fine[fine_high]
@@ -590,14 +565,7 @@ class Dealiaser:
             np.conjugate(src[origin + (half,)], out=mirror_nyq[dst])
         src[..., half] += mirror_nyq
         src[..., half] *= 0.5
-
-    def _buffer(self, which: int, shape: tuple) -> np.ndarray:
-        """Scratch buffer number which viewed with the given shape; it grows
-        to the largest shape asked for, at most one chunk of fields."""
-        size = math.prod(shape)
-        if self._scratch[which].size < size:
-            self._scratch[which] = np.empty(size, dtype=np.complex128)
-        return self._scratch[which][:size].reshape(shape)
+        return out
 
 
 @lru_cache(maxsize=16)

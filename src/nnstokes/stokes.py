@@ -369,8 +369,7 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
     latest evaluated point, which it first re-evaluates when a failed line
     search has moved on from it. callback(member, iteration, value,
     grad_norm) is called at each iterate. Returns (x, grad_norm,
-    iterations, n_evals, stop_reason, fresh), fresh telling whether its
-    latest evaluation was at x; only a failed line search leaves it False.
+    iterations, n_evals, stop_reason).
     """
     f, g = yield _EVAL, x
     n_evals = 1
@@ -383,11 +382,11 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
         if callback is not None:
             callback(member, iterations, float(f), float(gnorm))
         if not (np.isfinite(f) and np.isfinite(gnorm)):
-            return x, gnorm, iterations, n_evals, _NON_FINITE, fresh
+            return x, gnorm, iterations, n_evals, _NON_FINITE
         if gnorm <= tol * (1.0 + abs(f)):
-            return x, gnorm, iterations, n_evals, _CONVERGED, fresh
+            return x, gnorm, iterations, n_evals, _CONVERGED
         if iterations >= max_iter:
-            return x, gnorm, iterations, n_evals, _ITERATION_LIMIT, fresh
+            return x, gnorm, iterations, n_evals, _ITERATION_LIMIT
 
         tried_steepest = accepted = False
         while not accepted:
@@ -418,7 +417,7 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
                 alpha *= 0.5
             if not accepted:
                 if tried_steepest:
-                    return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED, fresh
+                    return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED
                 d = -ws.precond_flat(g)
                 tried_steepest = True
 
@@ -444,22 +443,27 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
     members = [_ncg(ws, i, x[i], tol, max_iter, callback) for i in range(B)]
     requests = [next(m) for m in members]
     results = [None] * B
+    evaluated = [None] * B  # each member's latest evaluated point
 
     def answer(i, reply, state, j):
-        """Send member i its reply; state row j is its latest evaluation."""
+        """Send member i its reply; state row j is its latest evaluation.
+        _ncg returns the very array it last evaluated unless a failed line
+        search moved on from it."""
         try:
             requests[i] = members[i].send(reply)
         except StopIteration as stop:
-            *result, fresh = stop.value
-            final = (state.mag2[j].copy(), state.afield[j].copy()) if fresh else None
-            requests[i], results[i] = None, (*result, final)
+            x_i = stop.value[0]
+            final = (state.mag2[j].copy(), state.afield[j].copy()) if x_i is evaluated[i] else None
+            requests[i], results[i] = None, (*stop.value, final)
 
     while any(requests):
         # drop the previous round's fine-grid state first, so the old and new
         # ones are never held together (this sets the peak memory)
         state = None
         ev = [i for i in range(B) if requests[i]]  # all pending requests are evaluations here
-        points = _rows([requests[i][1] for i in ev])
+        for i in ev:
+            evaluated[i] = requests[i][1]
+        points = _rows([evaluated[i] for i in ev])
         f, g, state = ws.value_grad(ws.coeffs(points), _sel(ev, B))
         g = g.view(np.float64).reshape(len(ev), -1)
         del points

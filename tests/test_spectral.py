@@ -524,7 +524,7 @@ class TestDealiaser:
         return []
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
-    def test_outputs_stay_apart_from_engine_scratch(self, d, n):
+    def test_outputs_stay_apart_from_engine(self, d, n):
         """No output shares memory with what the engine keeps, and a later
         call leaves earlier outputs as they were."""
         engine = Dealiaser(d, n)
