@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,17 +143,27 @@ class VelocityField:
 # ---------------------------------------------------------------------------
 # lattice utilities
 
+_Lattice = namedtuple("_Lattice", "waves derivs k2 k2_safe radius")
+
+
 @lru_cache(maxsize=32)
-def _wave_vectors_cached(d: int, n: int):
+def _lattice(d: int, n: int) -> _Lattice:
+    """Read-only lattice tables of one (d, n), built on first use: the
+    integer wavevectors per axis, each shaped to broadcast along its axis,
+    with the unpaired frequency at -n/2; the same with it zeroed for
+    differentiation; |k|^2; |k|^2 with 1 at the zero mode, so that it
+    divides without a mask; and |k|."""
     k1 = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-    out = []
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n
-        arr = k1.reshape(shape).copy()
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
+    k1.flags.writeable = False  # and so are its reshaped views
+    waves = tuple(k1.reshape((1,) * ax + (n,) + (1,) * (d - 1 - ax)) for ax in range(d))
+    derivs = tuple(np.where(k == -(n // 2), 0.0, k) for k in waves)
+    k2 = sum(k * k for k in waves)
+    k2_safe = k2.copy()
+    k2_safe[(0,) * d] = 1.0
+    table = _Lattice(waves, derivs, k2, k2_safe, np.sqrt(k2))
+    for a in derivs + table[2:]:
+        a.flags.writeable = False
+    return table
 
 
 def wave_vectors(grid: TorusGrid):
@@ -160,47 +171,17 @@ def wave_vectors(grid: TorusGrid):
 
     The unpaired frequency carries its arithmetic value -n/2.
     """
-    return _wave_vectors_cached(grid.d, grid.n)
-
-
-@lru_cache(maxsize=32)
-def _deriv_vectors_cached(d: int, n: int):
-    out = []
-    for k in _wave_vectors_cached(d, n):
-        m = k.copy()
-        m[m == -(n // 2)] = 0.0
-        m.flags.writeable = False
-        out.append(m)
-    return tuple(out)
+    return _lattice(grid.d, grid.n).waves
 
 
 def deriv_vectors(grid: TorusGrid):
     """Wavevectors for differentiation: the unpaired frequency is zeroed."""
-    return _deriv_vectors_cached(grid.d, grid.n)
-
-
-@lru_cache(maxsize=32)
-def _k_squared_cached(d: int, n: int):
-    ks = _wave_vectors_cached(d, n)
-    k2 = np.zeros((n,) * d)
-    for k in ks:
-        k2 = k2 + k * k
-    k2.flags.writeable = False
-    return k2
+    return _lattice(grid.d, grid.n).derivs
 
 
 def k_squared(grid: TorusGrid) -> np.ndarray:
     """|k|^2 over the full lattice (arithmetic Nyquist value)."""
-    return _k_squared_cached(grid.d, grid.n)
-
-
-@lru_cache(maxsize=32)
-def _k_squared_safe_cached(d: int, n: int):
-    """|k|^2 with 1 at the zero mode, so that it divides without a mask."""
-    k2 = _k_squared_cached(d, n).copy()
-    k2[(0,) * d] = 1.0
-    k2.flags.writeable = False
-    return k2
+    return _lattice(grid.d, grid.n).k2
 
 
 def j_max(grid: TorusGrid) -> int:
@@ -267,7 +248,7 @@ def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
     for j in range(d):
         dot += ks[j] * comps[j]
     # the zero mode divides by 1 here and is zeroed below
-    dot /= _k_squared_safe_cached(d, grid.n)
+    dot /= _lattice(d, grid.n).k2_safe
     out = np.empty_like(stack)
     for j, out_j in enumerate(np.moveaxis(out, -d - 1, 0)):
         np.multiply(ks[j], dot, out=out_j)
@@ -334,19 +315,12 @@ class DyadicCutoff:
 _CUTOFF = DyadicCutoff()
 
 
-@lru_cache(maxsize=32)
-def _lattice_radius(d: int, n: int):
-    r = np.sqrt(_k_squared_cached(d, n))
-    r.flags.writeable = False
-    return r
-
-
 def lp_block(F: SpectralField, j: int) -> SpectralField:
     """Dyadic block: j = -1 is the low ball chi(|k|), j >= 0 the annulus
     phi(|k| / 2^j) with support 2^j < |k| < 2^{j+2}. Blocks below -1 vanish."""
     if j <= -2:
         return SpectralField(F.grid, np.zeros(F.grid.shape, dtype=np.complex128))
-    r = _lattice_radius(F.grid.d, F.grid.n)
+    r = _lattice(F.grid.d, F.grid.n).radius
     if j == -1:
         mult = _CUTOFF.chi(r)
     else:
@@ -356,7 +330,7 @@ def lp_block(F: SpectralField, j: int) -> SpectralField:
 
 @lru_cache(maxsize=32)
 def _low_pass(d: int, n: int, j: int):
-    mult = _CUTOFF.chi(_lattice_radius(d, n) / float(2.0 ** (j - 1)))
+    mult = _CUTOFF.chi(_lattice(d, n).radius / float(2.0 ** (j - 1)))
     mult.flags.writeable = False
     return mult
 

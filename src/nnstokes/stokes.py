@@ -208,12 +208,12 @@ class _Workspace:
 
     # -- subspace handling ---------------------------------------------------
 
-    def project(self, stack: np.ndarray) -> np.ndarray:
-        return project_div_free(stack, self.grid)
-
-    def velocity_from_stack(self, stack: np.ndarray, check: bool = True) -> VelocityField:
+    def velocity_from_stack(self, stack: np.ndarray) -> VelocityField:
+        """The velocity of a coefficient stack, unchecked: the projection
+        enforces the subspace constraints by construction, and a relative
+        re-check would reject near-zero fields made of rounding dust."""
         comps = tuple(SpectralField(self.grid, stack[j].copy()) for j in range(self.d))
-        return VelocityField(comps, check=check)
+        return VelocityField(comps, check=False)
 
     def coeffs(self, x_flat: np.ndarray) -> np.ndarray:
         """Coefficient stacks of flat real rows of shape (k, 2 d n^d)."""
@@ -266,9 +266,6 @@ class _Workspace:
         diss = self.hfd * _sum_per_member((self.nu_fine[sel] / self.p) * lifted)
         return diss - self.work_integral(c, sel) + self._penalty_energy_half(c)
 
-    def value(self, c: np.ndarray) -> np.ndarray:
-        return self._energy(c, self._eval_state(c).mag2)
-
     def energy_balance(self, c: np.ndarray, state: "_EvalState"):
         """(dissipation + penalty, work, residual) per member at the state
         of c, with the balance residual |dissipation + penalty - work| /
@@ -293,7 +290,7 @@ class _Workspace:
         bracket = -self.force_balance(state, sel)
         if self.pen_N is not None:
             bracket += (self.pen_mult / self.pen_N) * c
-        g = self.vol_factor * self.project(bracket)
+        g = self.vol_factor * project_div_free(bracket, self.grid)
         return f, g, state
 
     def curvature_along(self, state: "_EvalState", w: np.ndarray, sel=slice(None)) -> np.ndarray:
@@ -366,14 +363,15 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
 
     A generator: it yields (_EVAL, point) and is sent (energy, gradient)
     there, and yields (_CURV, d) and is sent the curvature along d at its
-    latest evaluated point, which it first re-evaluates when a failed line
-    search has moved on from it. callback(member, iteration, value,
+    latest evaluated point. That point is always x: a line search that
+    fails after evaluating a trial evaluates x once more, counted in
+    n_evals, before the retry or the return, so the member's last
+    evaluation is at the x it returns. callback(member, iteration, value,
     grad_norm) is called at each iterate. Returns (x, grad_norm,
     iterations, n_evals, stop_reason).
     """
     f, g = yield _EVAL, x
     n_evals = 1
-    fresh = True  # the latest evaluation was at x
     d = -ws.precond_flat(g)
     gy = -np.dot(g, d)
     iterations = 0
@@ -388,20 +386,18 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
         if iterations >= max_iter:
             return x, gnorm, iterations, n_evals, _ITERATION_LIMIT
 
-        tried_steepest = accepted = False
-        while not accepted:
+        tried_steepest = False
+        while True:
             slope = np.dot(g, d)
             if slope >= 0.0:
                 d = -ws.precond_flat(g)
                 slope = np.dot(g, d)
                 tried_steepest = True
-            if not fresh:
-                yield _EVAL, x
-                n_evals += 1
-                fresh = True
             curv = yield _CURV, d
             alpha = -slope / curv if np.isfinite(curv) and curv > 0.0 else 1.0
             g_ref = np.sqrt(np.dot(g, g))
+            fresh = True  # the latest evaluation was at x
+            accepted = False
             for _ in range(40):
                 x_try = x + alpha * d
                 if np.array_equal(x_try, x):
@@ -415,18 +411,21 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
                 if accepted:
                     break
                 alpha *= 0.5
-            if not accepted:
-                if tried_steepest:
-                    return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED
-                d = -ws.precond_flat(g)
-                tried_steepest = True
+            if accepted:
+                break
+            if not fresh:
+                yield _EVAL, x
+                n_evals += 1
+            if tried_steepest:
+                return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED
+            d = -ws.precond_flat(g)
+            tried_steepest = True
 
         y = ws.precond_flat(g_try)
         beta = np.dot(y, g_try - g) / gy if gy > 1e-300 else 0.0
         d = -y + (beta if beta > 0.0 else 0.0) * d
         x, f, g, gy = x_try, f_try, g_try, np.dot(g_try, y)
         iterations += 1
-        fresh = True
 
 
 def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None):
@@ -436,24 +435,20 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
     curvature_along per pass, until none are left. Each member goes through
     the operations it would go through alone. Returns
     (x, grad_norm, iterations, n_evals, stop_reason, final), one entry per
-    member; final is the member's (|Du|^2, stress factor) at its returned x
-    from its latest evaluation, or None when that evaluation was elsewhere.
+    member; final is the member's (|Du|^2, stress factor) from its last
+    evaluation, which _ncg makes at the x it returns.
     """
     B = len(x)
     members = [_ncg(ws, i, x[i], tol, max_iter, callback) for i in range(B)]
     requests = [next(m) for m in members]
     results = [None] * B
-    evaluated = [None] * B  # each member's latest evaluated point
 
     def answer(i, reply, state, j):
-        """Send member i its reply; state row j is its latest evaluation.
-        _ncg returns the very array it last evaluated unless a failed line
-        search moved on from it."""
+        """Send member i its reply; state row j is its latest evaluation."""
         try:
             requests[i] = members[i].send(reply)
         except StopIteration as stop:
-            x_i = stop.value[0]
-            final = (state.mag2[j].copy(), state.afield[j].copy()) if x_i is evaluated[i] else None
+            final = state.mag2[j].copy(), state.afield[j].copy()
             requests[i], results[i] = None, (*stop.value, final)
 
     while any(requests):
@@ -461,9 +456,7 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
         # ones are never held together (this sets the peak memory)
         state = None
         ev = [i for i in range(B) if requests[i]]  # all pending requests are evaluations here
-        for i in ev:
-            evaluated[i] = requests[i][1]
-        points = _rows([evaluated[i] for i in ev])
+        points = _rows([requests[i][1] for i in ev])
         f, g, state = ws.value_grad(ws.coeffs(points), _sel(ev, B))
         g = g.view(np.float64).reshape(len(ev), -1)
         del points
@@ -488,7 +481,8 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
 def functional_value(prob: StokesProblem, u: VelocityField) -> float:
     """Energy of a trial velocity, normalized so the zero field gives zero."""
     ws = _Workspace([prob])
-    return float(ws.value(u.coeff_stack()[None])[0])
+    c = u.coeff_stack()[None]
+    return float(ws._energy(c, ws._eval_state(c).mag2)[0])
 
 
 def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
@@ -499,7 +493,7 @@ def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
         raise ValueError("gradient is singular for p < 2 at delta = 0; use delta > 0")
     ws = _Workspace([prob])
     _, g, _ = ws.value_grad(u.coeff_stack()[None])
-    return ws.velocity_from_stack(g[0] / ws.vol_factor, check=False)
+    return ws.velocity_from_stack(g[0] / ws.vol_factor)
 
 
 def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 10000,
@@ -520,10 +514,9 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     report.delta_schedule reads (1e-4,); otherwise it reads the requested
     (delta,). The reported gradient norm and energy residual refer to the
     delta minimized, while value is evaluated at the requested delta. Both
-    come from the minimizer's own evaluation at the returned velocity; only
-    a member whose line search failed after that evaluation is evaluated
-    again. With strict=True a non-converged member raises MaxIterations
-    instead of returning converged=False.
+    come from the minimizer's last evaluation of each member, which is at
+    its returned velocity. With strict=True a non-converged member raises
+    MaxIterations instead of returning converged=False.
     """
     problems = list(problems)
     if not problems:
@@ -545,23 +538,15 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         if len(u0) != B:
             raise ValueError(f"u0 has {len(u0)} fields for {B} problems")
         comps = np.stack([comp.coeffs for u in u0 for comp in u.components])
-        stack = ws.project(comps.reshape((B,) + ws.stack_shape))
+        stack = project_div_free(comps.reshape((B,) + ws.stack_shape), ws.grid)
     x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
 
     ws.delta = delta
     x, gnorm, iters, evals, reason, final = _minimize_batch(ws, x, tol, max_iter, callback)
 
-    # every iterate lies in the projected subspace, and the minimizer's
-    # latest evaluation of a member was at its returned x unless a line
-    # search failed after it; only those members are evaluated again
-    c = ws.coeffs(x)
-    final = list(final)
-    stale = [i for i, f in enumerate(final) if f is None]
-    if stale:
-        again = ws._eval_state(c[stale], stale)
-        for k, i in enumerate(stale):
-            final[i] = again.mag2[k], again.afield[k]
-    state = _EvalState(None, _rows([f[0] for f in final]), _rows([f[1] for f in final]))
+    c = ws.coeffs(x)  # every iterate lies in the projected subspace
+    mag2, afield = zip(*final)
+    state = _EvalState(None, _rows(mag2), _rows(afield))
     # Balance residual at the delta minimized, where the minimizer is
     # stationary; value at the requested delta, from the same strain, which
     # does not depend on delta.
@@ -592,9 +577,7 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
                 f"{member}no convergence in {report.iterations} iterations "
                 f"(grad norm {report.grad_norm:.3e}, {report.stop_reason})", report
             )
-        # the projection enforces the subspace constraints by construction; a
-        # relative re-check would reject near-zero solutions made of rounding dust
-        results.append((ws.velocity_from_stack(c[i], check=False), report))
+        results.append((ws.velocity_from_stack(c[i]), report))
     return results
 
 

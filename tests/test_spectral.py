@@ -35,6 +35,7 @@ from nnstokes.fields import random_band_field
 from nnstokes.spectral import (
     Dealiaser,
     dealiaser,
+    deriv_vectors,
     fine_size,
     k_squared,
     l2_inner,
@@ -81,6 +82,29 @@ class TestTorusGrid:
         x0 = grid2d.coordinate(0)
         assert x0.shape == grid2d.shape
         assert x0[3, 17] == 3 * grid2d.h
+
+
+class TestLattice:
+    """The cached wavevector tables are shared by every caller, so a write to
+    one would corrupt every later solve: they are read-only."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_tables(self, d, n):
+        grid = TorusGrid(d, n)
+        ks, kd, k2 = wave_vectors(grid), deriv_vectors(grid), k_squared(grid)
+        for ax in range(d):
+            shape = (1,) * ax + (n,) + (1,) * (d - 1 - ax)
+            assert ks[ax].shape == kd[ax].shape == shape
+            assert np.array_equal(ks[ax].ravel(), np.fft.fftfreq(n, 1.0 / n))
+            expected = np.where(ks[ax] == -n // 2, 0.0, ks[ax])
+            assert np.array_equal(kd[ax], expected) and kd[ax].ravel()[n // 2] == 0.0
+        assert k2.shape == grid.shape
+        assert np.array_equal(k2, sum(k * k for k in ks))
+        for table in (*ks, *kd, k2):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * d] = 1.0
+        assert wave_vectors(grid) is ks and deriv_vectors(grid) is kd and k_squared(grid) is k2
 
 
 class TestTransforms:

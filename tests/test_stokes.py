@@ -430,8 +430,9 @@ class TestSolveStokesBatch:
     def test_failed_line_search_retries_then_stops(self, monkeypatch):
         """A curvature of 1e-300 sends the viscosity-2 member's trial points
         to overflow: 40 halvings fail, the steepest-descent retry
-        re-evaluates the stale point and fails 40 more, and the member stops
-        after 82 evaluations while the others solve as they would alone."""
+        re-evaluates the stale point and fails 40 more, and the member
+        evaluates its point once more and stops after 83 evaluations while
+        the others solve as they would alone."""
         curvature_along = stokes._Workspace.curvature_along
 
         def patched(ws, state, w, sel=slice(None)):
@@ -446,7 +447,7 @@ class TestSolveStokesBatch:
             solos = [solve_stokes(prob) for prob in probs]
         assert_same_solves(batch, solos)
         report = batch[2][1]
-        assert (report.iterations, report.n_evals) == (0, 82)
+        assert (report.iterations, report.n_evals) == (0, 83)
         assert report.stop_reason == "line search failed"
         assert all(r.converged for _, r in batch[:2])
 
@@ -470,6 +471,41 @@ class TestSolveStokesBatch:
             assert report.value == pytest.approx(functional_value(prob, u), rel=1e-13)
             assert report.energy_residual == pytest.approx(energy_balance_residual(prob, u),
                                                            rel=1e-6, abs=1e-15)
+
+    @pytest.mark.parametrize("reason", ["converged", "iteration limit", "line search failed",
+                                        "non-finite energy or gradient"])
+    def test_final_state_is_at_the_returned_points(self, reason, monkeypatch):
+        """The |Du|^2 and stress factor that the minimizer hands the report
+        are those of each member's returned x, bit for bit, whatever stopped
+        the member: the 1e-300 curvature makes the viscosity-2 member's line
+        search fail after rejected trials, and a 1e308 density member is
+        non-finite at once."""
+        probs = batch_problems(3.0)
+        if reason == "line search failed":
+            curvature_along = stokes._Workspace.curvature_along
+
+            def patched(ws, state, w, sel=slice(None)):
+                curv = curvature_along(ws, state, w, sel)
+                flagged = ws.nu_fine[sel].reshape(len(curv), -1)[:, 0] == 2.0
+                return np.where(flagged, 1e-300, curv)
+
+            monkeypatch.setattr(stokes._Workspace, "curvature_along", patched)
+        if reason == "non-finite energy or gradient":
+            grid = probs[0].rho.grid
+            probs.insert(1, StokesProblem(GridField(grid, np.full(grid.shape, 1e308)),
+                                          probs[0].params, constant_law(1.0)))
+        max_iter = 1 if reason == "iteration limit" else 10000
+        with np.errstate(all="ignore"):
+            ws = stokes._Workspace(probs)
+            start = stokes.newtonian_start(ws.forcing, ws.grid, None).view(np.float64)
+            x, _, _, _, reasons, final = stokes._minimize_batch(ws, start.reshape(len(probs), -1),
+                                                                1e-8, max_iter)
+            assert reason in reasons
+            for i in range(len(probs)):
+                again = ws._eval_state(ws.coeffs(x[i:i + 1]), [i])
+                mag2, afield = final[i]
+                assert np.array_equal(mag2, again.mag2[0], equal_nan=True)
+                assert np.array_equal(afield, again.afield[0], equal_nan=True)
 
     def test_callback_names_members(self):
         probs = batch_problems(3.0)

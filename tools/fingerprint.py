@@ -1,0 +1,56 @@
+"""Print a bit-exact fingerprint of the solver's outputs.
+
+Run it on two checkouts and diff the outputs to show that a change keeps
+the numbers:
+
+    PYTHONPATH=src python tools/fingerprint.py > fingerprint.txt
+
+It covers the four cold tol-1e-8 power-law solves of the solve_powerlaw
+benchmark workload at seeds 0 and 3 (counts, value, energy residual and
+gradient norm as float.hex, SHA-256 of the velocity coefficients), the
+diagnostics.csv that `nnstokes simulate` writes for each shipped config,
+and the energy and monotonicity battery reports at seeds 0 and 3.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+from nnstokes import FluidParams, StokesProblem, TorusGrid, cli, constant_law, run_battery, solve_stokes
+from nnstokes.fields import random_band_field
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CASES = (("2d_p1.5", 2, 128, 1.5), ("2d_p3", 2, 128, 3.0),
+         ("2d_p4", 2, 128, 4.0), ("3d_p3", 3, 32, 3.0))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    for seed in (0, 3):
+        for i, (label, d, n, p) in enumerate(CASES):
+            grid = TorusGrid(d, n)
+            rho = random_band_field(grid, seed=[seed, i], kmax=8, amplitude=0.5, offset=1.5)
+            u, r = solve_stokes(StokesProblem(rho, FluidParams(p=p, q=1.5, d=d), constant_law(1.0)),
+                                tol=1e-8)
+            print(f"solve seed={seed} {label}: iterations={r.iterations} n_evals={r.n_evals} "
+                  f"value={r.value.hex()} energy_residual={r.energy_residual.hex()} "
+                  f"grad_norm={r.grad_norm.hex()} {r.stop_reason}; "
+                  f"velocity {sha256(u.coeff_stack().tobytes())}")
+    configs = os.path.join(ROOT, "configs")
+    for name in sorted(os.listdir(configs)):
+        with tempfile.TemporaryDirectory() as out:
+            code = cli.main(["simulate", os.path.join(configs, name), "--out", out, "--quiet"])
+            with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
+                print(f"simulate {name}: exit {code}, diagnostics.csv {sha256(fh.read())}")
+    for battery in ("energy", "monotonicity"):
+        for seed in (0, 3):
+            print(f"battery {battery} seed={seed}:\n{run_battery(battery, seed=seed).report()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
