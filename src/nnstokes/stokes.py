@@ -17,7 +17,12 @@ coefficients. The iteration is written once, for one problem (_ncg); for
 a batch of problems that share the grid and the parameters
 (solve_stokes_batch; solve_stokes is a batch of one) a scheduler runs one
 iteration per member and gathers their energy, gradient and curvature
-requests into batched evaluations (_minimize_batch). The
+requests into batched evaluations (_minimize_batch). The strain is linear
+in u, so the first trial point x + alpha d of each line search is
+evaluated from S(x) + alpha S(d), formed on the fine grid from the strains
+of the iterate and of the direction that the scheduler already holds: one
+strain transform and one stress transform per iteration. Every stop is
+decided on an exact evaluation at the returned point. The
 stress, the dissipation, the monotonicity gap and the a-priori strain norm
 are evaluated on one 3/2-times finer quadrature grid, which keeps the
 discrete gradient an exact derivative of the discrete energy; the work
@@ -27,11 +32,14 @@ instead, from the same start, and never differentiates the singular
 delta = 0 energy.
 
 The preconditioner M is the inverse of the Newtonian (plus penalty)
-coefficient Hessian. A cold solve starts from the Newtonian solve
-M P(rho g) (newtonian_start, P the divergence-free projection), which is
-the exact minimizer for p = 2 and unit viscosity. The coupled run
-(simulator.run) starts each later solve from the Newtonian predictor
-v_prev + M P((rho - rho_prev) g), exact under the same conditions.
+coefficient Hessian. A cold solve starts on the ray of the Newtonian solve
+x0 = M P(rho g) (newtonian_start, P the divergence-free projection), at
+the point c x0 that minimizes the energy being minimized along that ray
+(_Workspace.ray_scale): the exact minimizer for p = 2 and any constant
+viscosity, and a start on the energy's own scale for every p, viscosity
+and delta. The coupled run (simulator.run) starts each later solve from
+the Newtonian predictor v_prev + M P((rho - rho_prev) g), exact for p = 2
+and unit viscosity.
 """
 
 from __future__ import annotations
@@ -124,9 +132,10 @@ def _newtonian_mult(grid: TorusGrid, penalty) -> np.ndarray:
 
 def newtonian_start(forcing: np.ndarray, grid: TorusGrid, penalty) -> np.ndarray:
     """Newtonian solve M P f of forcing coefficient stacks f = rho g of shape
-    (d,) + grid.shape, with any leading member axes: the cold start of the
-    solver, and the exact minimizer for p = 2 and unit viscosity. Applied to
-    a change of forcing it predicts the change of the minimizer."""
+    (d,) + grid.shape, with any leading member axes: the ray of the
+    solver's cold start, and the exact minimizer for p = 2 and unit
+    viscosity. Applied to a change of forcing it predicts the change of the
+    minimizer."""
     return _newtonian_mult(grid, penalty) * TWO_PI ** grid.d * project_div_free(forcing, grid)
 
 
@@ -174,6 +183,7 @@ class _Workspace:
         self.hfd = (TWO_PI / self.engine.m) ** self.d
 
         self.kd = deriv_vectors(grid)
+        self.ikd = [1j * k for k in self.kd]
         self.k2 = k_squared(grid)
         last = (self.d - 1, self.d - 1)
         self.pairs = tuple((i, j) for i in range(self.d) for j in range(i, self.d) if (i, j) != last)
@@ -241,8 +251,11 @@ class _Workspace:
             out += sum(A[:, q] for q in self.diagonal) * sum(B[:, q] for q in self.diagonal)
         return out
 
-    def _eval_state(self, c: np.ndarray, sel=slice(None)) -> "_EvalState":
-        S = self._strain_fine(c)
+    def _eval_state(self, c: np.ndarray, sel=slice(None), S=None) -> "_EvalState":
+        """The state at the coefficient stacks c; S, when given, is their
+        fine-grid strain, formed by the caller in place of to_fine."""
+        if S is None:
+            S = self._strain_fine(c)
         mag2 = self._contract(S, S)
         return _EvalState(S, mag2, self.nu_fine[sel] * _power_factor(mag2, self.p, self.delta))
 
@@ -281,11 +294,12 @@ class _Workspace:
         T.append(-sum(T[q] for q in self.diagonal))  # the stress is traceless with the strain
         out = self.forcing[sel].copy()
         for j in range(self.d):
-            out[:, j] += 1j * sum(self.kd[a] * T[self.pair_of[a][j]] for a in range(self.d))
+            for a in range(self.d):
+                out[:, j] += self.ikd[a] * T[self.pair_of[a][j]]
         return out
 
-    def value_grad(self, c: np.ndarray, sel=slice(None)):
-        state = self._eval_state(c, sel)
+    def value_grad(self, c: np.ndarray, sel=slice(None), S=None):
+        state = self._eval_state(c, sel, S)
         f = self._energy(c, state.mag2, sel)
         bracket = -self.force_balance(state, sel)
         if self.pen_N is not None:
@@ -296,7 +310,9 @@ class _Workspace:
     def curvature_along(self, state: "_EvalState", w: np.ndarray, sel=slice(None)) -> np.ndarray:
         """Second directional derivative of the energy at the state's points
         along the coefficient stacks w. Exact for the quadrature in use, so
-        -slope/curvature is the exact minimizer of the quadratic model."""
+        -slope/curvature is the exact minimizer of the quadratic model.
+        Returns the curvatures and the fine-grid strains of w, from which the
+        minimizer forms its trial strains."""
         Sw = self._strain_fine(w)
         quad = state.afield * self._contract(Sw, Sw)
         if self.p != 2.0:
@@ -304,7 +320,53 @@ class _Workspace:
             safe = np.where(base > 0, base, 1.0) ** ((self.p - 4.0) / 2.0)
             cross = self._contract(state.S, Sw)
             quad = quad + self.nu_fine[sel] * (self.p - 2.0) * np.where(base > 0, safe, 0.0) * cross ** 2
-        return self.hfd * _sum_per_member(quad) + 2.0 * self._penalty_energy_half(w)
+        return self.hfd * _sum_per_member(quad) + 2.0 * self._penalty_energy_half(w), Sw
+
+    def ray_scale(self, c: np.ndarray) -> np.ndarray:
+        """Per member, the scale s > 0 that minimizes the energy at
+        self.delta along the ray s c, shaped to multiply c. It is 1 where
+        the projected forcing is rounding dust (a hydrostatic density): that
+        start stays as it is.
+
+        Along the ray the energy's derivative is s phi(s) - W, with W the
+        work of c and phi(s) = int nu (delta^2 + s^2 |Dc|^2)^{(p-2)/2} |Dc|^2
+        plus twice the penalty of c. So t = log s is the root of
+        h(t) = t + log phi(e^t) - log W, whose slope 1 + s phi'(s) / phi(s)
+        lies between min(1, p - 1) and max(1, p - 1); h is linear for
+        delta = 0 without a penalty. Newton steps from t = 0, one fine-grid
+        pass each, stay inside the bracket that those slope bounds give.
+        """
+        mag2 = self._eval_state(c).mag2
+        work = self.work_integral(c)
+        pen = 2.0 * self._penalty_energy_half(c)
+        forced = _sum_per_member(np.abs(project_div_free(self.forcing, self.grid)) ** 2)
+        live = (forced > 1e-24 * _sum_per_member(np.abs(self.forcing) ** 2)) & (work > 0.0)
+        log_work = np.log(np.where(live, work, 1.0))
+        slopes = (min(1.0, self.p - 1.0), max(1.0, self.p - 1.0))
+        t = np.zeros(len(c))
+        lo, hi = np.full(len(c), -np.inf), np.full(len(c), np.inf)
+        for _ in range(60):
+            s2m = np.exp(2.0 * t).reshape((-1,) + (1,) * (mag2.ndim - 1)) * mag2
+            base = self.delta * self.delta + s2m
+            a = self.nu_fine * _power_factor(s2m, self.p, self.delta) * mag2
+            phi = self.hfd * _sum_per_member(a) + pen
+            # s phi'(s) = (p - 2) int nu (delta^2 + s^2 m)^{(p-4)/2} s^2 m^2
+            dphi = (self.p - 2.0) * self.hfd * _sum_per_member(
+                a * np.where(base > 0, s2m / np.where(base > 0, base, 1.0), 0.0))
+            # the members that keep their scale may divide by zero here
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = t + np.log(phi) - log_work
+                live &= np.isfinite(h)
+                active = live & (np.abs(h) > 1e-12)
+                if not active.any():
+                    break
+                ends = (t - h / slopes[0], t - h / slopes[1])
+                lo = np.where(active, np.maximum(lo, np.minimum(*ends)), lo)
+                hi = np.where(active, np.minimum(hi, np.maximum(*ends)), hi)
+                newton = t - h / (1.0 + dphi / phi)
+                inside = (newton >= lo) & (newton <= hi)
+                t = np.where(active, np.where(inside, newton, 0.5 * (lo + hi)), t)
+        return np.exp(np.where(live, t, 0.0)).reshape((-1,) + (1,) * (c.ndim - 1))
 
     def strain_norm(self, state: "_EvalState", r: float) -> np.ndarray:
         """L^r norm of |Du| per member on the quadrature grid."""
@@ -349,6 +411,18 @@ _NON_FINITE = "non-finite energy or gradient"
 _EVAL, _CURV = "eval", "curvature"
 
 
+def _stop_reason(f, gnorm, tol, iterations, max_iter):
+    """Why a member stops at an iterate with energy f and gradient norm
+    gnorm, or None."""
+    if not (np.isfinite(f) and np.isfinite(gnorm)):
+        return _NON_FINITE
+    if gnorm <= tol * (1.0 + abs(f)):
+        return _CONVERGED
+    if iterations >= max_iter:
+        return _ITERATION_LIMIT
+    return None
+
+
 def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=None):
     """Preconditioned Polak-Ribiere conjugate gradients on one member.
 
@@ -361,30 +435,48 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
     search is retried once along steepest descent. The member stops at once
     when its energy or gradient at its iterate is non-finite.
 
-    A generator: it yields (_EVAL, point) and is sent (energy, gradient)
-    there, and yields (_CURV, d) and is sent the curvature along d at its
-    latest evaluated point. That point is always x: a line search that
-    fails after evaluating a trial evaluates x once more, counted in
-    n_evals, before the retry or the return, so the member's last
-    evaluation is at the x it returns. callback(member, iteration, value,
-    grad_norm) is called at each iterate. Returns (x, grad_norm,
-    iterations, n_evals, stop_reason).
+    A generator: it yields (_EVAL, point, alpha) and is sent (energy,
+    gradient) there, and yields (_CURV, d) and is sent the curvature along
+    d at its latest evaluated point. alpha is None, or the step of the
+    first trial point x + alpha d of a conjugate line search: the caller may
+    then evaluate it from the formed fine-grid strain S(x) + alpha S(d)
+    rather than from its coefficients. Every stop is decided on an exact
+    evaluation at the returned x: a member whose latest evaluation is not
+    one (a formed trial that was accepted, or a rejected trial of a failed
+    line search) evaluates x once more, counted in n_evals, and runs the
+    stop test again on it. A formed state whose stop that evaluation refutes
+    ends the forming: the member's later trials are all evaluated exactly.
+    So the member's last evaluation is always an exact one at the x it
+    returns. callback(member, iteration, value, grad_norm) is called once
+    at each iterate. Returns (x, grad_norm, iterations, n_evals,
+    stop_reason).
     """
-    f, g = yield _EVAL, x
+    def grad_norm(g):
+        return np.sqrt(np.dot(g, g)) / ws.vol_factor ** 0.5
+
+    f, g = yield _EVAL, x, None
     n_evals = 1
+    exact = True  # the latest evaluation was made at x from its coefficients
+    may_form = True
     d = -ws.precond_flat(g)
     gy = -np.dot(g, d)
     iterations = 0
     while True:
-        gnorm = np.sqrt(np.dot(g, g)) / ws.vol_factor ** 0.5
+        gnorm = grad_norm(g)
+        reason = _stop_reason(f, gnorm, tol, iterations, max_iter)
+        if reason is not None and not exact:
+            f, g = yield _EVAL, x, None
+            n_evals += 1
+            exact = True
+            gnorm = grad_norm(g)
+            reason = _stop_reason(f, gnorm, tol, iterations, max_iter)
+            if reason is None:
+                may_form = False
+                gy = np.dot(g, ws.precond_flat(g))
         if callback is not None:
             callback(member, iterations, float(f), float(gnorm))
-        if not (np.isfinite(f) and np.isfinite(gnorm)):
-            return x, gnorm, iterations, n_evals, _NON_FINITE
-        if gnorm <= tol * (1.0 + abs(f)):
-            return x, gnorm, iterations, n_evals, _CONVERGED
-        if iterations >= max_iter:
-            return x, gnorm, iterations, n_evals, _ITERATION_LIMIT
+        if reason is not None:
+            return x, gnorm, iterations, n_evals, reason
 
         tried_steepest = False
         while True:
@@ -396,31 +488,36 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
             curv = yield _CURV, d
             alpha = -slope / curv if np.isfinite(curv) and curv > 0.0 else 1.0
             g_ref = np.sqrt(np.dot(g, g))
-            fresh = True  # the latest evaluation was at x
+            formed = may_form and not tried_steepest
             accepted = False
             for _ in range(40):
                 x_try = x + alpha * d
                 if np.array_equal(x_try, x):
                     break
-                f_try, g_try = yield _EVAL, x_try
+                f_try, g_try = yield _EVAL, x_try, alpha if formed else None
                 n_evals += 1
-                fresh = False
+                exact = False
                 accepted = (f_try <= f + 1e-4 * alpha * slope
                             or (np.sqrt(np.dot(g_try, g_try)) < g_ref
                                 and f_try <= f + 1e-14 * (1.0 + abs(f))))
                 if accepted:
                     break
                 alpha *= 0.5
+                formed = False
             if accepted:
                 break
-            if not fresh:
-                yield _EVAL, x
+            if not exact:
+                f, g = yield _EVAL, x, None
                 n_evals += 1
+                exact = True
             if tried_steepest:
-                return x, gnorm, iterations, n_evals, _LINE_SEARCH_FAILED
+                gnorm = grad_norm(g)
+                reason = _stop_reason(f, gnorm, tol, iterations, max_iter)
+                return x, gnorm, iterations, n_evals, reason or _LINE_SEARCH_FAILED
             d = -ws.precond_flat(g)
             tried_steepest = True
 
+        exact = not formed
         y = ws.precond_flat(g_try)
         beta = np.dot(y, g_try - g) / gy if gy > 1e-300 else 0.0
         d = -y + (beta if beta > 0.0 else 0.0) * d
@@ -432,16 +529,21 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
     """Run _ncg on each row of x, batching the members' requests: each round
     evaluates every pending point in one value_grad, then serves the
     curvature requests from that round's fine-grid state, one
-    curvature_along per pass, until none are left. Each member goes through
-    the operations it would go through alone. Returns
-    (x, grad_norm, iterations, n_evals, stop_reason, final), one entry per
-    member; final is the member's (|Du|^2, stress factor) from its last
-    evaluation, which _ncg makes at the x it returns.
+    curvature_along per pass, until none are left. A member that answers
+    its curvature with the step alpha of a first trial gets that trial's
+    strain S(x) + alpha S(d) formed in place of its row of S(d), and the
+    next round's value_grad uses it; the round transforms only the points
+    of the other members. Each member goes through the operations it would
+    go through alone. Returns (x, grad_norm, iterations, n_evals,
+    stop_reason, final), one entry per member; final is the member's
+    (|Du|^2, stress factor) from its last evaluation, which _ncg makes
+    exactly at the x it returns.
     """
     B = len(x)
     members = [_ncg(ws, i, x[i], tol, max_iter, callback) for i in range(B)]
     requests = [next(m) for m in members]
     results = [None] * B
+    formed = [None] * B  # a member's formed trial strain, for its next evaluation
 
     def answer(i, reply, state, j):
         """Send member i its reply; state row j is its latest evaluation."""
@@ -456,20 +558,37 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
         # ones are never held together (this sets the peak memory)
         state = None
         ev = [i for i in range(B) if requests[i]]  # all pending requests are evaluations here
-        points = _rows([requests[i][1] for i in ev])
-        f, g, state = ws.value_grad(ws.coeffs(points), _sel(ev, B))
+        points = ws.coeffs(_rows([requests[i][1] for i in ev]))
+        trials = [formed[i] for i in ev]
+        formed = [None] * B
+        todo = [j for j, S_j in enumerate(trials) if S_j is None]
+        S = None
+        if len(todo) < len(ev):
+            if todo:
+                for j, S_j in zip(todo, ws._strain_fine(points[todo])):
+                    trials[j] = S_j
+            S = _rows(trials)
+        del trials
+        f, g, state = ws.value_grad(points, _sel(ev, B), S)
         g = g.view(np.float64).reshape(len(ev), -1)
-        del points
+        del points, S
         for j, i in enumerate(ev):
             answer(i, (f[j], g[j]), state, j)
         # a member whose step vanishes against x asks again within the round
         while rows := [j for j, i in enumerate(ev) if requests[i] and requests[i][0] == _CURV]:
             cv = [ev[j] for j in rows]
             part = state if len(rows) == len(ev) else _EvalState(*(a[rows] for a in state))
-            curv = ws.curvature_along(part, ws.coeffs(_rows([requests[i][1] for i in cv])), _sel(cv, B))
+            curv, Sd = ws.curvature_along(part, ws.coeffs(_rows([requests[i][1] for i in cv])),
+                                          _sel(cv, B))
             del part
             for k, i in enumerate(cv):
                 answer(i, curv[k], state, rows[k])
+                if requests[i] and requests[i][0] == _EVAL and requests[i][2] is not None:
+                    # S(x + alpha d) = S(x) + alpha S(d), in place and bit for bit S_x + alpha * S_d
+                    Sd[k] *= requests[i][2]
+                    Sd[k] += state.S[rows[k]]
+                    formed[i] = Sd[k]
+            del Sd
 
     x, gnorm, iterations, n_evals, reason, final = zip(*results)
     return np.stack(x), gnorm, np.array(iterations), np.array(n_evals), reason, final
@@ -504,19 +623,25 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     The members must share the grid, p, delta, g and the penalty (a
     ValueError otherwise); their densities and viscosity laws may differ.
     u0 is None (a cold start), one velocity shared by every member, or a
-    sequence of one velocity per member. Each member takes the iterates,
-    and gets the counts and report, that it would get solved alone;
-    callback(member, iteration, value, grad_norm) is called at each of its
-    iterates.
+    sequence of one velocity per member. A cold start is c M P(rho g), the
+    Newtonian solve scaled by the c > 0 that minimizes the energy along
+    its ray (c = 1 where P(rho g) is rounding dust); a given u0 is only
+    projected. Each member takes the iterates, and gets the counts and
+    report, that it would get solved alone; callback(member, iteration,
+    value, grad_norm) is called once at each of its iterates.
 
     For 1 < p < 2 with delta = 0 requested, the solver minimizes the
     regularized delta = 1e-4 energy from the same start, and
     report.delta_schedule reads (1e-4,); otherwise it reads the requested
     (delta,). The reported gradient norm and energy residual refer to the
     delta minimized, while value is evaluated at the requested delta. Both
-    come from the minimizer's last evaluation of each member, which is at
-    its returned velocity. With strict=True a non-converged member raises
-    MaxIterations instead of returning converged=False.
+    come from the minimizer's last evaluation of each member, which is an
+    exact one at its returned velocity. n_evals counts every energy and
+    gradient evaluation: the formed first trials, the others, and the
+    exact evaluation that a member makes at its point before it stops
+    whenever its latest one was not exact there. With strict=True a
+    non-converged member raises MaxIterations instead of returning
+    converged=False.
     """
     problems = list(problems)
     if not problems:
@@ -530,9 +655,11 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         )
 
     delta = _DELTA_SINGULAR if params.p < 2 and params.delta == 0.0 else float(params.delta)
+    ws.delta = delta
 
     if u0 is None:
         stack = newtonian_start(ws.forcing, ws.grid, problems[0].penalty)
+        stack *= ws.ray_scale(stack)
     else:
         u0 = [u0] * B if isinstance(u0, VelocityField) else list(u0)
         if len(u0) != B:
@@ -541,7 +668,6 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         stack = project_div_free(comps.reshape((B,) + ws.stack_shape), ws.grid)
     x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
 
-    ws.delta = delta
     x, gnorm, iters, evals, reason, final = _minimize_batch(ws, x, tol, max_iter, callback)
 
     c = ws.coeffs(x)  # every iterate lies in the projected subspace

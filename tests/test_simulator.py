@@ -298,14 +298,15 @@ class TestNewtonianPredictor:
         assert iterations == [0] * len(iterations)
 
     def test_power_law_iterations_pinned(self, grid2d, monkeypatch):
-        """p = 3: the five solves take 64 iterations in all, against 68 with
-        a plain warm start from v_prev."""
+        """p = 3: the five solves take 63 iterations in all (64 before the
+        ray-scaled cold start and the formed first trials, 68 with a plain
+        warm start from v_prev)."""
         iterations = counted_iterations(monkeypatch)
         result = run(newtonian_config(grid2d, sines2_field(grid2d),
                                       params=FluidParams(p=3.0, q=1.5, d=2)))
         assert result.completed
         assert len(iterations) == 5
-        assert sum(iterations) == 64
+        assert sum(iterations) == 63
 
     # newtonian2d.cfg at n = 32, recorded with the plain warm start from v_prev
     PARENT_CSV = {
@@ -368,8 +369,10 @@ class TestSingularCoupledRun:
             assert getattr(series, name) == pytest.approx(expected, rel=1e-8, abs=0), name
         assert max(series.energy_residual) <= 1e-6
         # 60, 49, 44 with the full strain stack; the traceless one rounds
-        # differently, and this singular solve's count follows the rounding
-        assert series.iters == [64, 50, 45]
+        # differently, and this singular solve's count follows the rounding:
+        # 64, 50, 45 with it; the ray-scaled cold start and the formed first
+        # trials give the counts below
+        assert series.iters == [75, 49, 43]
 
 
 class TestTimeGrid:

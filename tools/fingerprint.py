@@ -9,7 +9,11 @@ It covers the four cold tol-1e-8 power-law solves of the solve_powerlaw
 benchmark workload at seeds 0 and 3 (counts, value, energy residual and
 gradient norm as float.hex, SHA-256 of the velocity coefficients), the
 diagnostics.csv that `nnstokes simulate` writes for each shipped config,
-and the energy and monotonicity battery reports at seeds 0 and 3.
+and the energy and monotonicity battery reports at seeds 0 and 3. It also
+prints the counts, stop reason and value (float.hex) of the unit-scale
+probes: n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity,
+g = (s, s), at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, and
+at p = 12, delta = 100, s = 1 with viscosity 1, 1e3 and 1e6.
 """
 
 import hashlib
@@ -18,11 +22,15 @@ import sys
 import tempfile
 
 from nnstokes import FluidParams, StokesProblem, TorusGrid, cli, constant_law, run_battery, solve_stokes
-from nnstokes.fields import random_band_field
+from nnstokes.fields import random_band_field, sines2_field
+from nnstokes.simulator import smooth_density
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = (("2d_p1.5", 2, 128, 1.5), ("2d_p3", 2, 128, 3.0),
          ("2d_p4", 2, 128, 4.0), ("3d_p3", 3, 32, 3.0))
+# unit-scale probes: (p, s, delta, viscosity)
+PROBES = ((1.5, 1e8, 0.0, 1.0), (1.5, 1e4, 0.0, 1.0), (1.5, 1e2, 0.0, 1.0), (3.0, 1e-8, 0.0, 1.0),
+          (12.0, 1.0, 100.0, 1.0), (12.0, 1.0, 100.0, 1e3), (12.0, 1.0, 100.0, 1e6))
 
 
 def sha256(data: bytes) -> str:
@@ -40,6 +48,12 @@ def main() -> int:
                   f"value={r.value.hex()} energy_residual={r.energy_residual.hex()} "
                   f"grad_norm={r.grad_norm.hex()} {r.stop_reason}; "
                   f"velocity {sha256(u.coeff_stack().tobytes())}")
+    rho = smooth_density(sines2_field(TorusGrid(2, 8), 1.5, 0.4, 0.3), 4)
+    for p, s, delta, nu in PROBES:
+        _, r = solve_stokes(StokesProblem(rho, FluidParams(p=p, q=1.5, delta=delta, g=(s, s)),
+                                          constant_law(nu)), tol=1e-8)
+        print(f"probe p={p} s={s:g} delta={delta:g} nu={nu:g}: iterations={r.iterations} "
+              f"n_evals={r.n_evals} {r.stop_reason} value={r.value.hex()}")
     configs = os.path.join(ROOT, "configs")
     for name in sorted(os.listdir(configs)):
         with tempfile.TemporaryDirectory() as out:
