@@ -109,9 +109,6 @@ class _Reader:
     def has(self, key):
         return key in self.entries
 
-    def line(self, key):
-        return self.entries[key][1]
-
     def _get(self, key, convert, describe, default):
         if key not in self.entries:
             return default
@@ -278,8 +275,6 @@ def parse_config(text: str, force: bool = False, seed: int = None,
         if g is not None and d is not None and len(g) != d:
             reader.flag_bad("fluid.g", f"fluid.g needs {d} components, got {len(g)}")
             g = None
-    if g is None and d is not None:
-        g = (0.0, -1.0) if d == 2 else (0.0, 0.0, -1.0)
 
     visc_kind = reader.choice("viscosity.kind", _VISCOSITY_KINDS, default="constant")
     init_kind = reader.choice("init.kind", _INIT_KINDS)
@@ -336,7 +331,7 @@ def parse_config(text: str, force: bool = False, seed: int = None,
 # ---------------------------------------------------------------------------
 # diagnostics CSV
 
-CSV_HEADER = "t,lq_norm,l2_norm,recip_norm,du_beta,dissipation,work,energy_residual,iters"
+CSV_HEADER = ",".join(DiagnosticsSeries._COLUMNS)
 
 
 def _format_value(x: float) -> str:
@@ -361,7 +356,7 @@ def read_diagnostics(text: str) -> DiagnosticsSeries:
     if not lines or lines[0].strip() != CSV_HEADER:
         raise BadValue("diagnostics CSV must start with the fixed header row")
     series = DiagnosticsSeries()
-    names = CSV_HEADER.split(",")
+    names = DiagnosticsSeries._COLUMNS
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split(",")
         if len(tokens) != len(names):

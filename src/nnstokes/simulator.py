@@ -14,7 +14,7 @@ index n, one over the penalty strength N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,13 +33,9 @@ from .spectral import (
     to_spectral,
 )
 from .stokes import StokesProblem, newtonian_start, solution_diagnostics, solve_stokes
-from .transport import AdvectionScheme, advect_step, speed_sup
+from .transport import _STEP_FLOOR, AdvectionScheme, _cfl_cap, advect_step, speed_sup
 
 _CLASSIFY_TOL = 1e-12
-
-# Times this close to an output time or t_final count as reaching it;
-# advect_step refuses steps below 1e-12, so no remainder may be shorter.
-_TIME_TOL = 1e-12
 
 SUBCRITICAL = "SubCritical"
 CRITICAL = "Critical"
@@ -107,7 +103,8 @@ class SimulationConfig:
 
 @dataclass
 class DiagnosticsSeries:
-    """Columnar per-output-time record of the quantities the estimates bound."""
+    """Columnar per-output-time record of the quantities the estimates
+    bound; its fields, in order, are the columns of the diagnostics CSV."""
 
     t: list = field(default_factory=list)
     lq_norm: list = field(default_factory=list)
@@ -118,9 +115,6 @@ class DiagnosticsSeries:
     work: list = field(default_factory=list)
     energy_residual: list = field(default_factory=list)
     iters: list = field(default_factory=list)
-
-    _COLUMNS = ("t", "lq_norm", "l2_norm", "recip_norm", "du_beta",
-                "dissipation", "work", "energy_residual", "iters")
 
     def append(self, **row):
         for name in self._COLUMNS:
@@ -134,6 +128,9 @@ class DiagnosticsSeries:
 
     def rows(self):
         return list(zip(*(getattr(self, name) for name in self._COLUMNS)))
+
+
+DiagnosticsSeries._COLUMNS = tuple(f.name for f in fields(DiagnosticsSeries))
 
 
 @dataclass
@@ -207,7 +204,7 @@ def run(config: SimulationConfig) -> SimulationResult:
         lag = v.coeff_stack() - start
         u = smooth_velocity(v, config.smoothing_n)
 
-        if t >= next_out - _TIME_TOL:
+        if t >= next_out - _STEP_FLOOR:
             diag = solution_diagnostics(prob, v)
             series.append(
                 t=t,
@@ -224,15 +221,15 @@ def run(config: SimulationConfig) -> SimulationResult:
             next_out = t + config.output_every
         del v, u0, start
 
-        if t >= config.t_final - _TIME_TOL:
+        if t >= config.t_final - _STEP_FLOOR:
             break
 
-        # a remainder within _TIME_TOL of the target is folded into this
-        # step, which then ends exactly on the output time or t_final
-        target = next_out if next_out < config.t_final - _TIME_TOL else config.t_final
+        # a remainder shorter than advect_step's step floor is folded into
+        # this step, which then ends exactly on the output time or t_final
+        target = next_out if next_out < config.t_final - _STEP_FLOOR else config.t_final
         vmax = speed_sup(u)
-        cap = config.scheme.cfl_target * config.grid.h / vmax if vmax > 0 else math.inf
-        dt, t_next = (target - t, target) if target - t <= cap + _TIME_TOL else (cap, t + cap)
+        cap = _cfl_cap(config.scheme, config.grid, vmax)
+        dt, t_next = (target - t, target) if target - t <= cap + _STEP_FLOOR else (cap, t + cap)
         try:
             rho = advect_step(rho, u, config.scheme, dt=dt, vmax=vmax)
         except CflViolation as exc:

@@ -441,14 +441,15 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
     first trial point x + alpha d of a conjugate line search: the caller may
     then evaluate it from the formed fine-grid strain S(x) + alpha S(d)
     rather than from its coefficients. Every stop is decided on an exact
-    evaluation at the returned x: a member whose latest evaluation is not
-    one (a formed trial that was accepted, or a rejected trial of a failed
-    line search) evaluates x once more, counted in n_evals, and runs the
-    stop test again on it. A formed state whose stop that evaluation refutes
+    evaluation at the returned x, and the stop test runs once per iterate:
+    when it would stop a member at an accepted formed trial, the member
+    evaluates x once more, counted in n_evals, and goes back to the test
+    with that evaluation. A formed state whose stop that evaluation refutes
     ends the forming: the member's later trials are all evaluated exactly.
-    So the member's last evaluation is always an exact one at the x it
-    returns. callback(member, iteration, value, grad_norm) is called once
-    at each iterate. Returns (x, grad_norm, iterations, n_evals,
+    A failed line search likewise evaluates x exactly after a rejected
+    trial. So the member's last evaluation is always an exact one at the x
+    it returns. callback(member, iteration, value, grad_norm) is called
+    once at each iterate. Returns (x, grad_norm, iterations, n_evals,
     stop_reason).
     """
     def grad_norm(g):
@@ -468,11 +469,9 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
             f, g = yield _EVAL, x, None
             n_evals += 1
             exact = True
-            gnorm = grad_norm(g)
-            reason = _stop_reason(f, gnorm, tol, iterations, max_iter)
-            if reason is None:
-                may_form = False
-                gy = np.dot(g, ws.precond_flat(g))
+            may_form = False
+            gy = np.dot(g, ws.precond_flat(g))
+            continue
         if callback is not None:
             callback(member, iterations, float(f), float(gnorm))
         if reason is not None:

@@ -66,6 +66,15 @@ def speed_sup(u: VelocityField, mean_velocity=None) -> float:
     return float(np.sqrt(np.einsum("j...,j...->...", vals, vals).max()))
 
 
+# the shortest substep advect_step takes; a shorter one raises CflViolation
+_STEP_FLOOR = 1e-12
+
+
+def _cfl_cap(scheme: AdvectionScheme, grid, vmax: float) -> float:
+    """The CFL cap cfl_target * h / vmax on a step; inf for a fluid at rest."""
+    return scheme.cfl_target * grid.h / vmax if vmax > 0 else math.inf
+
+
 def _substep_count(dt: float, cap: float) -> int:
     """Smallest power-of-two substep count bringing dt/m under the CFL cap."""
     if dt <= cap:
@@ -145,14 +154,10 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
 
     if vmax is None:
         vmax = speed_sup(u, mean_velocity)
-    if vmax > 0:
-        cap = scheme.cfl_target * rho.grid.h / vmax
-        m = _substep_count(dt, cap)
-    else:
-        m = 1
-    if dt / m < 1e-12:
+    m = _substep_count(dt, _cfl_cap(scheme, rho.grid, vmax))
+    if dt / m < _STEP_FLOOR:
         raise CflViolation(
-            f"CFL reduction drove the substep to {dt / m:.3e} (< 1e-12); "
+            f"CFL reduction drove the substep to {dt / m:.3e} (< {_STEP_FLOOR:g}); "
             f"velocity sup {vmax:.3e} is too fast for this grid"
         )
     tau = dt / m
@@ -167,8 +172,9 @@ def evolve(rho0: GridField, velocity_provider, T: float, scheme: AdvectionScheme
     """March rho0 to time T, recording observers at t = 0 and after every step.
 
     velocity_provider is either a frozen VelocityField or a callable t -> u
-    (optionally t -> (u, mean_velocity)). Returns (rho_final, times, table)
-    with table[i][j] the j-th observer at times[i].
+    (optionally t -> (u, mean_velocity)). A remainder shorter than the 1e-12
+    step floor is not stepped. Returns (rho_final, times, table) with
+    table[i][j] the j-th observer at times[i].
     """
     if T < 0:
         raise ValueError("final time must be nonnegative")
@@ -185,7 +191,7 @@ def evolve(rho0: GridField, velocity_provider, T: float, scheme: AdvectionScheme
     t = 0.0
     times = [0.0]
     table = [[obs(0.0, rho) for obs in observers]]
-    while t < T - 1e-14:
+    while t < T - _STEP_FLOOR:
         dt = min(scheme.dt, T - t)
         u, mean_velocity = provide(t)
         rho = advect_step(rho, u, scheme, dt=dt, mean_velocity=mean_velocity)

@@ -84,6 +84,13 @@ class TestDiagnosticsCsv:
         text = write_diagnostics(sample_series())
         assert text.splitlines()[0] == CSV_HEADER
 
+    def test_header_is_the_fixed_schema(self):
+        """The header follows the order of DiagnosticsSeries' fields, so a
+        reordering of them must show here."""
+        header = "t,lq_norm,l2_norm,recip_norm,du_beta,dissipation,work,energy_residual,iters"
+        assert CSV_HEADER == header
+        assert write_diagnostics(DiagnosticsSeries()) == header + "\n"
+
     def test_infinity_written_as_literal(self):
         text = write_diagnostics(sample_series())
         assert "inf" in text.splitlines()[1].split(",")
@@ -204,6 +211,11 @@ class TestParseConfigDefaults:
         text = "# banner\n; alt comment\n\n" + BASE_CONFIG
         config = parse_config(text)
         assert config.grid.n == 32
+
+    def test_default_gravity_in_3d(self):
+        text = BASE_CONFIG.replace("d = 2", "d = 3").replace("n = 32", "n = 8")
+        config = parse_config(text)
+        assert config.params.g == (0.0, 0.0, -1.0)
 
     def test_custom_gravity(self):
         text = BASE_CONFIG.replace("q = 1.5", "q = 1.5\ng = 1.0, 0.0")

@@ -165,6 +165,16 @@ class TestEvolve:
         assert times[-1] == pytest.approx(1.0)
         assert np.allclose(out.values, rho.values, atol=1e-12)
 
+    def test_rounding_remainder_is_not_stepped(self, grid2d):
+        """A hundred steps of 0.1 sum to 10 - 2e-14; that remainder is below
+        advect_step's step floor, and evolve does not step it."""
+        rho = sines2_field(grid2d, offset=1.0, a=0.5, b=0.25)
+        scheme = AdvectionScheme(kind="spectral_rk4", dt=0.1)
+        out, times, _ = evolve(rho, zero_velocity(grid2d), 10.0, scheme)
+        assert len(times) == 101
+        assert 0.0 < 10.0 - times[-1] < 1e-12
+        assert np.allclose(out.values, rho.values, atol=1e-12)
+
     def test_time_reversal_spectral(self, grid2d_fine):
         rho = sines2_field(grid2d_fine, offset=0.5, a=0.4, b=0.2)
         u = random_velocity(grid2d_fine, seed=5, kmax=4, amplitude=1.0)

@@ -8,12 +8,15 @@ the numbers:
 It covers the four cold tol-1e-8 power-law solves of the solve_powerlaw
 benchmark workload at seeds 0 and 3 (counts, value, energy residual and
 gradient norm as float.hex, SHA-256 of the velocity coefficients), the
-diagnostics.csv that `nnstokes simulate` writes for each shipped config,
-and the energy and monotonicity battery reports at seeds 0 and 3. It also
-prints the counts, stop reason and value (float.hex) of the unit-scale
-probes: n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity,
-g = (s, s), at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, and
-at p = 12, delta = 100, s = 1 with viscosity 1, 1e3 and 1e6.
+diagnostics.csv that `nnstokes simulate` writes, with its iters column, for
+each shipped config and for newtonian2d.cfg at n = 32, T = 0.5 with p = 1.5
+and p = 3 (the p = 1.5 run is the one whose solves take the line search's
+fallbacks: slope restarts, steepest-descent searches and halvings), and the
+energy and monotonicity battery reports at seeds 0 and 3. It also prints
+the counts, stop reason and value (float.hex) of the unit-scale probes:
+n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity, g = (s, s),
+at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, and at p = 12,
+delta = 100, s = 1 with viscosity 1, 1e3 and 1e6.
 """
 
 import hashlib
@@ -21,7 +24,8 @@ import os
 import sys
 import tempfile
 
-from nnstokes import FluidParams, StokesProblem, TorusGrid, cli, constant_law, run_battery, solve_stokes
+from nnstokes import (FluidParams, StokesProblem, TorusGrid, cli, constant_law, read_diagnostics,
+                      run_battery, solve_stokes)
 from nnstokes.fields import random_band_field, sines2_field
 from nnstokes.simulator import smooth_density
 
@@ -35,6 +39,20 @@ PROBES = ((1.5, 1e8, 0.0, 1.0), (1.5, 1e4, 0.0, 1.0), (1.5, 1e2, 0.0, 1.0), (3.0
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def simulate(path: str, text: str = None) -> str:
+    """Run `nnstokes simulate` on a config file, or on text in place of its
+    contents, and describe the diagnostics.csv it writes."""
+    with tempfile.TemporaryDirectory() as out:
+        if text is not None:
+            path = os.path.join(out, os.path.basename(path))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        code = cli.main(["simulate", path, "--out", out, "--quiet"])
+        with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
+            csv = fh.read()
+    return f"exit {code}, iters {read_diagnostics(csv.decode()).iters}, diagnostics.csv {sha256(csv)}"
 
 
 def main() -> int:
@@ -56,10 +74,13 @@ def main() -> int:
               f"n_evals={r.n_evals} {r.stop_reason} value={r.value.hex()}")
     configs = os.path.join(ROOT, "configs")
     for name in sorted(os.listdir(configs)):
-        with tempfile.TemporaryDirectory() as out:
-            code = cli.main(["simulate", os.path.join(configs, name), "--out", out, "--quiet"])
-            with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
-                print(f"simulate {name}: exit {code}, diagnostics.csv {sha256(fh.read())}")
+        print(f"simulate {name}: {simulate(os.path.join(configs, name))}")
+    path = os.path.join(configs, "newtonian2d.cfg")
+    with open(path, encoding="utf-8") as fh:
+        small = fh.read().replace("n = 128", "n = 32").replace("T = 1.0", "T = 0.5")
+    for p in ("1.5", "3.0"):
+        print(f"simulate newtonian2d.cfg n=32 T=0.5 p={p}: "
+              f"{simulate(path, small.replace('p = 2.0', f'p = {p}'))}")
     for battery in ("energy", "monotonicity"):
         for seed in (0, 3):
             print(f"battery {battery} seed={seed}:\n{run_battery(battery, seed=seed).report()}")
