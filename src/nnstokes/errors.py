@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value domains of
+the dataclass fields whose violation raises them."""
+
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 
 class NnstokesError(Exception):
@@ -49,3 +53,85 @@ class MissingRequired(ConfigError):
 
 class InadmissibleExponents(ConfigError):
     """The exponent pack falls outside the admissible region and force mode is off."""
+
+
+class _FieldError(ValueError):
+    """A rejected value of the dataclass field named by .field (`field.part`
+    for a component of a tuple field), so that parse_config can report it
+    at the line of the config key that set it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """The values of one field: NaN never, +-inf only when not finite, else
+    a number within [low, high] (an end open where open_low or open_high
+    says so), an integer where integer, passing test where given; or
+    exactly the members of choices. text replaces the generated
+    description that every message about the field quotes."""
+
+    low: float = None
+    high: float = None
+    open_low: bool = False
+    open_high: bool = False
+    finite: bool = True
+    integer: bool = False
+    test: object = None
+    text: str = None
+    choices: tuple = None
+
+    def __str__(self) -> str:
+        if self.text is not None:
+            return self.text
+        if self.choices is not None:
+            return "one of " + ", ".join(self.choices)
+        out = "an integer" if self.integer else "a finite number" if self.finite else "a number"
+        if self.low == 0:
+            out += ", positive" if self.open_low else ", nonnegative"
+        elif self.low is not None:
+            out += f" {'>' if self.open_low else '>='} {self.low}"
+        if self.high is not None:
+            out += f" and {'<' if self.open_high else '<='} {self.high}"
+        return out
+
+    def check(self, name, value):
+        """value as an int, a float or one of choices; _FieldError where the
+        domain does not admit it."""
+        if self.choices is not None and value in self.choices:
+            return value
+        try:  # outside choices, or not a number: NaN, which no domain admits
+            x = math.nan if self.choices is not None else float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = math.nan
+        if (math.isnan(x) or (self.finite and math.isinf(x))
+                or (self.integer and not x.is_integer())
+                or (self.low is not None and (x <= self.low if self.open_low else x < self.low))
+                or (self.high is not None and (x >= self.high if self.open_high else x > self.high))
+                or (self.test is not None and not self.test(x))):
+            raise _FieldError(name, f"{name} must be {self}, got {value!r}")
+        return int(value) if self.integer else x
+
+
+def _field(default=MISSING, domain=None, **rule):
+    """A dataclass field whose domain is domain, else _Domain(**rule). A
+    dict of named domains makes a tuple field of those components."""
+    return field(default=default, metadata={"domain": domain or _Domain(**rule)})
+
+
+def _check_fields(obj):
+    """Check every field of dataclass obj that has a domain, and store it
+    as the domain returns it. A field whose default is None may be None."""
+    for f in fields(obj):
+        domain = f.metadata.get("domain")
+        value = getattr(obj, f.name)
+        if domain is None or (value is None and f.default is None):
+            continue
+        if isinstance(domain, dict):
+            value = tuple(dom.check(f"{f.name}.{part}", x)
+                          for (part, dom), x in zip(domain.items(), value, strict=True))
+        else:
+            value = domain.check(f.name, value)
+        object.__setattr__(obj, f.name, value)

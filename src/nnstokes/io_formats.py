@@ -13,10 +13,11 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .errors import BadValue, MissingRequired, UnknownKey
+from .errors import BadValue, MissingRequired, UnknownKey, _Domain, _FieldError
 from .fields import (
     constant_field,
     random_band_field,
@@ -28,26 +29,49 @@ from .fields import (
 from .rheology import FluidParams, bounded_power_law, constant_law, power_law
 from .simulator import DiagnosticsSeries, SimulationConfig
 from .spectral import GridField, TorusGrid, j_max
-from .transport import _SCHEME_KINDS, AdvectionScheme
+from .stokes import StokesProblem
+from .transport import AdvectionScheme
 
-_KNOWN_KEYS = frozenset({
-    "grid.d", "grid.n",
-    "fluid.p", "fluid.q", "fluid.sigma", "fluid.gamma",
-    "fluid.nu_star", "fluid.nu_max", "fluid.delta", "fluid.g",
-    "viscosity.kind",
-    "init.kind", "init.params",
-    "smoothing.n",
-    "scheme.kind", "scheme.cfl",
-    "time.T", "time.output_every",
-    "penalty.N", "penalty.k",
-    "seed",
-})
-
-_REQUIRED_KEYS = ("grid.d", "grid.n", "fluid.p", "fluid.q", "init.kind")
-
-_VISCOSITY_KINDS = ("constant", "power", "bounded_power")
+_LAWS = {"constant": lambda nu_star, gamma, nu_max: constant_law(nu_star),
+         "power": lambda nu_star, gamma, nu_max: power_law(nu_star, gamma),
+         "bounded_power": bounded_power_law}
 _INIT_KINDS = ("constant", "sine1", "sines2", "stratified", "random_band",
                "rough", "snapshot")
+_FLUID_FIELDS = ("p", "q", "sigma", "gamma", "nu_star", "nu_max", "delta", "g")
+
+
+def _rule(owner, name, default=MISSING):
+    """The _KEYS entry (name, domain, default) of a key that sets field name
+    of dataclass owner (`field.part` for a component of a tuple field). The
+    default is the field's own; the file's, given here, serves a field that
+    has none."""
+    field_name, _, part = name.partition(".")
+    f = next(f for f in fields(owner) if f.name == field_name)
+    domain = f.metadata.get("domain")
+    return name, domain[part] if part else domain, default if f.default is MISSING else f.default
+
+
+# config key -> (name of the field it sets, domain, default), where MISSING
+# marks a required key; fluid.g and init.params are lists (init.params may be
+# a path) and have no domain
+_KEYS = {
+    "seed": _rule(SimulationConfig, "seed"),
+    "grid.d": _rule(TorusGrid, "d"),
+    "grid.n": _rule(TorusGrid, "n"),
+    **{f"fluid.{name}": _rule(FluidParams, name) for name in _FLUID_FIELDS},
+    "viscosity.kind": ("viscosity.kind", _Domain(choices=tuple(_LAWS)), "constant"),
+    "init.kind": ("init.kind", _Domain(choices=_INIT_KINDS), MISSING),
+    "init.params": ("init.params", None, None),
+    "smoothing.n": _rule(SimulationConfig, "smoothing_n", None),  # None: no smoothing
+    "scheme.kind": _rule(AdvectionScheme, "kind", "spectral_rk4"),
+    "scheme.cfl": _rule(AdvectionScheme, "cfl_target"),
+    "time.T": _rule(SimulationConfig, "t_final", 1.0),
+    "time.output_every": _rule(SimulationConfig, "output_every", 0.1),
+    "penalty.N": _rule(StokesProblem, "penalty.N"),
+    "penalty.k": _rule(StokesProblem, "penalty.k"),
+}
+_KNOWN_KEYS = frozenset(_KEYS)
+_REQUIRED_KEYS = tuple(key for key, (_, _, default) in _KEYS.items() if default is MISSING)
 
 
 def _scan_lines(text: str):
@@ -86,12 +110,9 @@ def _scan_lines(text: str):
 def _raise_collected(unknown, bad, missing):
     if not (unknown or bad or missing):
         return
-    parts = []
-    for lineno, msg in sorted(unknown + bad):
-        parts.append(f"line {lineno}: {msg}")
-    for msg in missing:
-        parts.append(msg)
-    message = "config errors:\n  " + "\n  ".join(parts)
+    # line 0 is none of the file's: a key it lacks, or the seed argument
+    parts = [f"line {lineno}: {msg}" if lineno else msg for lineno, msg in sorted(unknown + bad)]
+    message = "config errors:\n  " + "\n  ".join(parts + missing)
     if unknown:
         raise UnknownKey(message)
     if bad:
@@ -106,61 +127,31 @@ class _Reader:
         self.entries = entries
         self.bad = []
 
-    def has(self, key):
-        return key in self.entries
-
-    def _get(self, key, convert, describe, default):
+    def value(self, key):
+        """The entry of key checked against its domain in _KEYS (its text
+        where it has none); its default where absent, None where bad."""
+        _, domain, default = _KEYS[key]
         if key not in self.entries:
-            return default
-        value, lineno = self.entries[key]
+            return None if default is MISSING else default
+        text, lineno = self.entries[key]
+        if domain is None:
+            return text
+        parse = str if domain.choices else int if domain.integer else float
         try:
-            return convert(value)
-        except (ValueError, TypeError):
-            self.bad.append((lineno, f"{key} must be {describe} (got {value!r})"))
-            return default
+            return domain.check(key, parse(text))
+        except ValueError:
+            self.bad.append((lineno, f"{key} must be {domain} (got {text!r})"))
+            return None
 
-    def integer(self, key, default=None, minimum=None):
-        def convert(s):
-            out = int(s, 10)
-            if minimum is not None and out < minimum:
-                raise ValueError
-            return out
-        floor = "" if minimum is None else f" >= {minimum}"
-        return self._get(key, convert, f"an integer{floor}", default)
-
-    def number(self, key, default=None, low=None, high=None,
-               strict_low=False, strict_high=False, allow_inf=False):
-        """A float within the bounds; NaN is always rejected, and +-inf
-        unless allow_inf."""
-        def convert(s):
-            out = float(s)
-            if math.isnan(out) or (math.isinf(out) and not allow_inf):
-                raise ValueError
-            if low is not None and (out <= low if strict_low else out < low):
-                raise ValueError
-            if high is not None and (out >= high if strict_high else out > high):
-                raise ValueError
-            return out
-        bounds = []
-        if low is not None:
-            bounds.append((">" if strict_low else ">=") + f" {low}")
-        if high is not None:
-            bounds.append(("<" if strict_high else "<=") + f" {high}")
-        describe = ("a number" if allow_inf else "a finite number") + (
-            " " + " and ".join(bounds) if bounds else "")
-        return self._get(key, convert, describe, default)
-
-    def choice(self, key, options, default=None):
-        def convert(s):
-            if s not in options:
-                raise ValueError
-            return s
-        return self._get(key, convert, f"one of {', '.join(options)}", default)
-
-    def text(self, key, default=None):
-        if key not in self.entries:
-            return default
-        return self.entries[key][0]
+    def build(self, cls, **kwargs):
+        """cls(**kwargs); None, with the error flagged at the line of the key
+        it names, where a rule across keys rejects them."""
+        try:
+            return cls(**kwargs)
+        except _FieldError as exc:
+            self.flag_bad(next(key for key, (name, _, _) in _KEYS.items() if name == exc.field),
+                          str(exc))
+            return None
 
     def flag_bad(self, key, msg):
         lineno = self.entries[key][1] if key in self.entries else 0
@@ -240,92 +231,40 @@ def parse_config(text: str, force: bool = False, seed: int = None,
     by force). The seed argument overrides the file's seed.
     """
     entries, unknown, bad = _scan_lines(text)
+    if seed is not None:  # checked like the file's seed, which it replaces
+        entries["seed"] = (str(seed), 0)
     reader = _Reader(entries)
 
     missing = [f"missing required key {key!r}" for key in _REQUIRED_KEYS
                if key not in entries]
-
-    d = reader.integer("grid.d")
-    if d is not None and d not in (2, 3):
-        reader.flag_bad("grid.d", f"grid.d must be 2 or 3 (got {d})")
-        d = None
-    n = reader.integer("grid.n")
-    if n is not None and not (n >= 8 and (n & (n - 1)) == 0):
-        reader.flag_bad("grid.n", f"grid.n must be a power of two >= 8 (got {n})")
-        n = None
-
-    p = reader.number("fluid.p", low=1.0, strict_low=True)
-    q = reader.number("fluid.q", low=1.0, high=2.0, strict_low=True, strict_high=True)
-    sigma = reader.number("fluid.sigma", default=math.inf, low=1.0, allow_inf=True)
-    gamma = reader.number("fluid.gamma", default=0.0, low=0.0)
-    nu_star = reader.number("fluid.nu_star", default=1.0, low=0.0, strict_low=True)
-    nu_max = reader.number("fluid.nu_max", default=None, low=0.0, strict_low=True)
-    delta = reader.number("fluid.delta", default=0.0, low=0.0)
-    if nu_max is None:
-        nu_max = nu_star
-    elif nu_star is not None and nu_max < nu_star:
-        reader.flag_bad("fluid.nu_max", "fluid.nu_max must be >= fluid.nu_star")
-
-    g = None
-    if reader.has("fluid.g"):
+    v = {key: reader.value(key) for key in _KEYS}
+    if v["fluid.g"] is not None:
         try:
-            g = tuple(_parse_float_list(reader.text("fluid.g")))
+            v["fluid.g"] = tuple(_parse_float_list(v["fluid.g"]))
         except ValueError:
             reader.flag_bad("fluid.g", "fluid.g must be comma-separated finite numbers")
-        if g is not None and d is not None and len(g) != d:
-            reader.flag_bad("fluid.g", f"fluid.g needs {d} components, got {len(g)}")
-            g = None
-
-    visc_kind = reader.choice("viscosity.kind", _VISCOSITY_KINDS, default="constant")
-    init_kind = reader.choice("init.kind", _INIT_KINDS)
-    smoothing_n = reader.integer("smoothing.n", default=None, minimum=0)
-    scheme_kind = reader.choice("scheme.kind", _SCHEME_KINDS, default="spectral_rk4")
-    cfl = reader.number("scheme.cfl", default=0.5, low=0.0, high=1.0, strict_low=True)
-    t_final = reader.number("time.T", default=1.0, low=0.0)
-    output_every = reader.number("time.output_every", default=0.1, low=0.0, strict_low=True)
-    pen_N = reader.number("penalty.N", default=None, low=0.0, strict_low=True)
-    pen_k = reader.integer("penalty.k", default=None, minimum=1)
-    file_seed = reader.integer("seed", default=0, minimum=0)
-
-    if reader.has("penalty.N") != reader.has("penalty.k"):
-        present = "penalty.N" if reader.has("penalty.N") else "penalty.k"
+    if ("penalty.N" in entries) != ("penalty.k" in entries):
+        present = "penalty.N" if "penalty.N" in entries else "penalty.k"
         reader.flag_bad(present, "penalty requires both penalty.N and penalty.k")
-
     _raise_collected(unknown, bad + reader.bad, missing)
 
-    grid = TorusGrid(d, n)
-    try:
-        params = FluidParams(p=p, q=q, sigma=sigma, gamma=gamma, nu_star=nu_star,
-                             nu_max=nu_max, g=g, d=d, delta=delta)
-    except ValueError as exc:
-        reader.flag_bad("fluid.p", f"inconsistent fluid parameters: {exc}")
-        _raise_collected([], reader.bad, [])
-
-    if visc_kind == "constant":
-        law = constant_law(nu_star)
-    elif visc_kind == "power":
-        law = power_law(nu_star, gamma)
-    else:
-        law = bounded_power_law(nu_star, gamma, nu_max)
-
-    use_seed = file_seed if seed is None else int(seed)
-    rho0 = _build_rho0(init_kind, reader.text("init.params"), grid, use_seed,
-                       base_dir, reader)
+    grid = TorusGrid(v["grid.d"], v["grid.n"])
+    params = reader.build(FluidParams, d=grid.d,
+                          **{name: v[f"fluid.{name}"] for name in _FLUID_FIELDS})
+    rho0 = _build_rho0(v["init.kind"], v["init.params"], grid, v["seed"], base_dir, reader)
     _raise_collected([], reader.bad, [])
 
-    if smoothing_n is None:
-        smoothing_n = j_max(grid)
-    scheme = AdvectionScheme(scheme_kind, dt=output_every, cfl_target=cfl)
-    penalty = (pen_N, pen_k) if pen_N is not None else None
-    if penalty is not None and not pen_k > 1 + d / 2:
-        reader.flag_bad("penalty.k", f"penalty.k must exceed 1 + d/2 = {1 + d / 2}")
-        _raise_collected([], reader.bad, [])
-
-    return SimulationConfig(
-        grid=grid, params=params, law=law, rho0=rho0, smoothing_n=smoothing_n,
-        scheme=scheme, t_final=t_final, output_every=output_every,
-        penalty=penalty, seed=use_seed, force=force,
-    )
+    config = reader.build(
+        SimulationConfig, grid=grid, params=params, rho0=rho0,
+        law=_LAWS[v["viscosity.kind"]](params.nu_star, params.gamma, params.nu_max),
+        smoothing_n=j_max(grid) if v["smoothing.n"] is None else v["smoothing.n"],
+        scheme=AdvectionScheme(v["scheme.kind"], dt=v["time.output_every"],
+                               cfl_target=v["scheme.cfl"]),
+        t_final=v["time.T"], output_every=v["time.output_every"],
+        penalty=(v["penalty.N"], v["penalty.k"]) if "penalty.N" in entries else None,
+        seed=v["seed"], force=force)
+    _raise_collected([], reader.bad, [])
+    return config
 
 
 # ---------------------------------------------------------------------------

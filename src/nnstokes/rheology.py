@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import GridField
+from .errors import _check_fields, _Domain, _field, _FieldError
+from .spectral import _DIMENSION, GridField
 
 
 @dataclass(frozen=True)
@@ -28,43 +29,33 @@ class FluidParams:
     exponent (in [1, inf]), gamma the degeneracy exponent of the viscosity
     lower bound, nu_star and nu_max the viscosity bounds, g the constant
     gravity vector, d the dimension, and delta the strain regularization
-    offset. The derived exponent beta satisfies
+    offset. nu_max defaults to nu_star, and g to -e_d. The derived exponent
+    beta satisfies
     1/beta = (1/p)(1 + gamma/sigma); packs with beta <= 1 are representable
     so the classifier can see them, and they always classify inadmissible.
     """
 
-    p: float
-    q: float
-    sigma: float = math.inf
-    gamma: float = 0.0
-    nu_star: float = 1.0
-    nu_max: float = 1.0
+    p: float = _field(low=1.0, open_low=True)
+    q: float = _field(low=1.0, high=2.0, open_low=True, open_high=True)
+    sigma: float = _field(math.inf, low=1.0, finite=False)
+    gamma: float = _field(0.0, low=0.0)
+    nu_star: float = _field(1.0, low=0.0, open_low=True)
+    nu_max: float = _field(None, low=0.0, open_low=True)
     g: tuple = None
-    d: int = 2
-    delta: float = 0.0
+    d: int = _field(2, _DIMENSION)
+    delta: float = _field(0.0, low=0.0)
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not (1 < self.q < 2):
-            raise ValueError(f"q must lie in (1, 2), got {self.q}")
-        if not self.sigma >= 1:
-            raise ValueError(f"sigma must be >= 1, got {self.sigma}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.nu_star > 0:
-            raise ValueError(f"nu_star must be positive, got {self.nu_star}")
+        if self.nu_max is None:
+            object.__setattr__(self, "nu_max", self.nu_star)
+        _check_fields(self)
         if self.nu_max < self.nu_star:
-            raise ValueError("nu_max must be >= nu_star")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.d not in (2, 3):
-            raise ValueError(f"d must be 2 or 3, got {self.d}")
+            raise _FieldError("nu_max", f"nu_max must be >= nu_star = {self.nu_star}, "
+                                        f"got {self.nu_max}")
         raw = self.g if self.g is not None else (0.0,) * (self.d - 1) + (-1.0,)
-        g = tuple(float(c) for c in raw)
-        if len(g) != self.d or not all(math.isfinite(c) for c in g):
-            raise ValueError(f"g must be a finite vector of length {self.d}")
-        object.__setattr__(self, "g", g)
+        if len(raw) != self.d:
+            raise _FieldError("g", f"g needs {self.d} components, got {len(raw)}")
+        object.__setattr__(self, "g", tuple(_Domain().check("g", c) for c in raw))
 
     def _gamma_over_sigma(self) -> float:
         if np.isinf(self.sigma):
@@ -88,12 +79,15 @@ class ViscosityLaw:
     even in its argument (only |r| matters).
     """
 
-    kind: str
-    coef: float = 1.0
-    exponent: float = 0.0
-    cap: float = math.inf
+    kind: str = _field(choices=("constant", "power", "bounded_power", "user_table"))
+    coef: float = _field(1.0, low=0.0)
+    exponent: float = _field(0.0, low=0.0)
+    cap: float = _field(math.inf, low=0.0, open_low=True, finite=False)
     table_r: tuple = field(default=())
     table_nu: tuple = field(default=())
+
+    def __post_init__(self):
+        _check_fields(self)
 
     def __call__(self, r) -> np.ndarray:
         a = np.abs(np.asarray(r, dtype=np.float64))
@@ -103,26 +97,18 @@ class ViscosityLaw:
             return self.coef * a ** self.exponent
         if self.kind == "bounded_power":
             return np.minimum(self.cap, self.coef * a ** self.exponent)
-        if self.kind == "user_table":
-            return np.interp(a, self.table_r, self.table_nu)
-        raise ValueError(f"unknown viscosity kind {self.kind!r}")
+        return np.interp(a, self.table_r, self.table_nu)
 
 
 def constant_law(nu0: float) -> ViscosityLaw:
-    if nu0 < 0:
-        raise ValueError("viscosity must be nonnegative")
     return ViscosityLaw("constant", coef=nu0)
 
 
 def power_law(coef: float, exponent: float) -> ViscosityLaw:
-    if coef < 0 or exponent < 0:
-        raise ValueError("power law needs nonnegative coefficient and exponent")
     return ViscosityLaw("power", coef=coef, exponent=exponent)
 
 
 def bounded_power_law(coef: float, exponent: float, cap: float) -> ViscosityLaw:
-    if coef < 0 or exponent < 0 or cap <= 0:
-        raise ValueError("bounded power law needs nonnegative parameters, positive cap")
     return ViscosityLaw("bounded_power", coef=coef, exponent=exponent, cap=cap)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BadValue, CflViolation, InadmissibleExponents, MaxIterations
+from .errors import BadValue, CflViolation, InadmissibleExponents, MaxIterations, _check_fields, _field
 from .rheology import FluidParams, ViscosityLaw
 from .spectral import (
     GridField,
@@ -76,23 +76,20 @@ class SimulationConfig:
     params: FluidParams
     law: ViscosityLaw
     rho0: GridField
-    smoothing_n: int
+    smoothing_n: int = _field(low=0, integer=True)
     scheme: AdvectionScheme
-    t_final: float
-    output_every: float
+    t_final: float = _field(low=0.0)
+    output_every: float = _field(low=0.0, open_low=True)
     penalty: tuple = None
-    seed: int = 0
+    seed: int = _field(0, low=0, integer=True)
     force: bool = False
 
     def __post_init__(self):
         if self.rho0.grid != self.grid:
             raise ValueError("rho0 does not live on the configured grid")
-        if self.params.d != self.grid.d:
-            raise ValueError("params.d does not match the grid dimension")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
-        if not self.output_every > 0:
-            raise ValueError("output_every must be positive")
+        _check_fields(self)
+        # the dimension and penalty rules of the problems run() will solve
+        self.penalty = StokesProblem(self.rho0, self.params, self.law, self.penalty).penalty
         verdict = classify_exponents(self.params)
         if verdict.label == INADMISSIBLE and not self.force:
             raise InadmissibleExponents(

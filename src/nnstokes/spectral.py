@@ -29,11 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonHermitianField
+from .errors import NonHermitianField, _check_fields, _Domain, _field
 
 TWO_PI = 2.0 * math.pi
 
 _HERMITIAN_RTOL = 1e-9
+
+_DIMENSION = _Domain(low=2, high=3, integer=True, text="a dimension of 2 or 3")
 
 
 @dataclass(frozen=True)
@@ -44,14 +46,12 @@ class TorusGrid:
     manipulations and the 3/2-rule padding stay exact integer arithmetic.
     """
 
-    d: int
-    n: int
+    d: int = _field(domain=_DIMENSION)
+    n: int = _field(low=8, integer=True, test=lambda n: (int(n) & (int(n) - 1)) == 0,
+                    text="a power of two >= 8")
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.d}")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        _check_fields(self)
 
     @property
     def h(self) -> float:

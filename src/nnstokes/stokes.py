@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateViscosity, MaxIterations
+from .errors import DegenerateViscosity, MaxIterations, _check_fields, _Domain, _field, _FieldError
 from .rheology import FluidParams, ViscosityLaw, _power_factor
 from .spectral import (
     GridField,
@@ -80,20 +80,16 @@ class StokesProblem:
     rho: GridField
     params: FluidParams
     law: ViscosityLaw
-    penalty: tuple = None
+    penalty: tuple = _field(None, {"N": _Domain(low=0.0, open_low=True),
+                                   "k": _Domain(low=1, integer=True)})
 
     def __post_init__(self):
         if self.params.d != self.rho.grid.d:
             raise ValueError("params.d does not match the grid dimension")
-        if self.penalty is not None:
-            N, k = self.penalty
-            if not N > 0:
-                raise ValueError("penalty strength N must be positive")
-            if not (float(k).is_integer() and k >= 1):
-                raise ValueError("penalty order k must be a positive integer")
-            if not k > 1 + self.params.d / 2:
-                raise ValueError(f"penalty order k must exceed 1 + d/2 = {1 + self.params.d / 2}")
-            object.__setattr__(self, "penalty", (float(N), int(k)))
+        _check_fields(self)
+        if self.penalty is not None and not self.penalty[1] > 1 + self.params.d / 2:
+            raise _FieldError("penalty.k", f"penalty.k must exceed 1 + d/2 = "
+                                           f"{1 + self.params.d / 2}, got {self.penalty[1]}")
 
 
 @dataclass

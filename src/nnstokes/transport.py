@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .errors import CflViolation, UnresolvableMollifier
+from .errors import CflViolation, UnresolvableMollifier, _check_fields, _field
 from .rheology import FluidParams
 from .spectral import (
     GridField,
@@ -37,24 +37,17 @@ from .spectral import (
     to_spectral,
 )
 
-_SCHEME_KINDS = ("spectral_rk4", "semi_lagrangian")
-
 
 @dataclass(frozen=True)
 class AdvectionScheme:
     """Scheme selector with nominal step and CFL target in (0, 1]."""
 
-    kind: str
-    dt: float = 0.01
-    cfl_target: float = 0.5
+    kind: str = _field(choices=("spectral_rk4", "semi_lagrangian"))
+    dt: float = _field(0.01, low=0.0, open_low=True)
+    cfl_target: float = _field(0.5, low=0.0, high=1.0, open_low=True)
 
     def __post_init__(self):
-        if self.kind not in _SCHEME_KINDS:
-            raise ValueError(f"scheme kind must be one of {_SCHEME_KINDS}, got {self.kind!r}")
-        if not self.dt > 0:
-            raise ValueError("scheme dt must be positive")
-        if not 0 < self.cfl_target <= 1:
-            raise ValueError("cfl_target must lie in (0, 1]")
+        _check_fields(self)
 
 
 def speed_sup(u: VelocityField, mean_velocity=None) -> float:

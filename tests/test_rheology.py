@@ -10,6 +10,7 @@ from nnstokes import (
     FluidParams,
     GridField,
     TorusGrid,
+    ViscosityLaw,
     bounded_power_law,
     check_law,
     constant_law,
@@ -78,6 +79,19 @@ class TestFluidParams:
         with pytest.raises(ValueError, match=pattern):
             FluidParams(**kwargs)
 
+    @pytest.mark.parametrize("name,value", [
+        ("p", math.inf), ("nu_star", math.inf), ("gamma", math.inf), ("delta", math.inf),
+        ("gamma", math.nan), ("nu_max", math.nan), ("delta", math.nan),
+    ])
+    def test_rejects_non_finite(self, name, value):
+        """The config parser rejects these values, and so must the pack."""
+        with pytest.raises(ValueError, match=name):
+            FluidParams(**{"p": 2.0, "q": 1.5, name: value})
+
+    def test_nu_max_defaults_to_nu_star(self):
+        assert FluidParams(p=2.0, q=1.5, nu_star=2.0).nu_max == 2.0
+        assert FluidParams(p=2.0, q=1.5).nu_max == 1.0
+
 
 class TestViscosityLaws:
     def test_constant_law(self, grid2d):
@@ -104,6 +118,16 @@ class TestViscosityLaws:
     def test_law_takes_absolute_value(self):
         law = power_law(1.0, 2.0)
         assert law(-0.5) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("make,pattern", [
+        (lambda: constant_law(math.nan), "coef"),
+        (lambda: power_law(1.0, math.inf), "exponent"),
+        (lambda: bounded_power_law(1.0, 0.5, 0.0), "cap"),
+        (lambda: ViscosityLaw("cubic"), "kind"),
+    ])
+    def test_rejects_bad_parameters(self, make, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            make()
 
 
 class TestCheckLaw:

@@ -5,10 +5,12 @@ the numbers:
 
     PYTHONPATH=src python tools/fingerprint.py > fingerprint.txt
 
-It covers the four cold tol-1e-8 power-law solves of the solve_powerlaw
-benchmark workload at seeds 0 and 3 (counts, value, energy residual and
-gradient norm as float.hex, SHA-256 of the velocity coefficients), the
-diagnostics.csv that `nnstokes simulate` writes, with its iters column, for
+It prints, for each shipped config, what `parse_config` makes of it: the
+repr of every field of the SimulationConfig and the SHA-256 of the rho0
+values. It covers the four cold tol-1e-8 power-law solves of the
+solve_powerlaw benchmark workload at seeds 0 and 3 (counts, value, energy
+residual and gradient norm as float.hex, SHA-256 of the velocity
+coefficients), the diagnostics.csv that `nnstokes simulate` writes, with its iters column, for
 each shipped config and for newtonian2d.cfg at n = 32, T = 0.5 with p = 1.5
 and p = 3 (the p = 1.5 run is the one whose solves take the line search's
 fallbacks: slope restarts, steepest-descent searches and halvings), and the
@@ -24,8 +26,8 @@ import os
 import sys
 import tempfile
 
-from nnstokes import (FluidParams, StokesProblem, TorusGrid, cli, constant_law, read_diagnostics,
-                      run_battery, solve_stokes)
+from nnstokes import (FluidParams, StokesProblem, TorusGrid, cli, constant_law, parse_config,
+                      read_diagnostics, run_battery, solve_stokes)
 from nnstokes.fields import random_band_field, sines2_field
 from nnstokes.simulator import smooth_density
 
@@ -55,7 +57,20 @@ def simulate(path: str, text: str = None) -> str:
     return f"exit {code}, iters {read_diagnostics(csv.decode()).iters}, diagnostics.csv {sha256(csv)}"
 
 
+def parsed(path: str) -> str:
+    """What parse_config makes of a config file, field by field."""
+    with open(path, encoding="utf-8") as fh:
+        config = parse_config(fh.read(), base_dir=os.path.dirname(path))
+    names = ("grid", "params", "law", "scheme", "smoothing_n", "t_final", "output_every",
+             "penalty", "seed")
+    lines = [f"  {name} = {getattr(config, name)!r}" for name in names]
+    return "\n".join(lines + [f"  rho0 {sha256(config.rho0.values.tobytes())}"])
+
+
 def main() -> int:
+    configs = os.path.join(ROOT, "configs")
+    for name in sorted(os.listdir(configs)):
+        print(f"parse {name}:\n{parsed(os.path.join(configs, name))}")
     for seed in (0, 3):
         for i, (label, d, n, p) in enumerate(CASES):
             grid = TorusGrid(d, n)
@@ -72,7 +87,6 @@ def main() -> int:
                                           constant_law(nu)), tol=1e-8)
         print(f"probe p={p} s={s:g} delta={delta:g} nu={nu:g}: iterations={r.iterations} "
               f"n_evals={r.n_evals} {r.stop_reason} value={r.value.hex()}")
-    configs = os.path.join(ROOT, "configs")
     for name in sorted(os.listdir(configs)):
         print(f"simulate {name}: {simulate(os.path.join(configs, name))}")
     path = os.path.join(configs, "newtonian2d.cfg")
