@@ -56,13 +56,13 @@ class InadmissibleExponents(ConfigError):
 
 
 class _FieldError(ValueError):
-    """A rejected value of the dataclass field named by .field (`field.part`
-    for a component of a tuple field), so that parse_config can report it
-    at the line of the config key that set it."""
+    """Rejected values of one dataclass: .issues holds a (field, message)
+    pair for each (`field.part` names a component of a tuple field), so
+    that parse_config can report each at the line of the key that set it."""
 
-    def __init__(self, field, message):
-        super().__init__(message)
-        self.field = field
+    def __init__(self, *issues):
+        super().__init__("; ".join(message for _, message in issues))
+        self.issues = issues
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class _Domain:
                 or (self.low is not None and (x <= self.low if self.open_low else x < self.low))
                 or (self.high is not None and (x >= self.high if self.open_high else x > self.high))
                 or (self.test is not None and not self.test(x))):
-            raise _FieldError(name, f"{name} must be {self}, got {value!r}")
+            raise _FieldError((name, f"{name} must be {self}, got {value!r}"))
         return int(value) if self.integer else x
 
 

@@ -149,8 +149,9 @@ class _Reader:
         try:
             return cls(**kwargs)
         except _FieldError as exc:
-            self.flag_bad(next(key for key, (name, _, _) in _KEYS.items() if name == exc.field),
-                          str(exc))
+            for field, message in exc.issues:
+                self.flag_bad(next(key for key, (name, _, _) in _KEYS.items() if name == field),
+                              message)
             return None
 
     def flag_bad(self, key, msg):

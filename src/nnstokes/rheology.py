@@ -49,12 +49,15 @@ class FluidParams:
         if self.nu_max is None:
             object.__setattr__(self, "nu_max", self.nu_star)
         _check_fields(self)
-        if self.nu_max < self.nu_star:
-            raise _FieldError("nu_max", f"nu_max must be >= nu_star = {self.nu_star}, "
-                                        f"got {self.nu_max}")
         raw = self.g if self.g is not None else (0.0,) * (self.d - 1) + (-1.0,)
+        issues = []
+        if self.nu_max < self.nu_star:
+            issues.append(("nu_max", f"nu_max must be >= nu_star = {self.nu_star}, "
+                                     f"got {self.nu_max}"))
         if len(raw) != self.d:
-            raise _FieldError("g", f"g needs {self.d} components, got {len(raw)}")
+            issues.append(("g", f"g needs {self.d} components, got {len(raw)}"))
+        if issues:
+            raise _FieldError(*issues)
         object.__setattr__(self, "g", tuple(_Domain().check("g", c) for c in raw))
 
     def _gamma_over_sigma(self) -> float:

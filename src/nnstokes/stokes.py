@@ -88,8 +88,8 @@ class StokesProblem:
             raise ValueError("params.d does not match the grid dimension")
         _check_fields(self)
         if self.penalty is not None and not self.penalty[1] > 1 + self.params.d / 2:
-            raise _FieldError("penalty.k", f"penalty.k must exceed 1 + d/2 = "
-                                           f"{1 + self.params.d / 2}, got {self.penalty[1]}")
+            raise _FieldError(("penalty.k", f"penalty.k must exceed 1 + d/2 = "
+                                            f"{1 + self.params.d / 2}, got {self.penalty[1]}"))
 
 
 @dataclass

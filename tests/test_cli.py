@@ -122,6 +122,52 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
 
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def raise_os_error():
+    raise OSError("no libc")
+
+
+class TestAllocatorPolicy:
+    """main asks glibc once per call to keep 256 MiB of freed heap mapped, and
+    runs unchanged where it cannot ask."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        path = write_config(tmp_path, SUBCRITICAL)
+        return [(["classify", path], 0), (["classify", str(tmp_path / "absent.cfg")], 2),
+                (["verify", "exponents", "--quiet"], 0)]
+
+    def test_one_top_pad_call_per_main_on_glibc(self, commands, capsys, monkeypatch):
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        for argv, code in commands:
+            libc = FakeLibc()
+            monkeypatch.setattr(cli, "_load_libc", lambda: libc)
+            assert main(argv) == code
+            assert libc.calls == [(-2, 256 << 20)]
+
+    @pytest.mark.parametrize("libc_ver, loader", [
+        (("", ""), None),
+        (("musl", "1.2"), None),
+        (("glibc", "2.36"), raise_os_error),
+        (("glibc", "2.36"), SimpleNamespace),  # a libc without mallopt
+    ], ids=["unknown-libc", "musl", "load-fails", "no-mallopt"])
+    def test_no_policy_leaves_exit_codes(self, commands, capsys, monkeypatch, libc_ver, loader):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: libc_ver)
+        monkeypatch.setattr(cli, "_load_libc", loader or (lambda: libc))
+        for argv, code in commands:
+            assert main(argv) == code
+        assert libc.calls == []
+
+
 class TestPackageErrors:
     """Every NnstokesError maps to a documented exit code with one error line."""
 

@@ -283,6 +283,15 @@ class TestParseConfigErrors:
         with pytest.raises(BadValue, match="components"):
             parse_config(text)
 
+    def test_every_broken_cross_key_rule_reported(self):
+        text = BASE_CONFIG.replace("q = 1.5", "q = 1.5\nnu_star = 2.0\nnu_max = 1.5\n"
+                                              "g = 0.0, -1.0, 0.0")
+        with pytest.raises(BadValue) as err:
+            parse_config(text)
+        assert str(err.value).splitlines()[1:] == [
+            "  line 11: nu_max must be >= nu_star = 2.0, got 1.5",
+            "  line 12: g needs 2 components, got 3"]
+
 
 NUMBER_KEYS = ("fluid.p", "fluid.q", "fluid.gamma", "fluid.nu_star", "fluid.nu_max",
                "fluid.delta", "scheme.cfl", "time.T", "time.output_every", "penalty.N")

@@ -1,8 +1,12 @@
-"""Checks on the package source for breaks that the installed NumPy cannot show.
+"""Checks on the package source for breaks that running it here cannot show.
 
 pyproject.toml declares numpy>=1.24, but the numpy.fft functions accept an
 out= keyword only from NumPy 2.0: a call that passes it runs here and
 raises TypeError under NumPy 1.x.
+
+The command line sets the C allocator's policy of its own process (cli.py);
+a library module that did so would change it in every program that imports
+nnstokes.
 """
 
 import ast
@@ -11,6 +15,7 @@ import pathlib
 import pytest
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "nnstokes").glob("*.py"))
+LIBRARY_SOURCES = [path for path in SOURCES if path.name != "cli.py"]
 
 
 def fft_calls_with_out(source: str):
@@ -33,3 +38,42 @@ def test_no_fft_call_passes_out(path):
 def test_guard_flags_an_fft_out():
     source = "np.fft.ifft(a, axis=0, out=b)\nnp.multiply(a, 0.5, out=c)\nnumpy.fft.rfft(a, out=d)\n"
     assert fft_calls_with_out(source) == [(1, "np.fft.ifft"), (3, "numpy.fft.rfft")]
+
+
+def allocator_policy_uses(source: str):
+    """(line, source) of every ctypes import and every use of the name
+    mallopt, the ways a module could load libc and set its allocator."""
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [alias.name.split(".")[0] for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [(node.module or "").split(".")[0]]
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, ast.Constant):
+            return [node.value]
+        return []
+
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+            if {"ctypes", "mallopt"} & set(names(node))]
+
+
+@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=lambda path: path.name)
+def test_library_leaves_the_allocator_alone(path):
+    assert allocator_policy_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_sets_the_allocator_policy():
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    assert allocator_policy_uses(cli.read_text(encoding="utf-8")) != []
+
+
+def test_guard_flags_an_allocator_policy():
+    source = ("import ctypes.util\nfrom ctypes import CDLL\nlibc.mallopt(-2, 1)\n"
+              "getattr(libc, 'mallopt')\nimportlib.import_module('ctypes')\n"
+              "'prose naming mallopt'\n")
+    assert sorted(allocator_policy_uses(source)) == [
+        (1, "import ctypes.util"), (2, "from ctypes import CDLL"), (3, "libc.mallopt"),
+        (4, "'mallopt'"), (5, "'ctypes'")]
