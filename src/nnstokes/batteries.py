@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadValue, _FieldError
 from .fields import (random_band_field, random_velocities, random_velocity, rough_field,
                      sines2_field)
 from .rheology import FluidParams, bounded_power_law, constant_law
-from .simulator import CRITICAL, INADMISSIBLE, SUBCRITICAL, classify_exponents
+from .simulator import CRITICAL, INADMISSIBLE, SUBCRITICAL, SimulationConfig, classify_exponents
 from .spectral import (
     GridField,
     SpectralField,
@@ -33,7 +34,6 @@ from .spectral import (
 )
 from .stokes import (
     StokesProblem,
-    energy_balance_residual,
     minty_sweep,
     monotonicity_gaps,
     solve_stokes_batch,
@@ -322,6 +322,11 @@ BATTERIES = {
 
 
 def run_battery(name: str, seed: int = 0) -> BatteryResult:
+    """Run battery name; BadValue for a seed outside a config's seed domain."""
     if name not in BATTERIES:
         raise KeyError(f"unknown battery {name!r}; choose from {sorted(BATTERIES)}")
+    try:
+        seed = SimulationConfig.__dataclass_fields__["seed"].metadata["domain"].check("seed", seed)
+    except _FieldError as exc:
+        raise BadValue(str(exc)) from None
     return BATTERIES[name](seed=seed)

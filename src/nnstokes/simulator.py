@@ -16,23 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from .errors import BadValue, CflViolation, InadmissibleExponents, MaxIterations, _check_fields, _field
 from .rheology import FluidParams, ViscosityLaw
-from .spectral import (
-    GridField,
-    SpectralField,
-    TorusGrid,
-    VelocityField,
-    l2_inner,
-    lebesgue_norm,
-    low_freq_truncate,
-    reciprocal_norm,
-    to_grid,
-    to_spectral,
-)
-from .stokes import StokesProblem, newtonian_start, solution_diagnostics, solve_stokes
+from .spectral import (GridField, TorusGrid, VelocityField, l2_inner, lebesgue_norm,
+                       low_freq_truncate, reciprocal_norm, to_grid, to_spectral)
+from .stokes import StokesProblem, _diagnostics, _solve, _Workspace, newtonian_start, solve_stokes
 from .transport import _STEP_FLOOR, AdvectionScheme, _cfl_cap, advect_step, speed_sup
 
 _CLASSIFY_TOL = 1e-12
@@ -163,7 +151,9 @@ def run(config: SimulationConfig) -> SimulationResult:
 
     Each pass solves the Stokes problem for the current density, records
     diagnostics when an output time is reached, then advects the density
-    with the smoothed velocity. The first solve starts cold; each later one
+    with the smoothed velocity. A row's energy columns are
+    solution_diagnostics of the solved velocity, read from the solve's
+    workspace and final state. The first solve starts cold; each later one
     starts from the Newtonian predictor v_prev + M P((rho - rho_prev) g):
     the previous minimizer plus the solver's Newtonian preconditioner M
     applied to the projected change of forcing, which is the exact
@@ -189,34 +179,29 @@ def run(config: SimulationConfig) -> SimulationResult:
 
     while True:
         prob = StokesProblem(rho, params, config.law, config.penalty)
-        start = newtonian_start(np.multiply.outer(params.g, to_spectral(rho).coeffs),
-                                config.grid, config.penalty)
-        u0 = None if lag is None else VelocityField(
-            tuple(SpectralField(config.grid, c) for c in lag + start), check=False)
+        ws = _Workspace([prob])
+        start = newtonian_start(ws.forcing, config.grid, config.penalty)
+        u0 = None if lag is None else lag + start
         lag = None
-        v, report = solve_stokes(prob, u0=u0)
+        [(v, report)], c, mag2 = _solve(ws, [prob], u0)
         if not report.converged:
             return SimulationResult(series, snapshots, completed=False,
                                     reason=f"stokes solve stalled at t = {t:.6g}")
-        lag = v.coeff_stack() - start
+        lag = c - start
         u = smooth_velocity(v, config.smoothing_n)
 
         if t >= next_out - _STEP_FLOOR:
-            diag = solution_diagnostics(prob, v)
             series.append(
                 t=t,
                 lq_norm=lebesgue_norm(rho, params.q),
                 l2_norm=lebesgue_norm(rho, 2),
                 recip_norm=reciprocal_norm(rho, params.sigma),
-                du_beta=diag["du_beta"],
-                dissipation=diag["dissipation"],
-                work=diag["work"],
-                energy_residual=diag["energy_residual"],
                 iters=report.iterations,
+                **_diagnostics(ws, c, mag2, params.beta),
             )
             snapshots.append((t, rho))
             next_out = t + config.output_every
-        del v, u0, start
+        del v, u0, start, ws, c, mag2
 
         if t >= config.t_final - _STEP_FLOOR:
             break

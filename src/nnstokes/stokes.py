@@ -610,6 +610,72 @@ def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
     return ws.velocity_from_stack(g[0] / ws.vol_factor)
 
 
+def _solve(ws: _Workspace, problems, u0, tol=1e-8, max_iter=10000, strict=False, callback=None):
+    """solve_stokes_batch on the workspace ws of problems, from u0: None or
+    the members' coefficient stacks, which are projected here. Returns the
+    (velocity, report) pairs, the returned coefficient stacks and their
+    fine-grid |Du|^2, with ws.delta back at the requested delta."""
+    params = problems[0].params
+    B = len(problems)
+    if problems[0].penalty is None and np.any(ws.nu_fine.reshape(B, -1).max(axis=1) == 0.0):
+        raise DegenerateViscosity("viscosity vanishes on the whole grid and no penalty is active")
+
+    delta = _DELTA_SINGULAR if params.p < 2 and params.delta == 0.0 else float(params.delta)
+    ws.delta = delta
+
+    if u0 is None:
+        stack = newtonian_start(ws.forcing, ws.grid, problems[0].penalty)
+        stack *= ws.ray_scale(stack)
+    else:
+        stack = project_div_free(u0, ws.grid)
+    x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
+
+    x, gnorm, iters, evals, reason, final = _minimize_batch(ws, x, tol, max_iter, callback)
+
+    c = ws.coeffs(x)  # every iterate lies in the projected subspace
+    mag2, afield = zip(*final)
+    state = _EvalState(None, _rows(mag2), _rows(afield))
+    # Balance residual at the delta minimized, where the minimizer is
+    # stationary; value at the requested delta, from the same strain, which
+    # does not depend on delta.
+    _, _, residual = ws.energy_balance(c, state)
+    ws.delta = params.delta
+    value = ws._energy(c, state.mag2)
+    hk = None if problems[0].penalty is None else ws.hk_norm(c, problems[0].penalty[1])
+
+    results = []
+    for i, prob in enumerate(problems):
+        report = StokesReport(iterations=int(iters[i]), value=float(value[i]), grad_norm=float(gnorm[i]),
+                              energy_residual=float(residual[i]), delta_schedule=(delta,),
+                              converged=reason[i] == _CONVERGED, n_evals=int(evals[i]),
+                              stop_reason=reason[i])
+        if hk is not None:
+            rho_l2 = lebesgue_norm(prob.rho, 2)
+            if rho_l2 > 0:
+                report.hk_bound_ratio = float(hk[i]) / (math.sqrt(prob.penalty[0]) * rho_l2)
+        if strict and not report.converged:
+            member = f"member {i}: " if B > 1 else ""
+            raise MaxIterations(
+                f"{member}no convergence in {report.iterations} iterations "
+                f"(grad norm {report.grad_norm:.3e}, {report.stop_reason})", report
+            )
+        results.append((ws.velocity_from_stack(c[i]), report))
+    return results, c, state.mag2
+
+
+def _diagnostics(ws: _Workspace, c: np.ndarray, mag2: np.ndarray, beta: float) -> dict:
+    """solution_diagnostics at ws.delta of one member's coefficient stacks c,
+    from their fine-grid |Du|^2 mag2."""
+    state = _EvalState(None, mag2, ws.nu_fine * _power_factor(mag2, ws.p, ws.delta))
+    dissipation, work, residual = ws.energy_balance(c, state)
+    return {
+        "du_beta": float(ws.strain_norm(state, beta)[0]),
+        "dissipation": float(dissipation[0]),
+        "work": float(work[0]),
+        "energy_residual": float(residual[0]),
+    }
+
+
 def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 10000,
                        strict: bool = False, callback=None):
     """Minimize the energies of a batch of problems; returns one
@@ -641,65 +707,14 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     problems = list(problems)
     if not problems:
         return []
-    params = problems[0].params
     B = len(problems)
     ws = _Workspace(problems)
-    if problems[0].penalty is None and np.any(ws.nu_fine.reshape(B, -1).max(axis=1) == 0.0):
-        raise DegenerateViscosity(
-            "viscosity vanishes on the whole grid and no penalty is active"
-        )
-
-    delta = _DELTA_SINGULAR if params.p < 2 and params.delta == 0.0 else float(params.delta)
-    ws.delta = delta
-
-    if u0 is None:
-        stack = newtonian_start(ws.forcing, ws.grid, problems[0].penalty)
-        stack *= ws.ray_scale(stack)
-    else:
+    if u0 is not None:
         u0 = [u0] * B if isinstance(u0, VelocityField) else list(u0)
         if len(u0) != B:
             raise ValueError(f"u0 has {len(u0)} fields for {B} problems")
-        comps = np.stack([comp.coeffs for u in u0 for comp in u.components])
-        stack = project_div_free(comps.reshape((B,) + ws.stack_shape), ws.grid)
-    x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
-
-    x, gnorm, iters, evals, reason, final = _minimize_batch(ws, x, tol, max_iter, callback)
-
-    c = ws.coeffs(x)  # every iterate lies in the projected subspace
-    mag2, afield = zip(*final)
-    state = _EvalState(None, _rows(mag2), _rows(afield))
-    # Balance residual at the delta minimized, where the minimizer is
-    # stationary; value at the requested delta, from the same strain, which
-    # does not depend on delta.
-    _, _, residual = ws.energy_balance(c, state)
-    ws.delta = params.delta
-    value = ws._energy(c, state.mag2)
-    hk = None if problems[0].penalty is None else ws.hk_norm(c, problems[0].penalty[1])
-
-    results = []
-    for i, prob in enumerate(problems):
-        report = StokesReport(
-            iterations=int(iters[i]),
-            value=float(value[i]),
-            grad_norm=float(gnorm[i]),
-            energy_residual=float(residual[i]),
-            delta_schedule=(delta,),
-            converged=reason[i] == _CONVERGED,
-            n_evals=int(evals[i]),
-            stop_reason=reason[i],
-        )
-        if hk is not None:
-            rho_l2 = lebesgue_norm(prob.rho, 2)
-            if rho_l2 > 0:
-                report.hk_bound_ratio = float(hk[i]) / (math.sqrt(prob.penalty[0]) * rho_l2)
-        if strict and not report.converged:
-            member = f"member {i}: " if B > 1 else ""
-            raise MaxIterations(
-                f"{member}no convergence in {report.iterations} iterations "
-                f"(grad norm {report.grad_norm:.3e}, {report.stop_reason})", report
-            )
-        results.append((ws.velocity_from_stack(c[i]), report))
-    return results
+        u0 = np.stack([comp.coeffs for u in u0 for comp in u.components]).reshape((B,) + ws.stack_shape)
+    return _solve(ws, problems, u0, tol, max_iter, strict, callback)[0]
 
 
 def solve_stokes(prob: StokesProblem, u0: VelocityField = None, tol: float = 1e-8,
@@ -723,7 +738,8 @@ def solve_stokes_penalized(prob: StokesProblem, **kwargs):
 
 def energy_balance_residual(prob: StokesProblem, u: VelocityField) -> float:
     """|dissipation + penalty - work| / max(1, |work|), all quadratures on
-    the fine grid so a converged minimizer balances to solver tolerance."""
+    the fine grid so a converged minimizer balances to solver tolerance.
+    Unlike solution_diagnostics it takes no L^beta norm, so it serves beta < 1."""
     ws = _Workspace([prob])
     c = u.coeff_stack()[None]
     return float(ws.energy_balance(c, ws._eval_state(c))[2][0])
@@ -738,13 +754,12 @@ def apriori_check(prob: StokesProblem, u: VelocityField):
     the bound vacuous; callers should flag that case.
     """
     params = prob.params
-    ws = _Workspace([prob])
-    lhs = ws.strain_norm(ws._eval_state(u.coeff_stack()[None]), params.beta)[0]
+    lhs = solution_diagnostics(prob, u)["du_beta"]
     expo = 1.0 / (params.p - 1.0)
     rhs = lebesgue_norm(prob.rho, params.q) ** expo
     if params.gamma > 0:
         rhs *= reciprocal_norm(prob.rho, params.sigma) ** (params.gamma * expo)
-    return float(lhs), float(rhs)
+    return lhs, float(rhs)
 
 
 def monotonicity_gaps(prob: StokesProblem, u: VelocityField, phis):
@@ -819,14 +834,8 @@ def recover_pressure(prob: StokesProblem, u: VelocityField) -> SpectralField:
 
 
 def solution_diagnostics(prob: StokesProblem, u: VelocityField) -> dict:
-    """Norms and energy bookkeeping for one solved velocity."""
+    """The L^beta norm of |Du| and the energy balance (dissipation plus
+    penalty, work, residual) of one solved velocity."""
     ws = _Workspace([prob])
     c = u.coeff_stack()[None]
-    state = ws._eval_state(c)
-    dissipation, work, residual = ws.energy_balance(c, state)
-    return {
-        "du_beta": float(ws.strain_norm(state, prob.params.beta)[0]),
-        "dissipation": float(dissipation[0]),
-        "work": float(work[0]),
-        "energy_residual": float(residual[0]),
-    }
+    return _diagnostics(ws, c, ws._eval_state(c).mag2, prob.params.beta)

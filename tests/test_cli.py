@@ -271,7 +271,7 @@ class TestSimulate:
         def no_solve(*args, **kwargs):
             pytest.fail("run reached a Stokes solve with beta < 1")
 
-        monkeypatch.setattr(simulator, "solve_stokes", no_solve)
+        monkeypatch.setattr(simulator, "_solve", no_solve)
         config = parse_config(SUB_UNIT_BETA, force=True)
         with pytest.raises(BadValue, match=r"Lebesgue exponent beta >= 1, got beta = 0\.366667"):
             simulator.run(config)
@@ -344,6 +344,18 @@ class TestVerify:
         assert lines[-2] == ("battery exponents: passed" if quiet
                              else "battery exponents: 14 checks, passed")
         assert re.fullmatch(r"battery exponents: wall time \d+\.\d\d s", lines[-1])
+
+    @pytest.mark.parametrize("suite", ["lp", "leray", "energy", "monotonicity", "transport", "all"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, suite):
+        """A negative --seed is refused as simulate refuses it, from the
+        domain of a config's seed (numpy's seeding raised a traceback)."""
+        assert main(["simulate", write_config(tmp_path, SUBCRITICAL), "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be an integer, nonnegative" in capsys.readouterr().err
+        assert main(["verify", suite, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be an integer, nonnegative" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_failing_battery_exits_4(self, capsys, monkeypatch):
         stub = BatteryResult("leray", [(False, "forced failure")])

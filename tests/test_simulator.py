@@ -1,6 +1,7 @@
 """Exponent classification, the coupled time stepper, and the sweep drivers."""
 
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -37,12 +38,13 @@ from nnstokes import (
     sines2_field,
     smooth_density,
     smooth_velocity,
+    solution_diagnostics,
     stratified_field,
     to_spectral,
     velocity_l2_distance,
     velocity_l2_norm,
 )
-from nnstokes import cli, simulator
+from nnstokes import cli, simulator, spectral, stokes
 from nnstokes.fields import random_velocity
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -228,7 +230,7 @@ class TestRun:
     def test_non_converged_solve_returns_partial(self, grid2d, monkeypatch):
         stub_report = SimpleNamespace(converged=False, iterations=0)
         monkeypatch.setattr(
-            simulator, "solve_stokes", lambda prob, u0=None: (None, stub_report)
+            simulator, "_solve", lambda ws, problems, u0: ([(None, stub_report)], None, None)
         )
         config = newtonian_config(grid2d, sines2_field(grid2d))
         result = run(config)
@@ -266,14 +268,14 @@ class TestRun:
 def counted_iterations(monkeypatch):
     """Record the iterations of every solve that run makes."""
     iterations = []
-    solve = simulator.solve_stokes
+    solve = simulator._solve
 
-    def wrapper(prob, u0=None):
-        v, report = solve(prob, u0=u0)
-        iterations.append(report.iterations)
-        return v, report
+    def wrapper(ws, problems, u0):
+        results, c, mag2 = solve(ws, problems, u0)
+        iterations.append(results[0][1].iterations)
+        return results, c, mag2
 
-    monkeypatch.setattr(simulator, "solve_stokes", wrapper)
+    monkeypatch.setattr(simulator, "_solve", wrapper)
     return iterations
 
 
@@ -375,6 +377,62 @@ class TestSingularCoupledRun:
         assert series.iters == [75, 49, 43]
 
 
+def count_calls(monkeypatch, owner, name, counts):
+    """Count in counts[name] the calls of owner.name made through any
+    module of the package that binds it."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "nnstokes" and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, wrapper)
+
+
+class TestOneWorkspacePerStep:
+    """Each step of run solves on one workspace and reads its row from the
+    solve's final state."""
+
+    @pytest.mark.parametrize("params, penalty, minimized", [
+        (FluidParams(p=1.5, q=1.5, d=2), None, 1e-4),  # rows at the requested delta = 0
+        (FluidParams(p=3.0, q=1.5, d=2), None, 0.0),
+        (FluidParams(p=2.0, q=1.5, d=2), (10.0, 3), 0.0),
+    ])
+    def test_rows_are_solution_diagnostics(self, grid2d, monkeypatch, params, penalty, minimized):
+        """Every energy column equals solution_diagnostics of the solved
+        velocity bit for bit."""
+        solved = []
+        solve = simulator._solve
+
+        def wrapper(ws, problems, u0):
+            results, c, mag2 = solve(ws, problems, u0)
+            solved.append((problems[0], *results[0]))
+            return results, c, mag2
+
+        monkeypatch.setattr(simulator, "_solve", wrapper)
+        result = run(newtonian_config(grid2d, sines2_field(grid2d), params=params, penalty=penalty))
+        assert result.completed and len(result.snapshots) == 3
+        for row, (_, rho) in enumerate(result.snapshots):
+            prob, v, report = next(entry for entry in solved if entry[0].rho is rho)
+            assert report.delta_schedule == (minimized,)
+            for name, value in solution_diagnostics(prob, v).items():
+                assert getattr(result.series, name)[row] == value, name
+
+    def test_shipped_run_transforms_each_density_once(self):
+        """newtonian2d.cfg: 74 transforms and 37 workspaces for 37 solves
+        and 36 RK4 steps (116 and 42 when the predictor and the rows made
+        their own)."""
+        config = parse_config((ROOT / "configs" / "newtonian2d.cfg").read_text())
+        counts = {"to_spectral": 0, "_Workspace": 0}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            count_calls(monkeypatch, spectral, "to_spectral", counts)
+            count_calls(monkeypatch, stokes, "_Workspace", counts)
+            assert run(config).completed
+        assert counts == {"to_spectral": 74, "_Workspace": 37}
+
+
 class TestTimeGrid:
     """Steps end exactly on the output times and on t_final."""
 
@@ -402,7 +460,7 @@ class TestTimeGrid:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(simulator, "solve_stokes", counted(simulator.solve_stokes, "solves"))
+        monkeypatch.setattr(simulator, "_solve", counted(simulator._solve, "solves"))
         monkeypatch.setattr(simulator, "advect_step", counted(simulator.advect_step, "steps"))
         result = run(parse_config((ROOT / "configs" / "newtonian2d.cfg").read_text()))
         assert result.series.t == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -412,12 +470,13 @@ class TestTimeGrid:
            every=st.sampled_from((0.001, 0.01, 0.02, 0.03, 0.05, 0.1, 0.25)),
            vmax=st.one_of(st.just(0.0), st.floats(0.1, 40.0)))
     def test_outputs_and_final_time(self, T, every, vmax):
-        """With stubbed solver and transport and a fixed speed vmax, only the
-        time grid of run remains: every step clears the 1e-12 substep floor
+        """With stubbed workspace, solver and transport and a fixed speed vmax, the
+        time grid of run alone remains: every step clears the 1e-12 substep floor
         of advect_step and stays under the CFL cap, the steps add up to T
         and the outputs fall on the multiples of output_every."""
         grid = TorusGrid(2, 8)
         zero = VelocityField([SpectralField(grid, np.zeros(grid.shape, np.complex128))] * 2)
+        converged = SimpleNamespace(converged=True, iterations=0)
         steps = []
 
         def advect(rho, u, scheme, dt, vmax):
@@ -425,8 +484,10 @@ class TestTimeGrid:
             return rho
 
         stubs = dict(
-            solve_stokes=lambda prob, u0=None: (zero, SimpleNamespace(converged=True, iterations=0)),
-            solution_diagnostics=lambda prob, v: dict.fromkeys(
+            _Workspace=lambda problems: SimpleNamespace(forcing=None),
+            newtonian_start=lambda forcing, grid, penalty: 0.0,
+            _solve=lambda ws, problems, u0: ([(zero, converged)], zero.coeff_stack()[None], None),
+            _diagnostics=lambda ws, c, mag2, beta: dict.fromkeys(
                 ("du_beta", "dissipation", "work", "energy_residual"), 0.0),
             speed_sup=lambda u: vmax,
             advect_step=advect,

@@ -7,6 +7,9 @@ raises TypeError under NumPy 1.x.
 The command line sets the C allocator's policy of its own process (cli.py);
 a library module that did so would change it in every program that imports
 nnstokes.
+
+Every name a library module imports is used there; only the package's
+__init__.py imports names to re-export them.
 """
 
 import ast
@@ -77,3 +80,27 @@ def test_guard_flags_an_allocator_policy():
     assert sorted(allocator_policy_uses(source)) == [
         (1, "import ctypes.util"), (2, "from ctypes import CDLL"), (3, "libc.mallopt"),
         (4, "'mallopt'"), (5, "'ctypes'")]
+
+
+def unused_imports(source: str):
+    """(line, name) of every name a module-level import binds that the
+    module never reads; `from __future__` imports bind no name."""
+    tree = ast.parse(source)
+    bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_an_unused_import():
+    source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
+              "import os.path\nfrom .errors import BadValue, _field as field\n"
+              "def f():\n    import math\n    return np.zeros(3)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "os"), (5, "BadValue"), (5, "field")]
