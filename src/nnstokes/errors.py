@@ -115,6 +115,13 @@ class _Domain:
         return int(value) if self.integer else x
 
 
+# domains that several fields and public arguments share
+_POSITIVE = _Domain(low=0.0, open_low=True)
+_NONNEGATIVE = _Domain(low=0.0)
+_EXPONENT = _Domain(low=1.0, finite=False)  # of a Lebesgue norm, inf included
+_FINITE = _Domain(text="finite")
+
+
 def _field(default=MISSING, domain=None, **rule):
     """A dataclass field whose domain is domain, else _Domain(**rule). A
     dict of named domains makes a tuple field of those components."""

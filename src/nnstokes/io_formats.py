@@ -17,7 +17,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .errors import BadValue, MissingRequired, UnknownKey, _Domain, _FieldError
+from .errors import _FINITE, BadValue, MissingRequired, UnknownKey, _Domain, _FieldError
 from .fields import (
     constant_field,
     random_band_field,
@@ -163,10 +163,7 @@ def _parse_float_list(value: str):
     """Comma-separated finite floats; ValueError on anything else."""
     if value is None or value.strip() == "":
         return []
-    out = [float(tok) for tok in value.split(",")]
-    if not all(math.isfinite(x) for x in out):
-        raise ValueError("non-finite number")
-    return out
+    return [_FINITE.check("number", tok) for tok in value.split(",")]
 
 
 def _build_rho0(kind, params_text, grid, seed, base_dir, reader):

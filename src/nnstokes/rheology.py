@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _check_fields, _Domain, _field, _FieldError
+from .errors import _EXPONENT, _FINITE, _NONNEGATIVE, _POSITIVE, _check_fields, _field, _FieldError
 from .spectral import _DIMENSION, GridField
 
 
@@ -37,13 +37,13 @@ class FluidParams:
 
     p: float = _field(low=1.0, open_low=True)
     q: float = _field(low=1.0, high=2.0, open_low=True, open_high=True)
-    sigma: float = _field(math.inf, low=1.0, finite=False)
-    gamma: float = _field(0.0, low=0.0)
-    nu_star: float = _field(1.0, low=0.0, open_low=True)
-    nu_max: float = _field(None, low=0.0, open_low=True)
+    sigma: float = _field(math.inf, _EXPONENT)
+    gamma: float = _field(0.0, _NONNEGATIVE)
+    nu_star: float = _field(1.0, _POSITIVE)
+    nu_max: float = _field(None, _POSITIVE)
     g: tuple = None
     d: int = _field(2, _DIMENSION)
-    delta: float = _field(0.0, low=0.0)
+    delta: float = _field(0.0, _NONNEGATIVE)
 
     def __post_init__(self):
         if self.nu_max is None:
@@ -58,7 +58,7 @@ class FluidParams:
             issues.append(("g", f"g needs {self.d} components, got {len(raw)}"))
         if issues:
             raise _FieldError(*issues)
-        object.__setattr__(self, "g", tuple(_Domain().check("g", c) for c in raw))
+        object.__setattr__(self, "g", tuple(_FINITE.check("g", c) for c in raw))
 
     def _gamma_over_sigma(self) -> float:
         if np.isinf(self.sigma):
@@ -79,18 +79,30 @@ class ViscosityLaw:
     """Scalar viscosity as a function of the density value.
 
     kind is one of constant, power, bounded_power, user_table. The law is
-    even in its argument (only |r| matters).
+    even in its argument (only |r| matters). A user_table interpolates its
+    values table_nu (finite, nonnegative) between its nodes table_r (finite,
+    strictly increasing, at least two).
     """
 
     kind: str = _field(choices=("constant", "power", "bounded_power", "user_table"))
-    coef: float = _field(1.0, low=0.0)
-    exponent: float = _field(0.0, low=0.0)
+    coef: float = _field(1.0, _NONNEGATIVE)
+    exponent: float = _field(0.0, _NONNEGATIVE)
     cap: float = _field(math.inf, low=0.0, open_low=True, finite=False)
     table_r: tuple = field(default=())
     table_nu: tuple = field(default=())
 
     def __post_init__(self):
         _check_fields(self)
+        if self.kind != "user_table":
+            return
+        r = tuple(_FINITE.check("table_r", x) for x in self.table_r)
+        nu = tuple(_NONNEGATIVE.check("table_nu", x) for x in self.table_nu)
+        if len(r) != len(nu) or len(r) < 2:
+            raise _FieldError(("table_r", "table law needs matching node and value sequences"))
+        if any(b <= a for a, b in zip(r, r[1:])):
+            raise _FieldError(("table_r", "table nodes must be strictly increasing"))
+        object.__setattr__(self, "table_r", r)
+        object.__setattr__(self, "table_nu", nu)
 
     def __call__(self, r) -> np.ndarray:
         a = np.abs(np.asarray(r, dtype=np.float64))
@@ -116,15 +128,7 @@ def bounded_power_law(coef: float, exponent: float, cap: float) -> ViscosityLaw:
 
 
 def table_law(r_nodes, nu_values) -> ViscosityLaw:
-    r = tuple(float(x) for x in r_nodes)
-    v = tuple(float(x) for x in nu_values)
-    if len(r) != len(v) or len(r) < 2:
-        raise ValueError("table law needs matching node and value sequences")
-    if any(b <= a for a, b in zip(r, r[1:])):
-        raise ValueError("table nodes must be strictly increasing")
-    if any(x < 0 for x in v):
-        raise ValueError("table viscosities must be nonnegative")
-    return ViscosityLaw("user_table", table_r=r, table_nu=v)
+    return ViscosityLaw("user_table", table_r=tuple(r_nodes), table_nu=tuple(nu_values))
 
 
 def check_law(law: ViscosityLaw, params: FluidParams, samples: int = 400) -> list:

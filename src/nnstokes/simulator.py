@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import BadValue, CflViolation, InadmissibleExponents, MaxIterations, _check_fields, _field
+from .errors import (_NONNEGATIVE, _POSITIVE, BadValue, CflViolation, InadmissibleExponents,
+                     MaxIterations, _check_fields, _field)
 from .rheology import FluidParams, ViscosityLaw
 from .spectral import (GridField, TorusGrid, VelocityField, l2_inner, lebesgue_norm,
                        low_freq_truncate, reciprocal_norm, to_grid, to_spectral)
@@ -66,8 +67,8 @@ class SimulationConfig:
     rho0: GridField
     smoothing_n: int = _field(low=0, integer=True)
     scheme: AdvectionScheme
-    t_final: float = _field(low=0.0)
-    output_every: float = _field(low=0.0, open_low=True)
+    t_final: float = _field(domain=_NONNEGATIVE)
+    output_every: float = _field(domain=_POSITIVE)
     penalty: tuple = None
     seed: int = _field(0, low=0, integer=True)
     force: bool = False

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonHermitianField, _check_fields, _Domain, _field
+from .errors import _EXPONENT, _FINITE, NonHermitianField, _check_fields, _Domain, _field
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +108,8 @@ class VelocityField:
 
     def __init__(self, components, check: bool = True):
         components = tuple(components)
+        if not components:
+            raise ValueError("a velocity needs its components, got none")
         grid = components[0].grid
         if len(components) != grid.d:
             raise ValueError(f"need {grid.d} components, got {len(components)}")
@@ -352,8 +354,7 @@ def l2_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
 
 def lebesgue_norm(f: GridField, r: float) -> float:
     """Rectangle-rule L^r norm, (h^d sum |f|^r)^{1/r}; max |f| for r = inf."""
-    if r < 1:
-        raise ValueError(f"Lebesgue exponent must be >= 1, got {r}")
+    _EXPONENT.check("Lebesgue exponent", r)
     a = np.abs(f.values)
     if np.isinf(r):
         return float(a.max())
@@ -371,10 +372,9 @@ def reciprocal_norm(rho: GridField, sigma: float) -> float:
 
 def besov_norm(F: SpectralField, s: float, p: float, r: float) -> float:
     """Nonhomogeneous Besov norm: l^r over j >= -1 of 2^{js} |block_j|_{L^p}."""
-    if not math.isfinite(s):
-        raise ValueError(f"Besov regularity index must be finite, got {s}")
-    if not (p >= 1 and r >= 1):
-        raise ValueError("Besov integrability exponents must be >= 1")
+    _FINITE.check("Besov regularity index", s)
+    _EXPONENT.check("Besov integrability exponent p", p)
+    _EXPONENT.check("Besov integrability exponent r", r)
     terms = []
     for j in range(-1, j_max(F.grid) + 1):
         block = lp_block(F, j)

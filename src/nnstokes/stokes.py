@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateViscosity, MaxIterations, _check_fields, _Domain, _field, _FieldError
+from .errors import _POSITIVE, DegenerateViscosity, MaxIterations, _check_fields, _Domain, _field, _FieldError
 from .rheology import FluidParams, ViscosityLaw, _power_factor
 from .spectral import (
     GridField,
@@ -80,8 +80,7 @@ class StokesProblem:
     rho: GridField
     params: FluidParams
     law: ViscosityLaw
-    penalty: tuple = _field(None, {"N": _Domain(low=0.0, open_low=True),
-                                   "k": _Domain(low=1, integer=True)})
+    penalty: tuple = _field(None, {"N": _POSITIVE, "k": _Domain(low=1, integer=True)})
 
     def __post_init__(self):
         if self.params.d != self.rho.grid.d:
@@ -366,8 +365,7 @@ class _Workspace:
 
     def strain_norm(self, state: "_EvalState", r: float) -> np.ndarray:
         """L^r norm of |Du| per member on the quadrature grid."""
-        if not 1 <= r < math.inf:
-            raise ValueError(f"Lebesgue exponent must be >= 1 and finite, got {r}")
+        _Domain(low=1.0).check("Lebesgue exponent", r)
         return (self.hfd * _sum_per_member(state.mag2 ** (0.5 * r))) ** (1.0 / r)
 
     def precond_flat(self, g_flat: np.ndarray) -> np.ndarray:
@@ -704,6 +702,7 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     non-converged member raises MaxIterations instead of returning
     converged=False.
     """
+    _POSITIVE.check("tol", tol)
     problems = list(problems)
     if not problems:
         return []
@@ -713,6 +712,9 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         u0 = [u0] * B if isinstance(u0, VelocityField) else list(u0)
         if len(u0) != B:
             raise ValueError(f"u0 has {len(u0)} fields for {B} problems")
+        for u in u0:
+            if u.grid != ws.grid:
+                raise ValueError(f"u0 lives on {u.grid}, the problems on {ws.grid}")
         u0 = np.stack([comp.coeffs for u in u0 for comp in u.components]).reshape((B,) + ws.stack_shape)
     return _solve(ws, problems, u0, tol, max_iter, strict, callback)[0]
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .errors import CflViolation, UnresolvableMollifier, _check_fields, _field
+from .errors import (_EXPONENT, _FINITE, _NONNEGATIVE, _POSITIVE, CflViolation,
+                     UnresolvableMollifier, _check_fields, _field)
 from .rheology import FluidParams
 from .spectral import (
     GridField,
@@ -43,7 +44,7 @@ class AdvectionScheme:
     """Scheme selector with nominal step and CFL target in (0, 1]."""
 
     kind: str = _field(choices=("spectral_rk4", "semi_lagrangian"))
-    dt: float = _field(0.01, low=0.0, open_low=True)
+    dt: float = _field(0.01, _POSITIVE)
     cfl_target: float = _field(0.5, low=0.0, high=1.0, open_low=True)
 
     def __post_init__(self):
@@ -139,9 +140,7 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
     """
     if rho.grid is not u.grid and rho.grid != u.grid:
         raise ValueError("density and velocity live on different grids")
-    dt = scheme.dt if dt is None else float(dt)
-    if dt < 0:
-        raise ValueError("advection step length must be nonnegative")
+    dt = scheme.dt if dt is None else _NONNEGATIVE.check("advection step length", dt)
     if dt == 0.0:
         return GridField(rho.grid, rho.values.copy(), check=False)
 
@@ -169,8 +168,7 @@ def evolve(rho0: GridField, velocity_provider, T: float, scheme: AdvectionScheme
     step floor is not stepped. Returns (rho_final, times, table) with
     table[i][j] the j-th observer at times[i].
     """
-    if T < 0:
-        raise ValueError("final time must be nonnegative")
+    _NONNEGATIVE.check("final time", T)
 
     def provide(t):
         if isinstance(velocity_provider, VelocityField):
@@ -252,9 +250,7 @@ def smooth_clamp(k: float) -> AdmissibleEta:
     representable and positive over the whole sampled range, and joins the
     identity with matching value and slope at |r| = k.
     """
-    k = float(k)
-    if not k > 0:
-        raise ValueError("smooth_clamp level k must be positive")
+    k = _POSITIVE.check("smooth_clamp level k", k)
 
     def eta(r):
         r = np.asarray(r, dtype=np.float64)
@@ -271,9 +267,7 @@ def smooth_clamp(k: float) -> AdmissibleEta:
 
 def atan_scaled(a: float = 1.0) -> AdmissibleEta:
     """eta(r) = a atan(r/a), bounded by a pi/2, derivative in (0, 1]."""
-    a = float(a)
-    if not a > 0:
-        raise ValueError("atan_scaled scale a must be positive")
+    a = _POSITIVE.check("atan_scaled scale a", a)
 
     def eta(r):
         return a * np.arctan(np.asarray(r, dtype=np.float64) / a)
@@ -286,7 +280,7 @@ def atan_scaled(a: float = 1.0) -> AdmissibleEta:
 
 def custom_eta(eta, deta, bound: float) -> AdmissibleEta:
     """Wrap user-supplied callables; admissibility is sampled at construction."""
-    return AdmissibleEta("custom", eta, deta, bound=float(bound))
+    return AdmissibleEta("custom", eta, deta, bound=_POSITIVE.check("eta bound", bound))
 
 
 def renormalize(rho: GridField, eta: AdmissibleEta) -> GridField:
@@ -308,16 +302,11 @@ def commutator_residual(rho: GridField, u: VelocityField, epsilon: float,
     UnresolvableMollifier when eps does not exceed the grid spacing.
     """
     grid = rho.grid
-    if epsilon <= grid.h:
+    if _FINITE.check("mollifier width", epsilon) <= grid.h:
         raise UnresolvableMollifier(
             f"mollifier width {epsilon:g} must exceed the grid spacing {grid.h:g}"
         )
-    inv_alpha = 1.0 / params.beta + 1.0 / params.q
-    alpha = 1.0 / inv_alpha
-    if alpha < 1.0:
-        raise ValueError(
-            f"commutator exponent alpha = {alpha:.4g} is below 1 for these parameters"
-        )
+    alpha = _EXPONENT.check("commutator exponent alpha", 1.0 / (1.0 / params.beta + 1.0 / params.q))
 
     smooth = np.exp(-0.5 * epsilon * epsilon * k_squared(grid))
     u_fine = _fine_velocity(u, mean_velocity)

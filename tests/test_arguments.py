@@ -1,0 +1,141 @@
+"""Every scalar numeric argument of the public numeric API is checked by
+its domain, the errors._Domain rule that the config fields use: NaN, an
+infinity where the domain is finite, and a value just outside each bound
+raise a ValueError that names the argument, while a valid value returns
+its known result."""
+
+import math
+import re
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from nnstokes import (
+    AdvectionScheme,
+    FluidParams,
+    GridField,
+    SpectralField,
+    StokesProblem,
+    TorusGrid,
+    VelocityField,
+    atan_scaled,
+    besov_norm,
+    commutator_residual,
+    constant_law,
+    custom_eta,
+    evolve,
+    lebesgue_norm,
+    smooth_clamp,
+    solve_stokes,
+    to_spectral,
+)
+from nnstokes.fields import random_velocity, sines2_field
+from nnstokes.stokes import _Workspace
+from nnstokes.transport import advect_step
+
+NAN, INF = math.nan, math.inf
+BELOW_ONE = math.nextafter(1.0, 0.0)
+BELOW_ZERO = math.nextafter(0.0, -1.0)
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    """Small fields shared by the cases, built once."""
+    grid = TorusGrid(2, 16)
+    zero = SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    shear = VelocityField((zero, to_spectral(GridField(grid, np.sin(grid.coordinate(0))))),
+                          check=False)  # u = (0, sin x1), |Du|_{L^2} = pi
+    rho = sines2_field(grid, offset=1.0, a=0.5, b=0.25)
+    prob = StokesProblem(rho, FluidParams(p=2.0, q=1.5), constant_law(1.0))
+    ws = _Workspace([prob])
+    c = shear.coeff_stack()[None]
+    return {
+        "rho": rho,
+        "ones": GridField(grid, np.ones(grid.shape)),
+        "threes": to_spectral(GridField(grid, np.full(grid.shape, 3.0))),
+        "u": random_velocity(grid, seed=11, kmax=4, amplitude=1.0),
+        "scheme": AdvectionScheme("spectral_rk4", dt=0.1),
+        "prob": prob,
+        "strain": (ws, ws._eval_state(c)),
+    }
+
+
+def never_called(t):
+    """A velocity provider for evolve: a step taken fails the test instead
+    of running on (evolve(T=inf) used to step forever)."""
+    raise AssertionError(f"evolve asked for a velocity at t = {t}")
+
+
+def darctan(r):
+    return 1.0 / (1.0 + np.asarray(r, dtype=np.float64) ** 2)
+
+
+# the Besov norm of the constant 3: only block -1, 2^{-s} 3 (2 pi)^{2/p}
+BESOV_OF_THREE = 2.0 ** -1.5 * 3.0 * 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class Case:
+    site: str  # the function and its argument
+    name: str  # the argument's name in the message
+    call: object  # (inputs, value) -> result
+    bad: tuple
+    valid: float
+    holds: object  # (inputs, result) -> whether the valid value's result is right
+
+
+BESOV = pytest.approx(BESOV_OF_THREE, rel=1e-12)
+CASES = [
+    Case("lebesgue_norm r", "Lebesgue exponent",
+         lambda e, r: lebesgue_norm(e["ones"], r),
+         (NAN, -INF, BELOW_ONE), INF, lambda e, out: out == 1.0),
+    Case("besov_norm s", "Besov regularity index",
+         lambda e, s: besov_norm(e["threes"], s, 2.0, 2.0),
+         (NAN, INF, -INF), 1.5, lambda e, out: out == BESOV),
+    Case("besov_norm p", "Besov integrability exponent p",
+         lambda e, p: besov_norm(e["threes"], 1.5, p, 2.0),
+         (NAN, -INF, BELOW_ONE), 2.0, lambda e, out: out == BESOV),
+    Case("besov_norm r", "Besov integrability exponent r",
+         lambda e, r: besov_norm(e["threes"], 1.5, 2.0, r),
+         (NAN, -INF, BELOW_ONE), INF, lambda e, out: out == BESOV),
+    Case("strain_norm r", "Lebesgue exponent",
+         lambda e, r: e["strain"][0].strain_norm(e["strain"][1], r)[0],
+         (NAN, INF, -INF, BELOW_ONE), 2.0, lambda e, out: out == pytest.approx(math.pi, rel=1e-12)),
+    Case("advect_step dt", "advection step length",
+         lambda e, dt: advect_step(e["rho"], e["u"], e["scheme"], dt=dt),
+         (NAN, INF, -INF, BELOW_ZERO), 0.0,
+         lambda e, out: out is not e["rho"] and np.array_equal(out.values, e["rho"].values)),
+    Case("evolve T", "final time",
+         lambda e, T: evolve(e["rho"], never_called, T, e["scheme"]),
+         (NAN, INF, -INF, BELOW_ZERO), 0.0,
+         lambda e, out: out[0] is e["rho"] and out[1:] == ([0.0], [[]])),
+    Case("smooth_clamp k", "smooth_clamp level k",
+         lambda e, k: smooth_clamp(k),
+         (NAN, INF, -INF, 0.0), 2.0, lambda e, out: (out.bound, out.param) == (3.0, 2.0)),
+    Case("atan_scaled a", "atan_scaled scale a",
+         lambda e, a: atan_scaled(a),
+         (NAN, INF, -INF, 0.0), 2.0, lambda e, out: (out.bound, out.param) == (math.pi, 2.0)),
+    Case("custom_eta bound", "eta bound",
+         lambda e, bound: custom_eta(np.arctan, darctan, bound),
+         (NAN, INF, -INF, 0.0), math.pi / 2, lambda e, out: out.bound == math.pi / 2),
+    Case("commutator_residual epsilon", "mollifier width",
+         lambda e, eps: commutator_residual(e["ones"], e["u"], eps, FluidParams(p=4.0, q=1.9)),
+         (NAN, INF, -INF), 0.5, lambda e, out: 0.0 <= out <= 1e-12),
+    Case("solve_stokes tol", "tol",
+         lambda e, tol: solve_stokes(e["prob"], tol=tol)[1],
+         (NAN, INF, -INF, 0.0), 1e-8, lambda e, report: report.converged),
+]
+IDS = [case.site for case in CASES]
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_values_outside_the_domain_raise(inputs, case):
+    for value in case.bad:
+        with pytest.raises(ValueError, match=re.escape(f"{case.name} must be")):
+            case.call(inputs, value)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_valid_value_returns_its_result(inputs, case):
+    assert case.holds(inputs, case.call(inputs, case.valid))

@@ -163,6 +163,35 @@ class TestCheckLaw:
             table_law((0.0, 1.0), (1.0, -1.0))
 
 
+class TestTableRules:
+    """The user_table rules belong to ViscosityLaw itself, so a law built
+    directly obeys the rules that table_law does."""
+
+    @pytest.mark.parametrize("nodes, values, match", [
+        ((2.0, 1.0), (1.0, -3.0), "table_nu"),  # evaluated a negative viscosity
+        ((2.0, 1.0), (1.0, 3.0), "strictly increasing"),
+        ((0.0,), (), "matching"),  # failed only at its first evaluation
+        ((0.0,), (1.0,), "matching"),
+        ((0.0, 1.0), (1.0,), "matching"),
+        ((0.0, math.nan), (1.0, 1.0), "table_r"),
+        ((0.0, math.inf), (1.0, 1.0), "table_r"),
+        ((-math.inf, 0.0), (1.0, 1.0), "table_r"),
+        ((0.0, 1.0), (1.0, math.nan), "table_nu"),  # ended in a solve on NaN
+        ((0.0, 1.0), (1.0, math.inf), "table_nu"),
+    ])
+    def test_bad_table_rejected(self, nodes, values, match):
+        with pytest.raises(ValueError, match=match):
+            ViscosityLaw("user_table", table_r=nodes, table_nu=values)
+        with pytest.raises(ValueError, match=match):
+            table_law(nodes, values)
+
+    def test_valid_table_stored_as_floats(self):
+        law = table_law([0, 2], [1, 3])
+        assert law == ViscosityLaw("user_table", table_r=(0.0, 2.0), table_nu=(1.0, 3.0))
+        assert all(type(x) is float for x in law.table_r + law.table_nu)
+        assert np.array_equal(law(np.array([-1.0, 0.5, 5.0])), [2.0, 1.5, 3.0])
+
+
 class TestStress:
     def test_zero_strain(self, grid2d):
         params = FluidParams(p=3.0, q=1.5)

@@ -244,6 +244,18 @@ class TestProjectDivFree:
         assert np.array_equal(stack, before)
 
 
+class TestVelocityField:
+    def test_no_components_rejected(self):
+        """VelocityField(()) used to raise IndexError."""
+        with pytest.raises(ValueError, match="components"):
+            VelocityField(())
+
+    def test_component_count_must_match_dimension(self, grid2d):
+        zero = SpectralField(grid2d, np.zeros(grid2d.shape, dtype=np.complex128))
+        with pytest.raises(ValueError, match="need 2 components, got 3"):
+            VelocityField((zero,) * 3)
+
+
 class TestStrainTensor:
     def test_zero_velocity(self, grid2d):
         zero = SpectralField(grid2d, np.zeros(grid2d.shape, dtype=np.complex128))

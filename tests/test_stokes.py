@@ -394,6 +394,17 @@ class TestSolveStokesBatch:
         with pytest.raises(ValueError, match="u0"):
             solve_stokes_batch(probs, u0=starts[:2])
 
+    def test_u0_on_another_grid_rejected(self):
+        """It used to fail in numpy: cannot reshape array of size 2048."""
+        prob = batch_problems(3.0)[0]
+        coarse = random_velocity(prob.rho.grid, seed=5, kmax=4)
+        fine = random_velocity(TorusGrid(2, 32), seed=5, kmax=4)
+        grids = r"u0 lives on TorusGrid\(d=2, n=32\), the problems on TorusGrid\(d=2, n=16\)"
+        with pytest.raises(ValueError, match=grids):
+            solve_stokes(prob, u0=fine)
+        with pytest.raises(ValueError, match=grids):
+            solve_stokes_batch([prob, prob], u0=[coarse, fine])
+
     @pytest.mark.parametrize("other", [
         batch_problems(4.0)[0],
         batch_problems(3.0, n=32)[0],

@@ -14,7 +14,11 @@ coefficients), the diagnostics.csv that `nnstokes simulate` writes, with its ite
 each shipped config and for newtonian2d.cfg at n = 32, T = 0.5 with p = 1.5
 and p = 3 (the p = 1.5 run is the one whose solves take the line search's
 fallbacks: slope restarts, steepest-descent searches and halvings), and the
-energy and monotonicity battery reports at seeds 0 and 3. It also prints
+energy, monotonicity and transport battery reports at seeds 0 and 3. It
+prints the SHA-256 of the advect_frozen workload's seed-0 density after 10
+spectral_rk4 steps and after 10 semi_lagrangian steps, and, as float.hex,
+commutator_residual, lebesgue_norm and besov_norm of one field, with the
+SHA-256 of its smooth_clamp and atan_scaled renormalizations. It also prints
 the counts, stop reason and value (float.hex) of the unit-scale probes:
 n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity, g = (s, s),
 at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, and at p = 12,
@@ -22,13 +26,16 @@ delta = 100, s = 1 with viscosity 1, 1e3 and 1e6.
 """
 
 import hashlib
+import math
 import os
 import sys
 import tempfile
 
-from nnstokes import (FluidParams, StokesProblem, TorusGrid, cli, constant_law, parse_config,
-                      read_diagnostics, run_battery, solve_stokes)
-from nnstokes.fields import random_band_field, sines2_field
+from nnstokes import (AdvectionScheme, FluidParams, StokesProblem, TorusGrid, advect_step,
+                      atan_scaled, besov_norm, cli, commutator_residual, constant_law,
+                      lebesgue_norm, parse_config, read_diagnostics, renormalize, run_battery,
+                      smooth_clamp, solve_stokes, to_spectral)
+from nnstokes.fields import random_band_field, random_velocity, sines2_field
 from nnstokes.simulator import smooth_density
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -95,9 +102,30 @@ def main() -> int:
     for p in ("1.5", "3.0"):
         print(f"simulate newtonian2d.cfg n=32 T=0.5 p={p}: "
               f"{simulate(path, small.replace('p = 2.0', f'p = {p}'))}")
-    for battery in ("energy", "monotonicity"):
+    for battery in ("energy", "monotonicity", "transport"):
         for seed in (0, 3):
             print(f"battery {battery} seed={seed}:\n{run_battery(battery, seed=seed).report()}")
+    grid = TorusGrid(2, 128)
+    u = random_velocity(grid, seed=0, kmax=4, amplitude=1.0)
+    for kind, dt in (("spectral_rk4", 0.02), ("semi_lagrangian", 0.01)):
+        rho = sines2_field(grid, offset=2.0, a=0.5, b=0.25)
+        scheme = AdvectionScheme(kind, dt=dt, cfl_target=0.5)
+        for _ in range(10):
+            rho = advect_step(rho, u, scheme)
+        print(f"advect_frozen seed=0 {kind} 10 steps: density {sha256(rho.values.tobytes())}")
+    grid = TorusGrid(2, 32)
+    rho = random_band_field(grid, seed=7, kmax=8, amplitude=0.5, offset=1.5)
+    u = random_velocity(grid, seed=13, kmax=4, amplitude=1.0)
+    F = to_spectral(rho)
+    values = {"commutator_residual eps=0.5": commutator_residual(rho, u, 0.5, FluidParams(p=4.0, q=1.9)),
+              "lebesgue_norm r=1.5": lebesgue_norm(rho, 1.5),
+              "lebesgue_norm r=inf": lebesgue_norm(rho, math.inf),
+              "besov_norm s=0.5 p=2 r=2": besov_norm(F, 0.5, 2.0, 2.0),
+              "besov_norm s=-0.5 p=3 r=inf": besov_norm(F, -0.5, 3.0, math.inf)}
+    for label, value in values.items():
+        print(f"field: {label} {value.hex()}")
+    for eta in (smooth_clamp(1.2), atan_scaled(0.5)):
+        print(f"field: renormalize {eta.kind} {sha256(renormalize(rho, eta).values.tobytes())}")
     return 0
 
 
