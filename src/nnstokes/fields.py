@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _POSITIVE
 from .spectral import (
     GridField,
     SpectralField,
@@ -78,6 +79,7 @@ def random_velocities(grid: TorusGrid, seeds, kmax: float, amplitude: float = 1.
     """One divergence-free zero-mean velocity with random band-limited
     components per seed, each member drawn from its own generator; all
     members are transformed and projected together."""
+    _POSITIVE.check("kmax", kmax)
     seeds = list(seeds)
     if not seeds:
         return []

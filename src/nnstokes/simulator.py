@@ -218,6 +218,7 @@ def run(config: SimulationConfig) -> SimulationResult:
         except CflViolation as exc:
             return SimulationResult(series, snapshots, completed=False,
                                     reason=f"CFL breakdown at t = {t:.6g}: {exc}")
+        del u  # and its stored grid and fine-grid values, before the next solve
         t = t_next
 
     return SimulationResult(series, snapshots, completed=True)

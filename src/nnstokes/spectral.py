@@ -25,7 +25,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,7 +104,14 @@ class SpectralField:
 
 
 class VelocityField:
-    """d spectral components constrained divergence-free with zero mean."""
+    """d spectral components constrained divergence-free with zero mean.
+
+    A velocity is a value: its coefficients are never written after
+    construction (nothing in the package does). So its grid values and its
+    3/2-rule fine-grid values are each transformed at most once, on first
+    use, and kept as the read-only stacks grid_stack, of shape
+    (d,) + grid.shape, and fine_stack, of shape (d,) + (3n/2,)*d.
+    """
 
     def __init__(self, components, check: bool = True):
         components = tuple(components)
@@ -135,11 +142,25 @@ class VelocityField:
         if mean > tol * scale:
             raise ValueError(f"velocity mean is not zero: {mean:.3e}")
 
+    @cached_property
+    def grid_stack(self) -> np.ndarray:
+        return _read_only(np.stack([to_grid(c, check=False).values for c in self.components]))
+
+    @cached_property
+    def fine_stack(self) -> np.ndarray:
+        return _read_only(dealiaser(self.grid.d, self.grid.n).to_fine(self.coeff_stack()))
+
     def grid_values(self) -> list:
-        return [to_grid(c, check=False).values for c in self.components]
+        """Read-only views of the components' grid values."""
+        return list(self.grid_stack)
 
     def coeff_stack(self) -> np.ndarray:
         return np.stack([c.coeffs for c in self.components])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------

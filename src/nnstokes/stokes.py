@@ -703,6 +703,7 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     converged=False.
     """
     _POSITIVE.check("tol", tol)
+    max_iter = _Domain(low=0, integer=True).check("max_iter", max_iter)
     problems = list(problems)
     if not problems:
         return []

@@ -53,10 +53,7 @@ class AdvectionScheme:
 
 def speed_sup(u: VelocityField, mean_velocity=None) -> float:
     """Pointwise maximum speed on the grid, bypass drift included."""
-    vals = np.stack(u.grid_values())
-    if mean_velocity is not None:
-        for j, cj in enumerate(mean_velocity):
-            vals[j] += cj
+    vals = _drifted(u.grid_stack, mean_velocity)
     return float(np.sqrt(np.einsum("j...,j...->...", vals, vals).max()))
 
 
@@ -76,32 +73,55 @@ def _substep_count(dt: float, cap: float) -> int:
     return 2 ** int(math.ceil(math.log2(dt / cap)))
 
 
-def _fine_velocity(u: VelocityField, mean_velocity):
-    out = dealiaser(u.grid.d, u.grid.n).to_fine(u.coeff_stack())
-    if mean_velocity is not None:
-        for j, cj in enumerate(mean_velocity):
-            out[j] += cj
+def _drifted(stack: np.ndarray, mean_velocity) -> np.ndarray:
+    """A velocity's stored value stack, or a copy with the bypass drift added."""
+    if mean_velocity is None:
+        return stack
+    out = stack.copy()
+    for j, cj in enumerate(mean_velocity):
+        out[j] += cj
     return out
 
 
-def _flux_divergence(rho_hat: np.ndarray, u_fine: np.ndarray, grid) -> np.ndarray:
-    """Coefficients of div(rho u), the product dealiased by the 3/2 rule."""
+def _flux_divergence(rho_hat: np.ndarray, u_fine: np.ndarray, grid, out=None,
+                     prod=None) -> np.ndarray:
+    """Coefficients of div(rho u), the product dealiased by the 3/2 rule;
+    written into out, and the fine-grid product into prod, where given."""
     engine = dealiaser(grid.d, grid.n)
     kd = deriv_vectors(grid)
-    flux_hat = engine.to_coarse(engine.to_fine(rho_hat) * u_fine)
-    return 1j * sum(kd[j] * flux_hat[j] for j in range(grid.d))
+    flux_hat = engine.to_coarse(np.multiply(engine.to_fine(rho_hat), u_fine, out=prod))
+    if out is None:
+        out = np.empty(grid.shape, dtype=np.complex128)
+    out.fill(0.0)  # summed from +0, so a mode whose terms are signed zeros reads +0
+    for j in range(grid.d):
+        flux_hat[j] *= kd[j]
+        out += flux_hat[j]
+    out *= 1j
+    return out
 
 
 def _rk4_substeps(rho: GridField, u: VelocityField, tau: float, m: int, mean_velocity):
     grid = rho.grid
-    u_fine = _fine_velocity(u, mean_velocity)
+    u_fine = _drifted(u.fine_stack, mean_velocity)
     y = to_spectral(rho).coeffs
+    # one working set for the whole call: a stage frees no megabytes for
+    # the allocator to return to the kernel and the next stage to fault in
+    prod = np.empty(u_fine.shape)
+    trial = np.empty_like(y)
+    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     for _ in range(m):
-        k1 = _flux_divergence(y, u_fine, grid)
-        k2 = _flux_divergence(y - 0.5 * tau * k1, u_fine, grid)
-        k3 = _flux_divergence(y - 0.5 * tau * k2, u_fine, grid)
-        k4 = _flux_divergence(y - tau * k3, u_fine, grid)
-        y = y - (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _flux_divergence(y, u_fine, grid, k1, prod)
+        for k_in, c, k_out in ((k1, 0.5 * tau, k2), (k2, 0.5 * tau, k3), (k3, tau, k4)):
+            np.subtract(y, np.multiply(k_in, c, out=trial), out=trial)  # y - c k_in
+            _flux_divergence(trial, u_fine, grid, k_out, prod)
+        # y - (tau/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= tau / 6.0
+        y -= k1
     return to_grid(SpectralField(grid, y))
 
 
@@ -109,21 +129,32 @@ def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: i
                               mean_velocity):
     grid = rho.grid
     h = grid.h
-    u_idx = np.stack(u.grid_values()) / h
+    u_idx = u.grid_stack / h
     if mean_velocity is not None:
         for j, cj in enumerate(mean_velocity):
             u_idx[j] += cj / h
-    base = np.indices(grid.shape, dtype=np.float64)
+    base = np.indices(grid.shape, dtype=np.float64, sparse=True)
+
+    def trace_back(c, v, out):
+        """out = base - c v, the index grid base broadcast from one axis at a time."""
+        np.multiply(v, c, out=out)
+        for b, o in zip(base, out):
+            np.subtract(b, o, out=o)
+
     vals = rho.values
     mean0 = float(vals.mean())
+    # the midpoint and then the departure point in one buffer: three stacks
+    # in all, so that at n = 128 their release at the return stays under
+    # glibc's heap-trim threshold (about 1.2 MB) and the next step faults
+    # no pages back in
+    point = np.empty_like(u_idx)
+    u_mid = np.empty_like(u_idx)
     for _ in range(m):
-        mid = base - 0.5 * tau * u_idx
-        u_mid = np.stack([
-            map_coordinates(u_idx[j], mid, order=3, mode="grid-wrap")
-            for j in range(grid.d)
-        ])
-        departure = base - tau * u_mid
-        vals = map_coordinates(vals, departure, order=3, mode="grid-wrap")
+        trace_back(0.5 * tau, u_idx, point)
+        for j in range(grid.d):
+            map_coordinates(u_idx[j], point, order=3, mode="grid-wrap", output=u_mid[j])
+        trace_back(tau, u_mid, point)
+        vals = map_coordinates(vals, point, order=3, mode="grid-wrap")
         vals += mean0 - vals.mean()
     return GridField(grid, vals)
 
@@ -144,8 +175,7 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
     if dt == 0.0:
         return GridField(rho.grid, rho.values.copy(), check=False)
 
-    if vmax is None:
-        vmax = speed_sup(u, mean_velocity)
+    vmax = speed_sup(u, mean_velocity) if vmax is None else _NONNEGATIVE.check("vmax", vmax)
     m = _substep_count(dt, _cfl_cap(scheme, rho.grid, vmax))
     if dt / m < _STEP_FLOOR:
         raise CflViolation(
@@ -309,7 +339,7 @@ def commutator_residual(rho: GridField, u: VelocityField, epsilon: float,
     alpha = _EXPONENT.check("commutator exponent alpha", 1.0 / (1.0 / params.beta + 1.0 / params.q))
 
     smooth = np.exp(-0.5 * epsilon * epsilon * k_squared(grid))
-    u_fine = _fine_velocity(u, mean_velocity)
+    u_fine = _drifted(u.fine_stack, mean_velocity)
     rho_hat = to_spectral(rho).coeffs
     term1 = _flux_divergence(smooth * rho_hat, u_fine, grid)
     term2 = smooth * _flux_divergence(rho_hat, u_fine, grid)

@@ -28,9 +28,12 @@ from nnstokes import (
     lebesgue_norm,
     smooth_clamp,
     solve_stokes,
+    solve_stokes_batch,
+    solve_stokes_penalized,
     to_spectral,
 )
-from nnstokes.fields import random_velocity, sines2_field
+from nnstokes.fields import random_velocities, random_velocity, sines2_field
+from nnstokes.spectral import k_squared
 from nnstokes.stokes import _Workspace
 from nnstokes.transport import advect_step
 
@@ -57,6 +60,7 @@ def inputs():
         "u": random_velocity(grid, seed=11, kmax=4, amplitude=1.0),
         "scheme": AdvectionScheme("spectral_rk4", dt=0.1),
         "prob": prob,
+        "penalized": StokesProblem(rho, FluidParams(p=2.0, q=1.5), constant_law(1.0), (10.0, 3)),
         "strain": (ws, ws._eval_state(c)),
     }
 
@@ -85,6 +89,13 @@ class Case:
     holds: object  # (inputs, result) -> whether the valid value's result is right
 
 
+def band_limited(u, kmax):
+    """Whether velocity u is nonzero with no mode beyond |k| = kmax above
+    rounding."""
+    c = np.abs(u.coeff_stack())
+    return 0.0 < 1e12 * c[:, k_squared(u.grid) > kmax * kmax].max() < c.max()
+
+
 BESOV = pytest.approx(BESOV_OF_THREE, rel=1e-12)
 CASES = [
     Case("lebesgue_norm r", "Lebesgue exponent",
@@ -106,6 +117,10 @@ CASES = [
          lambda e, dt: advect_step(e["rho"], e["u"], e["scheme"], dt=dt),
          (NAN, INF, -INF, BELOW_ZERO), 0.0,
          lambda e, out: out is not e["rho"] and np.array_equal(out.values, e["rho"].values)),
+    Case("advect_step vmax", "vmax",
+         lambda e, vmax: advect_step(e["rho"], e["u"], e["scheme"], vmax=vmax),
+         (NAN, INF, -INF, BELOW_ZERO), 0.0,  # a fluid at rest: one substep, as at the true speed
+         lambda e, out: np.array_equal(out.values, advect_step(e["rho"], e["u"], e["scheme"]).values)),
     Case("evolve T", "final time",
          lambda e, T: evolve(e["rho"], never_called, T, e["scheme"]),
          (NAN, INF, -INF, BELOW_ZERO), 0.0,
@@ -125,6 +140,22 @@ CASES = [
     Case("solve_stokes tol", "tol",
          lambda e, tol: solve_stokes(e["prob"], tol=tol)[1],
          (NAN, INF, -INF, 0.0), 1e-8, lambda e, report: report.converged),
+    Case("solve_stokes max_iter", "max_iter",
+         lambda e, max_iter: solve_stokes(e["prob"], max_iter=max_iter)[1],
+         (NAN, INF, -INF, -1, 2.5), 0, lambda e, report: report.iterations == 0),
+    Case("solve_stokes_batch max_iter", "max_iter",
+         lambda e, max_iter: solve_stokes_batch([e["prob"]] * 2, max_iter=max_iter),
+         (NAN, INF, -INF, -1, 2.5), 3,
+         lambda e, out: [report.converged for _, report in out] == [True, True]),
+    Case("solve_stokes_penalized max_iter", "max_iter",
+         lambda e, max_iter: solve_stokes_penalized(e["penalized"], max_iter=max_iter)[1],
+         (NAN, INF, -INF, -1, 2.5), 3, lambda e, report: report.converged),
+    Case("random_velocity kmax", "kmax",
+         lambda e, kmax: random_velocity(e["rho"].grid, seed=1, kmax=kmax),
+         (NAN, INF, -INF, 0.0), 4.0, lambda e, u: band_limited(u, 4.0)),
+    Case("random_velocities kmax", "kmax",
+         lambda e, kmax: random_velocities(e["rho"].grid, [1, 2], kmax=kmax),
+         (NAN, INF, -INF, 0.0), 2.5, lambda e, us: len(us) == 2 and all(band_limited(u, 2.5) for u in us)),
 ]
 IDS = [case.site for case in CASES]
 

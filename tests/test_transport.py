@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from nnstokes import (
     AdvectionScheme,
@@ -24,7 +25,10 @@ from nnstokes import (
     smooth_clamp,
     speed_sup,
 )
-from nnstokes.fields import random_velocity, sines2_field
+from nnstokes import spectral
+from nnstokes.fields import random_band_field, random_velocity, sines2_field
+from nnstokes.spectral import dealiaser, deriv_vectors, fine_size, to_grid, to_spectral
+from nnstokes.transport import _cfl_cap, _substep_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -254,6 +258,121 @@ class TestSpeedSup:
 
     def test_drift_included(self, grid2d):
         assert speed_sup(zero_velocity(grid2d), mean_velocity=(3.0, 4.0)) == pytest.approx(5.0)
+
+
+def reference_rk4(rho, u, tau, m, mean_velocity=None):
+    """The out-of-place stage loop that _rk4_substeps replaced: every stage
+    and product in a fresh array."""
+    grid = rho.grid
+    engine = dealiaser(grid.d, grid.n)
+    kd = deriv_vectors(grid)
+    u_fine = engine.to_fine(u.coeff_stack())
+    for j, cj in enumerate(mean_velocity or ()):
+        u_fine[j] += cj
+
+    def flux_divergence(rho_hat):
+        flux_hat = engine.to_coarse(engine.to_fine(rho_hat) * u_fine)
+        return 1j * sum(kd[j] * flux_hat[j] for j in range(grid.d))
+
+    y = to_spectral(rho).coeffs
+    for _ in range(m):
+        k1 = flux_divergence(y)
+        k2 = flux_divergence(y - 0.5 * tau * k1)
+        k3 = flux_divergence(y - 0.5 * tau * k2)
+        k4 = flux_divergence(y - tau * k3)
+        y = y - (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return to_grid(SpectralField(grid, y)).values
+
+
+def reference_semi_lagrangian(rho, u, tau, m, mean_velocity=None):
+    """The out-of-place substep loop that _semi_lagrangian_substeps replaced."""
+    grid = rho.grid
+    h = grid.h
+    u_idx = np.stack([to_grid(c, check=False).values for c in u.components]) / h
+    for j, cj in enumerate(mean_velocity or ()):
+        u_idx[j] += cj / h
+    base = np.indices(grid.shape, dtype=np.float64)
+    vals = rho.values
+    mean0 = float(vals.mean())
+    for _ in range(m):
+        mid = base - 0.5 * tau * u_idx
+        u_mid = np.stack([map_coordinates(u_idx[j], mid, order=3, mode="grid-wrap")
+                          for j in range(grid.d)])
+        vals = map_coordinates(vals, base - tau * u_mid, order=3, mode="grid-wrap")
+        vals += mean0 - vals.mean()
+    return vals
+
+
+REFERENCES = {"spectral_rk4": reference_rk4, "semi_lagrangian": reference_semi_lagrangian}
+
+
+class TestStoredVelocityValues:
+    """A velocity is transformed at most once, however often it is stepped."""
+
+    @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
+    def test_ten_steps_transform_the_velocity_once(self, grid2d, kind, monkeypatch):
+        u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
+        coeffs = u.coeff_stack()
+        calls = {"to_grid": 0, "to_fine": 0}
+        to_grid_, to_fine_ = spectral.to_grid, spectral.Dealiaser.to_fine
+
+        def counted_to_grid(F, check=True):
+            calls["to_grid"] += any(F is c for c in u.components)
+            return to_grid_(F, check)
+
+        def counted_to_fine(engine, stack):
+            calls["to_fine"] += stack.shape == coeffs.shape and np.array_equal(stack, coeffs)
+            return to_fine_(engine, stack)
+
+        monkeypatch.setattr(spectral, "to_grid", counted_to_grid)
+        monkeypatch.setattr(spectral.Dealiaser, "to_fine", counted_to_fine)
+        rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
+        scheme = AdvectionScheme(kind=kind, dt=0.05)
+        for _ in range(10):
+            rho = advect_step(rho, u, scheme)
+        assert calls == {"to_grid": grid2d.d, "to_fine": int(kind == "spectral_rk4")}
+
+    def test_stored_values_are_read_only(self, grid2d):
+        u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
+        fine = fine_size(grid2d.n)
+        assert u.grid_stack.shape == (2,) + grid2d.shape
+        assert u.fine_stack.shape == (2, fine, fine)
+        for a in (u.grid_stack, u.fine_stack, *u.grid_values()):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        for a, c in zip(u.grid_values(), u.components):
+            assert np.shares_memory(a, u.grid_stack)
+            assert np.array_equal(a, to_grid(c, check=False).values)
+
+    def test_drift_leaves_the_stored_values_alone(self, grid2d):
+        u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
+        plain = speed_sup(u)
+        grid_stack, fine_stack = u.grid_stack.copy(), u.fine_stack.copy()
+        assert speed_sup(u, mean_velocity=(3.0, 4.0)) > plain
+        rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
+        for kind in ("spectral_rk4", "semi_lagrangian"):
+            advect_step(rho, u, AdvectionScheme(kind=kind, dt=0.05), mean_velocity=(3.0, 4.0))
+        commutator_residual(rho, u, 0.5, FluidParams(p=4.0, q=1.9), mean_velocity=(3.0, 4.0))
+        assert speed_sup(u) == plain
+        assert np.array_equal(u.grid_stack, grid_stack)
+        assert np.array_equal(u.fine_stack, fine_stack)
+
+    @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
+    @pytest.mark.parametrize("d, n, dt, drift, substeps", [
+        (2, 32, 0.05, (0.3, -0.2), 1),
+        (2, 32, 1.0, None, 16),
+        (3, 8, 2.0, (0.1, 0.2, -0.3), 8),
+    ])
+    def test_step_matches_the_out_of_place_loop(self, kind, d, n, dt, drift, substeps):
+        grid = TorusGrid(d, n)
+        rho = random_band_field(grid, seed=7, kmax=n // 4, amplitude=0.5, offset=1.5)
+        u = random_velocity(grid, seed=13, kmax=n // 4, amplitude=1.0)
+        scheme = AdvectionScheme(kind=kind, dt=dt)
+        m = _substep_count(dt, _cfl_cap(scheme, grid, speed_sup(u, drift)))
+        assert m == substeps
+        out = advect_step(rho, u, scheme, mean_velocity=drift)
+        assert out.values.tobytes() == REFERENCES[kind](rho, u, dt / m, m, drift).tobytes()
 
 
 class TestAdmissibleEta:

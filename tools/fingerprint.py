@@ -18,7 +18,10 @@ energy, monotonicity and transport battery reports at seeds 0 and 3. It
 prints the SHA-256 of the advect_frozen workload's seed-0 density after 10
 spectral_rk4 steps and after 10 semi_lagrangian steps, and, as float.hex,
 commutator_residual, lebesgue_norm and besov_norm of one field, with the
-SHA-256 of its smooth_clamp and atan_scaled renormalizations. It also prints
+SHA-256 of its smooth_clamp and atan_scaled renormalizations, the same
+commutator_residual with a mean_velocity drift, and the SHA-256 of one
+spectral_rk4 and one semi_lagrangian step of it with that drift and of
+one forced into 16 CFL substeps. It also prints
 the counts, stop reason and value (float.hex) of the unit-scale probes:
 n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity, g = (s, s),
 at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, and at p = 12,
@@ -37,6 +40,7 @@ from nnstokes import (AdvectionScheme, FluidParams, StokesProblem, TorusGrid, ad
                       smooth_clamp, solve_stokes, to_spectral)
 from nnstokes.fields import random_band_field, random_velocity, sines2_field
 from nnstokes.simulator import smooth_density
+from nnstokes.transport import _cfl_cap, _substep_count, speed_sup
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = (("2d_p1.5", 2, 128, 1.5), ("2d_p3", 2, 128, 3.0),
@@ -126,6 +130,15 @@ def main() -> int:
         print(f"field: {label} {value.hex()}")
     for eta in (smooth_clamp(1.2), atan_scaled(0.5)):
         print(f"field: renormalize {eta.kind} {sha256(renormalize(rho, eta).values.tobytes())}")
+    drift = (0.3, -0.2)
+    print(f"field: commutator_residual eps=0.5 drift={drift} "
+          f"{commutator_residual(rho, u, 0.5, FluidParams(p=4.0, q=1.9), mean_velocity=drift).hex()}")
+    for kind in ("spectral_rk4", "semi_lagrangian"):
+        scheme = AdvectionScheme(kind, dt=0.05)
+        for label, dt, mean_velocity in ((f"drift={drift}", 0.05, drift), ("dt=1", 1.0, None)):
+            m = _substep_count(dt, _cfl_cap(scheme, grid, speed_sup(u, mean_velocity)))
+            out = advect_step(rho, u, scheme, dt=dt, mean_velocity=mean_velocity)
+            print(f"field: advect_step {kind} {label} ({m} substeps) {sha256(out.values.tobytes())}")
     return 0
 
 
