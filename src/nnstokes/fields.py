@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import _POSITIVE
+from .errors import _Domain
 from .spectral import (
     GridField,
     SpectralField,
@@ -18,6 +18,10 @@ from .spectral import (
     k_squared,
     project_div_free,
 )
+
+
+# a band below |k| = 1 holds no mode: the field would be its offset alone
+_KMAX = _Domain(low=1.0)
 
 
 def constant_field(grid: TorusGrid, c: float) -> GridField:
@@ -55,6 +59,7 @@ def random_band_field(grid: TorusGrid, seed, kmax: float, amplitude: float = 1.0
                       offset: float = 0.0) -> GridField:
     """offset + amplitude * (random zero-mean field band-limited to |k| <= kmax,
     normalized to unit sup norm)."""
+    _KMAX.check("kmax", kmax)
     rng = np.random.default_rng(seed)
     k2 = k_squared(grid)
     mask = (k2 > 0) & (k2 <= kmax * kmax)
@@ -79,7 +84,7 @@ def random_velocities(grid: TorusGrid, seeds, kmax: float, amplitude: float = 1.
     """One divergence-free zero-mean velocity with random band-limited
     components per seed, each member drawn from its own generator; all
     members are transformed and projected together."""
-    _POSITIVE.check("kmax", kmax)
+    _KMAX.check("kmax", kmax)
     seeds = list(seeds)
     if not seeds:
         return []

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import _FINITE, BadValue, MissingRequired, UnknownKey, _Domain, _FieldError
 from .fields import (
+    _KMAX,
     constant_field,
     random_band_field,
     rough_field,
@@ -202,7 +203,7 @@ def _build_rho0(kind, params_text, grid, seed, base_dir, reader):
         "sines2": (sines2_field, 3),
         "stratified": (stratified_field, 2),
         "random_band": (lambda grid, kmax=4, amplitude=0.5, offset=1.5:
-                        random_band_field(grid, seed, int(kmax), amplitude, offset), 3),
+                        random_band_field(grid, seed, int(_KMAX.check("kmax", kmax)), amplitude, offset), 3),
         "rough": (lambda grid, slope=-1.1, amplitude=0.5, offset=1.0:
                   rough_field(grid, seed, slope, amplitude, offset), 3),
     }

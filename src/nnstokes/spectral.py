@@ -13,6 +13,26 @@ filters, truncation); its derivative multiplier is zeroed, the usual
 convention for real data, and the divergence-free projection removes such
 modes entirely since the strain cannot see them.
 
+The fields are real, so F[-k] = conj(F[k]) and half of the full layout is
+redundant. The half layout keeps the rfft half: the last axis is cut to
+its first n/2 + 1 indices, the frequencies 0 .. n/2, and every other axis
+keeps all n. rfft_coeffs and irfft_values transform real values to and
+from it, and the dealiased transforms and the projection work on it. Its
+last-axis Nyquist column (index n/2) stands for both fine-grid
+frequencies +-n/2 of a padded field: restriction stores the average
+0.5 (F[k', n/2] + F[k', -n/2]) of the fine coefficients, and the half
+spectrum of a real fine field holds the second term as conj F[-k', n/2].
+
+The solver carries its vectors in the scaled half layout (contract_half,
+expand_half): the columns 0 < k_last < n/2, each of which stands for the
+mode and its conjugate, are multiplied by sqrt(2); the Nyquist column is
+zero on every iterate, since the projection removes the unpaired modes.
+Then the real dot product of two scaled stacks is Re sum_k a conj(b) over
+the full layout, so every inner product of the solver is a plain dot
+product of real views. The scale commutes with every per-mode multiplier;
+the solver folds it into the multipliers next to the dealiased
+transforms, which take and return the unscaled half.
+
 The module provides transforms, spectral derivatives, the Leray projection
 onto divergence-free zero-mean fields, dyadic Littlewood-Paley blocks with
 their low-frequency companions, sharp Fourier truncation, and Lebesgue and
@@ -21,13 +41,13 @@ Besov norm computation by rectangle-rule quadrature.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.ndimage import spline_filter
 
 from .errors import _EXPONENT, _FINITE, NonHermitianField, _check_fields, _Domain, _field
 
@@ -110,7 +130,9 @@ class VelocityField:
     construction (nothing in the package does). So its grid values and its
     3/2-rule fine-grid values are each transformed at most once, on first
     use, and kept as the read-only stacks grid_stack, of shape
-    (d,) + grid.shape, and fine_stack, of shape (d,) + (3n/2,)*d.
+    (d,) + grid.shape, and fine_stack, of shape (d,) + (3n/2,)*d; so is
+    spline_stack, the cubic-spline coefficients of grid_stack / h that the
+    semi-Lagrangian scheme interpolates.
     """
 
     def __init__(self, components, check: bool = True):
@@ -150,6 +172,24 @@ class VelocityField:
     def fine_stack(self) -> np.ndarray:
         return _read_only(dealiaser(self.grid.d, self.grid.n).to_fine(self.coeff_stack()))
 
+    @cached_property
+    def half_stack(self) -> np.ndarray:
+        """The coefficients in the scaled half layout, the solver's."""
+        return _read_only(contract_half(self.coeff_stack(), self.grid))
+
+    @classmethod
+    def from_half_stack(cls, stack: np.ndarray, grid: TorusGrid) -> "VelocityField":
+        """The velocity of a coefficient stack in the scaled half layout,
+        unchecked. It keeps a copy of stack as its half_stack, so the
+        layout round trip gives stack back bit for bit."""
+        u = cls(tuple(SpectralField(grid, c) for c in expand_half(stack, grid)), check=False)
+        u.half_stack = _read_only(stack.copy())
+        return u
+
+    @cached_property
+    def spline_stack(self) -> np.ndarray:
+        return _read_only(periodic_splines(self.grid_stack / self.grid.h))
+
     def grid_values(self) -> list:
         """Read-only views of the components' grid values."""
         return list(self.grid_stack)
@@ -163,6 +203,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def periodic_splines(stack: np.ndarray) -> np.ndarray:
+    """Cubic-spline coefficients of each periodic field of a stack: the
+    prefilter of map_coordinates(..., order=3, mode="grid-wrap"), which
+    then interpolates them with prefilter=False."""
+    return np.stack([spline_filter(a, order=3, output=np.float64, mode="grid-wrap") for a in stack])
+
+
 # ---------------------------------------------------------------------------
 # lattice utilities
 
@@ -170,15 +217,17 @@ _Lattice = namedtuple("_Lattice", "waves derivs k2 k2_safe radius")
 
 
 @lru_cache(maxsize=32)
-def _lattice(d: int, n: int) -> _Lattice:
-    """Read-only lattice tables of one (d, n), built on first use: the
-    integer wavevectors per axis, each shaped to broadcast along its axis,
-    with the unpaired frequency at -n/2; the same with it zeroed for
-    differentiation; |k|^2; |k|^2 with 1 at the zero mode, so that it
-    divides without a mask; and |k|."""
+def _lattice(d: int, n: int, half: bool = False) -> _Lattice:
+    """Read-only lattice tables of one (d, n), in the full layout or the
+    half layout, built on first use: the integer wavevectors per axis,
+    each shaped to broadcast along its axis, with the unpaired frequency
+    at -n/2; the same with it zeroed for differentiation; |k|^2; |k|^2
+    with 1 at the zero mode, so that it divides without a mask; and |k|."""
     k1 = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
     k1.flags.writeable = False  # and so are its reshaped views
     waves = tuple(k1.reshape((1,) * ax + (n,) + (1,) * (d - 1 - ax)) for ax in range(d))
+    if half:
+        waves = waves[:-1] + (waves[-1][..., :n // 2 + 1],)
     derivs = tuple(np.where(k == -(n // 2), 0.0, k) for k in waves)
     k2 = sum(k * k for k in waves)
     k2_safe = k2.copy()
@@ -207,6 +256,40 @@ def k_squared(grid: TorusGrid) -> np.ndarray:
     return _lattice(grid.d, grid.n).k2
 
 
+@lru_cache(maxsize=32)
+def half_scale(n: int) -> np.ndarray:
+    """The column scale of the solver's half layout: sqrt(2) where the
+    column stands for a mode and its conjugate, 1 at k_last = 0 and n/2."""
+    scale = np.full(n // 2 + 1, math.sqrt(2.0))
+    scale[[0, -1]] = 1.0
+    scale.flags.writeable = False
+    return scale
+
+
+@lru_cache(maxsize=32)
+def _negated(n: int, axes: int) -> tuple:
+    """The index that reads the first `axes` grid axes of a half-layout
+    array at -k (mod n); a last-axis index follows it."""
+    neg = -np.arange(n) % n
+    return (Ellipsis,) + np.ix_(*[neg] * axes)
+
+
+def contract_half(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The scaled half layout of full-layout coefficients of real fields,
+    with any leading batch axes."""
+    return stack[..., :grid.n // 2 + 1] * half_scale(grid.n)
+
+
+def expand_half(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The full layout of scaled half-layout coefficients: the negative
+    last-axis frequencies are the conjugates of the positive ones at -k."""
+    n, half = grid.n, grid.n // 2
+    out = np.empty(stack.shape[:-1] + (n,), dtype=np.complex128)
+    np.divide(stack, half_scale(n), out=out[..., :half + 1])
+    np.conjugate(out[_negated(n, grid.d - 1) + (slice(half - 1, 0, -1),)], out=out[..., half + 1:])
+    return out
+
+
 def j_max(grid: TorusGrid) -> int:
     """Largest dyadic block index carrying lattice content."""
     return math.ceil(math.log2(grid.n)) + 1
@@ -219,6 +302,18 @@ def to_spectral(f: GridField) -> SpectralField:
     """Forward transform, normalized so coeff(0) is the mean of f."""
     coeffs = np.fft.fftn(f.values) / f.grid.npoints
     return SpectralField(f.grid, coeffs)
+
+
+def rfft_coeffs(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Half-layout coefficients of real grid values, with any leading batch
+    axes; the first n/2 + 1 last-axis columns of to_spectral's."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.d, 0)), norm="forward")
+
+
+def irfft_values(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Real grid values of half-layout coefficients, with any leading batch
+    axes; the inverse of rfft_coeffs."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.d, 0)), norm="forward")
 
 
 def to_grid(F: SpectralField, check: bool = True) -> GridField:
@@ -258,20 +353,22 @@ def leray_project(components) -> VelocityField:
 
 def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Leray projection on a stacked coefficient array of shape (d,) + grid.shape,
-    with any leading batch axes.
+    or its half layout (scaled or not: the projection is per mode), with
+    any leading batch axes.
 
     Modes carrying an unpaired frequency index are zeroed outright: their
     derivative multiplier vanishes, so they would be invisible to the strain
     and sit outside the solver's search space.
     """
-    ks = wave_vectors(grid)
     d = grid.d
+    lattice = _lattice(d, grid.n, stack.shape[-1] != grid.n)
+    ks = lattice.waves
     comps = np.moveaxis(stack, -d - 1, 0)
     dot = np.zeros(comps.shape[1:], dtype=np.complex128)
     for j in range(d):
         dot += ks[j] * comps[j]
     # the zero mode divides by 1 here and is zeroed below
-    dot /= _lattice(d, grid.n).k2_safe
+    dot /= lattice.k2_safe
     out = np.empty_like(stack)
     for j, out_j in enumerate(np.moveaxis(out, -d - 1, 0)):
         np.multiply(ks[j], dot, out=out_j)
@@ -478,13 +575,17 @@ def restrict_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
 class Dealiaser:
     """3/2-rule transforms for one lattice (d, n), fine size m = 3n/2.
 
-    to_fine maps normalized full-layout coefficients, with any leading batch
-    axes, to real values on the m-grid; to_coarse is its adjoint. For
-    Hermitian input they equal ifftn(pad_coeffs(c, m)).real * m^d and
-    restrict_coeffs(fftn(v) / m^d, n), so the unpaired mode is split onto
-    +-n/2 and averaged back. Only the half spectrum along the last axis is
-    transformed, and each other axis is padded or restricted next to its
-    own transform, so no FFT runs over the zero band of the padding.
+    to_fine maps normalized coefficients in the half layout, with any
+    leading batch axes, to real values on the m-grid; it reads only the
+    first n/2 + 1 last-axis columns, so a full-layout stack gives the same.
+    to_coarse is its adjoint and returns the half layout. For Hermitian
+    input they equal ifftn(pad_coeffs(c, m)).real * m^d and the first
+    n/2 + 1 last-axis columns of restrict_coeffs(fftn(v) / m^d, n), so the
+    unpaired mode is split onto +-n/2 and averaged back; along the last
+    axis that average is the Hermitian one of the module docstring. Only
+    the half spectrum along the last axis is transformed, and each other
+    axis is padded or restricted next to its own transform, so no FFT runs
+    over the zero band of the padding.
     """
 
     def __init__(self, d: int, n: int):
@@ -502,11 +603,6 @@ class Dealiaser:
         self._axes = tuple((at(ax, slice(0, half)), at(ax, slice(half + 1, None)),
                             at(ax, slice(m - half + 1, None)), at(ax, half), at(ax, m - half))
                            for ax in range(d - 1))
-        # k -> -k along an axis keeps index 0 and reverses 1..n-1; over every
-        # axis but the last it is a product of such (destination, source) blocks
-        flip = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-        self._mirror = [((Ellipsis, *dst), (Ellipsis, *src))
-                        for dst, src in (zip(*block) for block in itertools.product(flip, repeat=d - 1))]
 
         weight = np.ones((n,) * d)
         for ax in range(d):
@@ -517,7 +613,8 @@ class Dealiaser:
         self.nyquist_weight = weight
 
     def to_fine(self, stack: np.ndarray) -> np.ndarray:
-        """Real m-grid values of coarse coefficients of shape batch + (n,)*d."""
+        """Real m-grid values of coarse coefficients of shape batch +
+        (n,)*(d-1) + (n/2+1,), or batch + (n,)*d."""
         m, half = self.m, self.n // 2
         src = stack[..., :half + 1]
         for ax, (low, high, fine_high, nyq, nyq_neg) in enumerate(self._axes):
@@ -533,7 +630,7 @@ class Dealiaser:
         return np.fft.irfft(src, n=m, axis=-1, norm="forward")
 
     def to_coarse(self, values: np.ndarray) -> np.ndarray:
-        """Coarse full-layout coefficients of real m-grid values of shape
+        """Coarse half-layout coefficients of real m-grid values of shape
         batch + (m,)*d; the adjoint of to_fine."""
         d, n, half = self.d, self.n, self.n // 2
         src = np.fft.rfft(values, axis=-1, norm="forward")[..., :half + 1]
@@ -543,24 +640,18 @@ class Dealiaser:
             # free the spent input first: the restricted copy then reuses
             # its memory instead of faulting in fresh pages
             del src
-            if ax == 0:
-                out = np.empty(values.shape[:-d] + (n,) * d, dtype=np.complex128)
-                src = out[..., :half + 1]
-            else:
-                src = np.empty(fine.shape[:axis] + (n,) + fine.shape[axis + 1:], dtype=np.complex128)
+            src = np.empty(fine.shape[:axis] + (n,) + fine.shape[axis + 1:], dtype=np.complex128)
             low, high, fine_high, nyq, nyq_neg = self._axes[ax]
             src[low] = fine[low]
             src[high] = fine[fine_high]
             np.add(fine[nyq], fine[nyq_neg], out=src[nyq])
             src[nyq] *= 0.5
-        # the negative last-axis frequencies follow by Hermitian symmetry
-        mirror_nyq = np.empty(out.shape[:-1], dtype=np.complex128)
-        for dst, origin in self._mirror:
-            np.conjugate(src[origin + (slice(half - 1, 0, -1),)], out=out[dst + (slice(half + 1, None),)])
-            np.conjugate(src[origin + (half,)], out=mirror_nyq[dst])
-        src[..., half] += mirror_nyq
-        src[..., half] *= 0.5
-        return out
+        # the last axis holds the fine +n/2 only; its -n/2 at k' is the
+        # conjugate of the +n/2 at -k'
+        nyquist = src[..., half]
+        nyquist += np.conjugate(src[_negated(n, d - 1) + (half,)])
+        nyquist *= 0.5
+        return src
 
 
 @lru_cache(maxsize=16)

@@ -59,14 +59,17 @@ from .spectral import (
     TorusGrid,
     VelocityField,
     TWO_PI,
+    _lattice,
     dealiaser,
     deriv_vectors,
+    expand_half,
+    half_scale,
     k_squared,
     l2_inner,
     lebesgue_norm,
     project_div_free,
     reciprocal_norm,
-    to_spectral,
+    rfft_coeffs,
 )
 
 _DELTA_SINGULAR = 1e-4
@@ -112,8 +115,8 @@ class StokesReport:
 @lru_cache(maxsize=32)
 def _newtonian_mult(grid: TorusGrid, penalty) -> np.ndarray:
     """Inverse of the Newtonian (plus penalty) coefficient Hessian on the
-    lattice: the solver's preconditioner M, 0 at the zero mode."""
-    k2 = k_squared(grid)
+    half-layout lattice: the solver's preconditioner M, 0 at the zero mode."""
+    k2 = _lattice(grid.d, grid.n, half=True).k2
     vol_factor = TWO_PI ** grid.d
     hess = vol_factor * (0.5 * k2)
     if penalty is not None:
@@ -125,9 +128,23 @@ def _newtonian_mult(grid: TorusGrid, penalty) -> np.ndarray:
     return inv
 
 
+@lru_cache(maxsize=32)
+def _half_multipliers(d: int, n: int):
+    """The strain's multipliers 0.5 i k_a and the divergence's i k_a on the
+    scaled half layout, read-only. The dealiased transforms take and
+    return the unscaled half, so the strain's remove the column scale and
+    the divergence's put it back."""
+    scale = half_scale(n)
+    derivs = _lattice(d, n, half=True).derivs
+    strain, div = [0.5j * k / scale for k in derivs], [1j * k * scale for k in derivs]
+    for a in strain + div:
+        a.flags.writeable = False
+    return strain, div
+
+
 def newtonian_start(forcing: np.ndarray, grid: TorusGrid, penalty) -> np.ndarray:
-    """Newtonian solve M P f of forcing coefficient stacks f = rho g of shape
-    (d,) + grid.shape, with any leading member axes: the ray of the
+    """Newtonian solve M P f of forcing coefficient stacks f = rho g in the
+    scaled half layout, with any leading member axes: the ray of the
     solver's cold start, and the exact minimizer for p = 2 and unit
     viscosity. Applied to a change of forcing it predicts the change of the
     minimizer."""
@@ -144,9 +161,14 @@ class _Workspace:
 
     The members share the grid, p, delta, g and the penalty; the density,
     and with it the viscosity and the forcing, carries a leading member
-    axis. Coefficient stacks have shape (k, d) + grid.shape, and sel picks
-    the k members they belong to: a basic slice for the whole batch, which
-    reads the member data without copying, or an index array.
+    axis. Every coefficient stack the workspace takes or returns (the
+    iterates, gradients and directions, the forcing, the force balance) is
+    in the scaled half layout of spectral (contract_half), of shape
+    (k,) + stack_shape = (k, d) + (n,)*(d-1) + (n/2+1,), so that the
+    minimizer's inner products are plain dot products of flat real rows;
+    velocity_from_stack and stack_of convert at the public boundary. sel
+    picks the k members a stack belongs to: a basic slice for the whole
+    batch, which reads the member data without copying, or an index array.
 
     Every coefficient stack the workspace is given must be divergence-free,
     k.c = 0 with the derivative wavevectors, as the projection leaves the
@@ -172,14 +194,14 @@ class _Workspace:
         self.delta = float(prob.params.delta)
         self.p = prob.params.p
         self.d = grid.d
-        self.stack_shape = (self.d,) + grid.shape
+        half = grid.n // 2 + 1
+        self.stack_shape = (self.d,) + grid.shape[:-1] + (half,)
         self.vol_factor = TWO_PI ** self.d
         self.engine = dealiaser(grid.d, grid.n)
         self.hfd = (TWO_PI / self.engine.m) ** self.d
 
-        self.kd = deriv_vectors(grid)
-        self.ikd = [1j * k for k in self.kd]
-        self.k2 = k_squared(grid)
+        self.strain_mult, self.div_mult = _half_multipliers(grid.d, grid.n)
+        self.k2 = _lattice(grid.d, grid.n, half=True).k2
         last = (self.d - 1, self.d - 1)
         self.pairs = tuple((i, j) for i in range(self.d) for j in range(i, self.d) if (i, j) != last)
         self.diagonal = [q for q, (i, j) in enumerate(self.pairs) if i == j]
@@ -193,13 +215,14 @@ class _Workspace:
         self.pair_of = [[entries.index((min(a, j), max(a, j))) for j in range(self.d)]
                         for a in range(self.d)]
 
-        rho_hat = np.stack([to_spectral(member.rho).coeffs for member in problems])
+        rho_hat = rfft_coeffs(_rows([member.rho.values for member in problems]), grid)
         rho_fine = self.engine.to_fine(rho_hat)
         self.nu_fine = _rows([np.asarray(member.law(r)) for member, r in zip(problems, rho_fine)])
+        rho_hat *= half_scale(grid.n)
         self.forcing = rho_hat[:, None] * np.reshape(prob.params.g, (-1,) + (1,) * self.d)
         # the work integral is linear in u: its fine-grid quadrature of the
         # padded fields, summed in coefficient space
-        self.work_weights = self.engine.nyquist_weight * self.forcing
+        self.work_weights = self.engine.nyquist_weight[..., :half] * self.forcing
 
         if prob.penalty is not None:
             N, k = prob.penalty
@@ -217,25 +240,25 @@ class _Workspace:
         """The velocity of a coefficient stack, unchecked: the projection
         enforces the subspace constraints by construction, and a relative
         re-check would reject near-zero fields made of rounding dust."""
-        comps = tuple(SpectralField(self.grid, stack[j].copy()) for j in range(self.d))
-        return VelocityField(comps, check=False)
+        return VelocityField.from_half_stack(stack, self.grid)
+
+    @staticmethod
+    def stack_of(*velocities) -> np.ndarray:
+        """The coefficient stacks of velocities, one member each."""
+        return np.stack([u.half_stack for u in velocities])
 
     def coeffs(self, x_flat: np.ndarray) -> np.ndarray:
-        """Coefficient stacks of flat real rows of shape (k, 2 d n^d)."""
+        """Coefficient stacks of flat real rows."""
         return x_flat.view(np.complex128).reshape((len(x_flat),) + self.stack_shape)
 
     # -- fine-grid evaluation --------------------------------------------------
 
     def _strain_fine(self, c: np.ndarray) -> np.ndarray:
-        """Strain entries self.pairs on the quadrature grid, shape (k, len(pairs)) + fine.
-        to_fine reads only the last axis's first n/2 + 1 coefficients, so
-        only those are formed."""
-        half = slice(0, self.grid.n // 2 + 1)
-        kd = [k[..., half] for k in self.kd]
-        c = c[..., half]
+        """Strain entries self.pairs on the quadrature grid, shape (k, len(pairs)) + fine."""
+        mult = self.strain_mult
         s_hat = np.empty((len(c), len(self.pairs)) + c.shape[2:], dtype=np.complex128)
         for q, (i, j) in enumerate(self.pairs):
-            s_hat[:, q] = 0.5j * (kd[i] * c[:, j] + kd[j] * c[:, i])
+            np.add(mult[i] * c[:, j], mult[j] * c[:, i], out=s_hat[:, q])
         return self.engine.to_fine(s_hat)
 
     def _contract(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -290,7 +313,7 @@ class _Workspace:
         out = self.forcing[sel].copy()
         for j in range(self.d):
             for a in range(self.d):
-                out[:, j] += self.ikd[a] * T[self.pair_of[a][j]]
+                out[:, j] += self.div_mult[a] * T[self.pair_of[a][j]]
         return out
 
     def value_grad(self, c: np.ndarray, sel=slice(None), S=None):
@@ -593,7 +616,7 @@ def _minimize_batch(ws: _Workspace, x: np.ndarray, tol, max_iter, callback=None)
 def functional_value(prob: StokesProblem, u: VelocityField) -> float:
     """Energy of a trial velocity, normalized so the zero field gives zero."""
     ws = _Workspace([prob])
-    c = u.coeff_stack()[None]
+    c = ws.stack_of(u)
     return float(ws._energy(c, ws._eval_state(c).mag2)[0])
 
 
@@ -604,15 +627,16 @@ def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
     if prob.params.p < 2 and prob.params.delta == 0:
         raise ValueError("gradient is singular for p < 2 at delta = 0; use delta > 0")
     ws = _Workspace([prob])
-    _, g, _ = ws.value_grad(u.coeff_stack()[None])
+    _, g, _ = ws.value_grad(ws.stack_of(u))
     return ws.velocity_from_stack(g[0] / ws.vol_factor)
 
 
 def _solve(ws: _Workspace, problems, u0, tol=1e-8, max_iter=10000, strict=False, callback=None):
     """solve_stokes_batch on the workspace ws of problems, from u0: None or
-    the members' coefficient stacks, which are projected here. Returns the
-    (velocity, report) pairs, the returned coefficient stacks and their
-    fine-grid |Du|^2, with ws.delta back at the requested delta."""
+    the members' coefficient stacks in the workspace's layout, which are
+    projected here. Returns the (velocity, report) pairs, the returned
+    coefficient stacks and their fine-grid |Du|^2, with ws.delta back at
+    the requested delta."""
     params = problems[0].params
     B = len(problems)
     if problems[0].penalty is None and np.any(ws.nu_fine.reshape(B, -1).max(axis=1) == 0.0):
@@ -716,7 +740,7 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         for u in u0:
             if u.grid != ws.grid:
                 raise ValueError(f"u0 lives on {u.grid}, the problems on {ws.grid}")
-        u0 = np.stack([comp.coeffs for u in u0 for comp in u.components]).reshape((B,) + ws.stack_shape)
+        u0 = ws.stack_of(*u0)
     return _solve(ws, problems, u0, tol, max_iter, strict, callback)[0]
 
 
@@ -744,7 +768,7 @@ def energy_balance_residual(prob: StokesProblem, u: VelocityField) -> float:
     the fine grid so a converged minimizer balances to solver tolerance.
     Unlike solution_diagnostics it takes no L^beta norm, so it serves beta < 1."""
     ws = _Workspace([prob])
-    c = u.coeff_stack()[None]
+    c = ws.stack_of(u)
     return float(ws.energy_balance(c, ws._eval_state(c))[2][0])
 
 
@@ -775,7 +799,7 @@ def monotonicity_gaps(prob: StokesProblem, u: VelocityField, phis):
     """
     ws = _Workspace([prob])
     # u is member 0 of one strain batch; its size-1 axis broadcasts in the pairings
-    S, _, a = ws._eval_state(np.stack([v.coeff_stack() for v in [u, *phis]]))
+    S, _, a = ws._eval_state(ws.stack_of(u, *phis))
 
     u0, rest = slice(0, 1), slice(1, None)
     t1, t2, t3, t4 = (ws.hfd * _sum_per_member(a[i] * ws._contract(S[i], S[j]))
@@ -829,10 +853,11 @@ def recover_pressure(prob: StokesProblem, u: VelocityField) -> SpectralField:
     rho g + div(stress); at a converged minimizer the projected remainder
     is at solver tolerance."""
     ws = _Workspace([prob])
-    R = ws.force_balance(ws._eval_state(u.coeff_stack()[None]))[0]
-    kdotR = sum(ws.kd[j] * R[j] for j in range(ws.d))
+    R = expand_half(ws.force_balance(ws._eval_state(ws.stack_of(u)))[0], ws.grid)
+    kd, k2 = deriv_vectors(ws.grid), k_squared(ws.grid)
+    kdotR = sum(kd[j] * R[j] for j in range(ws.d))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi_hat = np.where(ws.k2 > 0, -1j * kdotR / np.where(ws.k2 > 0, ws.k2, 1.0), 0.0)
+        pi_hat = np.where(k2 > 0, -1j * kdotR / np.where(k2 > 0, k2, 1.0), 0.0)
     return SpectralField(ws.grid, pi_hat)
 
 
@@ -840,5 +865,5 @@ def solution_diagnostics(prob: StokesProblem, u: VelocityField) -> dict:
     """The L^beta norm of |Du| and the energy balance (dissipation plus
     penalty, work, residual) of one solved velocity."""
     ws = _Workspace([prob])
-    c = u.coeff_stack()[None]
+    c = ws.stack_of(u)
     return _diagnostics(ws, c, ws._eval_state(c).mag2, prob.params.beta)

@@ -28,14 +28,13 @@ from .errors import (_EXPONENT, _FINITE, _NONNEGATIVE, _POSITIVE, CflViolation,
 from .rheology import FluidParams
 from .spectral import (
     GridField,
-    SpectralField,
     VelocityField,
+    _lattice,
     dealiaser,
-    deriv_vectors,
-    k_squared,
+    irfft_values,
     lebesgue_norm,
-    to_grid,
-    to_spectral,
+    periodic_splines,
+    rfft_coeffs,
 )
 
 
@@ -85,13 +84,14 @@ def _drifted(stack: np.ndarray, mean_velocity) -> np.ndarray:
 
 def _flux_divergence(rho_hat: np.ndarray, u_fine: np.ndarray, grid, out=None,
                      prod=None) -> np.ndarray:
-    """Coefficients of div(rho u), the product dealiased by the 3/2 rule;
-    written into out, and the fine-grid product into prod, where given."""
+    """Half-layout coefficients of div(rho u) from those of rho, the product
+    dealiased by the 3/2 rule; written into out, and the fine-grid product
+    into prod, where given."""
     engine = dealiaser(grid.d, grid.n)
-    kd = deriv_vectors(grid)
+    kd = _lattice(grid.d, grid.n, half=True).derivs
     flux_hat = engine.to_coarse(np.multiply(engine.to_fine(rho_hat), u_fine, out=prod))
     if out is None:
-        out = np.empty(grid.shape, dtype=np.complex128)
+        out = np.empty(flux_hat.shape[1:], dtype=np.complex128)
     out.fill(0.0)  # summed from +0, so a mode whose terms are signed zeros reads +0
     for j in range(grid.d):
         flux_hat[j] *= kd[j]
@@ -101,9 +101,13 @@ def _flux_divergence(rho_hat: np.ndarray, u_fine: np.ndarray, grid, out=None,
 
 
 def _rk4_substeps(rho: GridField, u: VelocityField, tau: float, m: int, mean_velocity):
+    """m RK4 substeps of length tau. The state y and the stages are the
+    density's (unscaled) half-layout coefficients: the step takes grid
+    values in and gives grid values out, through rfft_coeffs and
+    irfft_values."""
     grid = rho.grid
     u_fine = _drifted(u.fine_stack, mean_velocity)
-    y = to_spectral(rho).coeffs
+    y = rfft_coeffs(rho.values, grid)
     # one working set for the whole call: a stage frees no megabytes for
     # the allocator to return to the kernel and the next stage to fault in
     prod = np.empty(u_fine.shape)
@@ -122,7 +126,7 @@ def _rk4_substeps(rho: GridField, u: VelocityField, tau: float, m: int, mean_vel
         k1 += k4
         k1 *= tau / 6.0
         y -= k1
-    return to_grid(SpectralField(grid, y))
+    return GridField(grid, irfft_values(y, grid), check=False)
 
 
 def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: int,
@@ -130,9 +134,12 @@ def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: i
     grid = rho.grid
     h = grid.h
     u_idx = u.grid_stack / h
-    if mean_velocity is not None:
+    if mean_velocity is None:
+        splines = u.spline_stack
+    else:
         for j, cj in enumerate(mean_velocity):
             u_idx[j] += cj / h
+        splines = periodic_splines(u_idx)  # the drift changes the filtered values
     base = np.indices(grid.shape, dtype=np.float64, sparse=True)
 
     def trace_back(c, v, out):
@@ -152,7 +159,8 @@ def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: i
     for _ in range(m):
         trace_back(0.5 * tau, u_idx, point)
         for j in range(grid.d):
-            map_coordinates(u_idx[j], point, order=3, mode="grid-wrap", output=u_mid[j])
+            map_coordinates(splines[j], point, order=3, mode="grid-wrap", output=u_mid[j],
+                            prefilter=False)
         trace_back(tau, u_mid, point)
         vals = map_coordinates(vals, point, order=3, mode="grid-wrap")
         vals += mean0 - vals.mean()
@@ -338,10 +346,10 @@ def commutator_residual(rho: GridField, u: VelocityField, epsilon: float,
         )
     alpha = _EXPONENT.check("commutator exponent alpha", 1.0 / (1.0 / params.beta + 1.0 / params.q))
 
-    smooth = np.exp(-0.5 * epsilon * epsilon * k_squared(grid))
+    smooth = np.exp(-0.5 * epsilon * epsilon * _lattice(grid.d, grid.n, half=True).k2)
     u_fine = _drifted(u.fine_stack, mean_velocity)
-    rho_hat = to_spectral(rho).coeffs
+    rho_hat = rfft_coeffs(rho.values, grid)
     term1 = _flux_divergence(smooth * rho_hat, u_fine, grid)
     term2 = smooth * _flux_divergence(rho_hat, u_fine, grid)
-    defect = to_grid(SpectralField(grid, term1 - term2), check=False)
+    defect = GridField(grid, irfft_values(term1 - term2, grid), check=False)
     return lebesgue_norm(defect, alpha)

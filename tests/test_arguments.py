@@ -32,7 +32,7 @@ from nnstokes import (
     solve_stokes_penalized,
     to_spectral,
 )
-from nnstokes.fields import random_velocities, random_velocity, sines2_field
+from nnstokes.fields import random_band_field, random_velocities, random_velocity, sines2_field
 from nnstokes.spectral import k_squared
 from nnstokes.stokes import _Workspace
 from nnstokes.transport import advect_step
@@ -52,7 +52,7 @@ def inputs():
     rho = sines2_field(grid, offset=1.0, a=0.5, b=0.25)
     prob = StokesProblem(rho, FluidParams(p=2.0, q=1.5), constant_law(1.0))
     ws = _Workspace([prob])
-    c = shear.coeff_stack()[None]
+    c = ws.stack_of(shear)
     return {
         "rho": rho,
         "ones": GridField(grid, np.ones(grid.shape)),
@@ -94,6 +94,14 @@ def band_limited(u, kmax):
     rounding."""
     c = np.abs(u.coeff_stack())
     return 0.0 < 1e12 * c[:, k_squared(u.grid) > kmax * kmax].max() < c.max()
+
+
+def band_limited_field(f, kmax):
+    """Whether the zero-mean part of density f is nonzero with no mode
+    beyond |k| = kmax above rounding."""
+    c = np.abs(to_spectral(f).coeffs)
+    c[(0,) * f.grid.d] = 0.0
+    return 0.0 < 1e12 * c[k_squared(f.grid) > kmax * kmax].max() < c.max()
 
 
 BESOV = pytest.approx(BESOV_OF_THREE, rel=1e-12)
@@ -156,6 +164,17 @@ CASES = [
     Case("random_velocities kmax", "kmax",
          lambda e, kmax: random_velocities(e["rho"].grid, [1, 2], kmax=kmax),
          (NAN, INF, -INF, 0.0), 2.5, lambda e, us: len(us) == 2 and all(band_limited(u, 2.5) for u in us)),
+    # a band below |k| = 1 is empty: these drew the zero velocity, or the offset alone
+    Case("random_velocity kmax below 1", "kmax",
+         lambda e, kmax: random_velocity(e["rho"].grid, seed=1, kmax=kmax),
+         (0.5, BELOW_ONE), 1.0, lambda e, u: band_limited(u, 1.0)),
+    Case("random_velocities kmax below 1", "kmax",
+         lambda e, kmax: random_velocities(e["rho"].grid, [1, 2], kmax=kmax),
+         (0.5, BELOW_ONE), 1.0, lambda e, us: len(us) == 2 and all(band_limited(u, 1.0) for u in us)),
+    Case("random_band_field kmax", "kmax",
+         lambda e, kmax: random_band_field(e["rho"].grid, seed=1, kmax=kmax, offset=2.0),
+         (NAN, INF, -INF, 0.5, BELOW_ONE), 1.0,
+         lambda e, f: np.ptp(f.values) > 0 and band_limited_field(f, 1.0)),
 ]
 IDS = [case.site for case in CASES]
 

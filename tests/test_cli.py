@@ -181,6 +181,15 @@ class TestPackageErrors:
         assert err.startswith("error: viscosity vanishes")
         assert "Traceback" not in err
 
+    def test_empty_random_band_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = SUBCRITICAL.replace("kind = sines2", "kind = random_band")
+        text = re.sub(r"(?m)^params = .*$", "params = 0.5, 0.5, 1.5", text, count=1)
+        assert main(["simulate", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "init.kind random_band: kmax must be a finite number >= 1.0, got 0.5" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("exc", [NonHermitianField, UnresolvableMollifier])
     def test_input_errors_exit_2(self, tmp_path, capsys, monkeypatch, exc):
         def fail(prob):

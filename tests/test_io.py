@@ -278,6 +278,17 @@ class TestParseConfigErrors:
         with pytest.raises(BadValue, match="comma-separated"):
             parse_config(text)
 
+    @pytest.mark.parametrize("kmax", ["0.5", "0.999", "-3.0"])
+    def test_empty_random_band_reported_at_its_line(self, kmax):
+        """A band below |k| = 1 holds no mode: it used to parse to the
+        constant offset field."""
+        text = BASE_CONFIG.replace("kind = sines2\nparams = 1.0, 0.5, 0.25",
+                                   f"kind = random_band\nparams = {kmax}, 0.5, 1.5")
+        with pytest.raises(BadValue) as err:
+            parse_config(text)
+        assert str(err.value).splitlines()[1:] == [
+            f"  line 13: init.kind random_band: kmax must be a finite number >= 1.0, got {kmax}"]
+
     def test_gravity_arity(self):
         text = BASE_CONFIG.replace("q = 1.5", "q = 1.5\ng = 1.0, 0.0, 0.0")
         with pytest.raises(BadValue, match="components"):

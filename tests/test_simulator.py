@@ -372,9 +372,9 @@ class TestSingularCoupledRun:
         assert max(series.energy_residual) <= 1e-6
         # 60, 49, 44 with the full strain stack; the traceless one rounds
         # differently, and this singular solve's count follows the rounding:
-        # 64, 50, 45 with it; the ray-scaled cold start and the formed first
-        # trials give the counts below
-        assert series.iters == [75, 49, 43]
+        # 64, 50, 45 with it; 75, 49, 43 with the ray-scaled cold start and
+        # the formed first trials; the half-layout solver gives the counts below
+        assert series.iters == [78, 49, 42]
 
 
 def count_calls(monkeypatch, owner, name, counts):
@@ -421,16 +421,19 @@ class TestOneWorkspacePerStep:
                 assert getattr(result.series, name)[row] == value, name
 
     def test_shipped_run_transforms_each_density_once(self):
-        """newtonian2d.cfg: 74 transforms and 37 workspaces for 37 solves
-        and 36 RK4 steps (116 and 42 when the predictor and the rows made
-        their own)."""
+        """newtonian2d.cfg: 37 workspaces and 74 transforms, one for the
+        smoothing of rho0 and one for each of 37 solves and 36 RK4 steps
+        (116 and 42 when the predictor and the rows made their own). The
+        solves and steps take only the half spectrum of their densities,
+        through rfft_coeffs; before that, all 74 went through to_spectral."""
         config = parse_config((ROOT / "configs" / "newtonian2d.cfg").read_text())
-        counts = {"to_spectral": 0, "_Workspace": 0}
+        counts = {"to_spectral": 0, "rfft_coeffs": 0, "_Workspace": 0}
         with pytest.MonkeyPatch.context() as monkeypatch:
             count_calls(monkeypatch, spectral, "to_spectral", counts)
+            count_calls(monkeypatch, spectral, "rfft_coeffs", counts)
             count_calls(monkeypatch, stokes, "_Workspace", counts)
             assert run(config).completed
-        assert counts == {"to_spectral": 74, "_Workspace": 37}
+        assert counts == {"to_spectral": 1, "rfft_coeffs": 73, "_Workspace": 37}
 
 
 class TestTimeGrid:

@@ -34,14 +34,19 @@ from nnstokes import (
 from nnstokes.fields import random_band_field
 from nnstokes.spectral import (
     Dealiaser,
+    contract_half,
     dealiaser,
     deriv_vectors,
+    expand_half,
     fine_size,
+    half_scale,
+    irfft_values,
     k_squared,
     l2_inner,
     pad_coeffs,
     project_div_free,
     restrict_coeffs,
+    rfft_coeffs,
     wave_vectors,
 )
 
@@ -242,6 +247,19 @@ class TestProjectDivFree:
         out = project_div_free(stack, grid)
         assert out.tobytes() == leray_reference(stack, grid).tobytes()
         assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_half_layout_is_the_first_columns(self, d, n):
+        """The projection is per mode: on the half layout it gives the first
+        n/2 + 1 last-axis columns of the full one, bit for bit."""
+        grid = TorusGrid(d, n)
+        gen = np.random.default_rng(d + n)
+        shape = (2, d) + grid.shape
+        stack = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        half = np.ascontiguousarray(stack[..., :n // 2 + 1])
+        assert project_div_free(half, grid).tobytes() == \
+            np.ascontiguousarray(project_div_free(stack, grid)[..., :n // 2 + 1]).tobytes()
 
 
 class TestVelocityField:
@@ -517,22 +535,66 @@ class TestDealiaser:
         values = np.random.default_rng(n - d).standard_normal(self.BATCH + (m,) * d)
         coarse = engine.to_coarse(values)
         ref = np.stack([restrict_coeffs(np.fft.fftn(v) / m ** d, n)
-                        for v in self.members(values, d)])
-        assert coarse.shape == self.BATCH + (n,) * d
+                        for v in self.members(values, d)])[..., :n // 2 + 1]
+        assert coarse.shape == self.BATCH + (n,) * (d - 1) + (n // 2 + 1,)
         assert np.abs(self.members(coarse, d) - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the last-axis Nyquist column is the Hermitian average of the fine +-n/2
+        assert np.abs(coarse[..., n // 2]).min() > 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nyquist_column_is_averaged(self, d):
+        """A fine field made of the single last-axis mode exp(i (n/2) x_d) at
+        k' has its coarse Nyquist column at k' and -k' (each half of the
+        real field's +-n/2 pair), not at k' alone."""
+        n = 8
+        engine = dealiaser(d, n)
+        m = fine_size(n)
+        x = np.ix_(*[np.arange(m) * TWO_PI / m] * d)
+        coarse = engine.to_coarse(np.broadcast_to(np.cos(x[0] + (n // 2) * x[-1]), (m,) * d))
+        lead = (1,) + (0,) * (d - 2)
+        expected = np.zeros((n,) * (d - 1), dtype=np.complex128)
+        expected[lead] = expected[tuple(-i % n for i in lead)] = 0.25
+        assert np.abs(coarse[..., n // 2] - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_adjoint(self, d, n):
-        """sum_x to_fine(c) v = m^d Re sum_k c conj(to_coarse(v))."""
+        """sum_x to_fine(c) v = m^d Re sum_k c conj(to_coarse(v)), the sum over
+        the full layout taken as the real dot product of the scaled half
+        layouts."""
         engine = dealiaser(d, n)
         m = fine_size(n)
+        grid = TorusGrid(d, n)
         coeffs = self.hermitian_stack(d, n, seed=2 * n + d)
         values = np.random.default_rng(n + 7 * d).standard_normal(self.BATCH + (m,) * d)
-        fine = engine.to_fine(coeffs)
+        half = contract_half(coeffs, grid)
+        fine = engine.to_fine(half / half_scale(n))
         lhs = float(np.sum(fine * values))
-        rhs = m ** d * float(np.vdot(engine.to_coarse(values), coeffs).real)
+        coarse = engine.to_coarse(values) * half_scale(n)
+        rhs = m ** d * float(np.dot(coarse.view(np.float64).ravel(), half.view(np.float64).ravel()))
         assert abs(lhs - rhs) <= 1e-13 * float(np.sum(np.abs(fine * values)))
+
+    @pytest.mark.parametrize("d,n", [(2, 8), (2, 128), (3, 16)])
+    def test_scaled_half_dot_is_the_l2_inner_product(self, d, n):
+        grid = TorusGrid(d, n)
+        a = self.hermitian_stack(d, n, seed=5)
+        b = self.hermitian_stack(d, n, seed=6)
+        ha, hb = (contract_half(x, grid).view(np.float64).ravel() for x in (a, b))
+        assert TWO_PI ** d * float(np.dot(ha, hb)) == pytest.approx(l2_inner(grid, a, b), rel=1e-14)
+
+    @pytest.mark.parametrize("d,n", [(2, 8), (3, 16)])
+    def test_layouts_round_trip(self, d, n):
+        """expand_half restores the full layout of real fields, and
+        rfft_coeffs and irfft_values are the half of to_spectral and the
+        inverse of rfft_coeffs."""
+        grid = TorusGrid(d, n)
+        values = np.random.default_rng(9).standard_normal(self.BATCH + grid.shape)
+        full = np.fft.fftn(values, axes=tuple(range(-d, 0))) / n ** d
+        back = expand_half(contract_half(full, grid), grid)
+        assert np.abs(back - full).max() <= 1e-16 * n ** d * np.abs(full).max()
+        half = rfft_coeffs(values, grid)
+        assert np.abs(half - full[..., :n // 2 + 1]).max() <= 1e-15 * np.abs(full).max()
+        assert np.abs(irfft_values(half, grid) - values).max() <= 1e-14 * np.abs(values).max()
 
     @pytest.mark.parametrize("d,n", [(2, 8), (2, 32), (3, 16)])
     def test_product_quadrature_from_coefficients(self, d, n):
@@ -593,7 +655,7 @@ class TestDealiaser:
             values = gen.standard_normal((size,) + (m,) * d)
             coarse = engine.to_coarse(values)
             assert np.array_equal(coarse, Dealiaser(d, n).to_coarse(values))
-            ref = np.stack([restrict_coeffs(np.fft.fftn(v) / m ** d, n) for v in values])
+            ref = np.stack([restrict_coeffs(np.fft.fftn(v) / m ** d, n) for v in values])[..., :n // 2 + 1]
             assert np.abs(coarse - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_engine_is_shared_per_lattice(self):

@@ -46,7 +46,8 @@ from nnstokes.fields import (
 )
 from nnstokes.rheology import _power_factor
 from nnstokes.simulator import velocity_l2_distance, velocity_l2_norm
-from nnstokes.spectral import deriv_vectors, fine_size, k_squared, pad_coeffs, project_div_free
+from nnstokes.spectral import (_lattice, contract_half, deriv_vectors, expand_half, fine_size, half_scale,
+                               k_squared, pad_coeffs, project_div_free, rfft_coeffs)
 
 TWO_PI = 2.0 * math.pi
 
@@ -562,8 +563,9 @@ class TestSolve3D:
     def test_newtonian_solve_is_the_start(self, grid3d):
         prob = problem3d(grid3d, 2.0)
         u, report = solve_stokes(prob, strict=True)
-        rho_hat = to_spectral(prob.rho).coeffs
-        start = stokes.newtonian_start(np.multiply.outer(prob.params.g, rho_hat), grid3d, None)
+        rho_hat = contract_half(to_spectral(prob.rho).coeffs, grid3d)
+        start = expand_half(stokes.newtonian_start(np.multiply.outer(prob.params.g, rho_hat), grid3d, None),
+                            grid3d)
         assert report.iterations == 0
         assert np.abs(u.coeff_stack() - start).max() <= 1e-12 * np.abs(start).max()
 
@@ -591,10 +593,10 @@ class TestStrainContraction:
         grid = TorusGrid(d, n)
         rho = random_band_field(grid, seed=5, kmax=3, amplitude=0.4, offset=1.2)
         ws = stokes._Workspace([StokesProblem(rho, FluidParams(p=3.0, q=1.5, d=d), constant_law(1.0))])
-        a, b = (v.coeff_stack() for v in random_velocities(grid, [6, 7], kmax=n // 2))
-        A, B = self.full_strain(ws.engine, a), self.full_strain(ws.engine, b)
-        S = ws._strain_fine(np.stack([a, b]))
-        for got, ref in ((ws._eval_state(a[None]).mag2[0], np.einsum("ij...,ij...->...", A, A)),
+        u, v = random_velocities(grid, [6, 7], kmax=n // 2)
+        A, B = self.full_strain(ws.engine, u.coeff_stack()), self.full_strain(ws.engine, v.coeff_stack())
+        S = ws._strain_fine(ws.stack_of(u, v))
+        for got, ref in ((ws._eval_state(ws.stack_of(u)).mag2[0], np.einsum("ij...,ij...->...", A, A)),
                          (ws._contract(S[:1], S[1:])[0], np.einsum("ij...,ij...->...", A, B))):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -636,6 +638,31 @@ class TestSolverPaths:
         assert report.stop_reason == reason
 
 
+class TestHalfLayout:
+    """The solver carries the scaled half layout and expands to the full
+    layout only at its exit."""
+
+    @pytest.mark.parametrize("d, n, p", [(2, 16, 3.0), (2, 16, 1.5), (3, 8, 3.0)])
+    def test_solved_velocity_is_valid_and_hermitian(self, d, n, p):
+        grid = TorusGrid(d, n)
+        rho = random_band_field(grid, seed=5, kmax=3, amplitude=0.4, offset=1.2)
+        prob = StokesProblem(rho, FluidParams(p=p, q=1.5, d=d), constant_law(1.0))
+        u, report = solve_stokes(prob, strict=True)
+        assert report.iterations > 0
+        u.validate()
+        negated = tuple(-np.arange(n) % n for _ in range(d))
+        for c in u.components:
+            mirror = np.conj(c.coeffs[np.ix_(*negated)])
+            # the negative last-axis frequencies are the conjugates themselves
+            assert np.array_equal(c.coeffs[..., n // 2 + 1:], mirror[..., n // 2 + 1:])
+            assert np.abs(c.coeffs - mirror).max() <= 1e-14 * np.abs(c.coeffs).max()
+            to_grid(c)  # raises NonHermitianField on an imaginary residue
+        # the velocity keeps the solver's stack, of which it is the expansion
+        half = stokes._Workspace.stack_of(u)[0]
+        assert np.array_equal(expand_half(half, grid), u.coeff_stack())
+        assert np.abs(half - contract_half(u.coeff_stack(), grid)).max() <= 1e-15 * np.abs(half).max()
+
+
 class TestSingularSolve:
     """1 < p < 2 at delta = 0 minimizes the delta = 1e-4 energy once, from
     the same start as the explicit delta = 1e-4 solve."""
@@ -662,9 +689,10 @@ class TestNewtonianStart:
     @staticmethod
     def inline_cold_start(prob):
         """The cold start as solve_stokes_batch first formed it, with the
-        multiplier built as _Workspace first built it."""
+        multiplier built as _Workspace first built it, in the scaled half
+        layout."""
         grid = prob.rho.grid
-        k2 = k_squared(grid)
+        k2 = _lattice(grid.d, grid.n, half=True).k2
         vol_factor = TWO_PI ** grid.d
         hess = vol_factor * (0.5 * k2)
         if prob.penalty is not None:
@@ -673,7 +701,7 @@ class TestNewtonianStart:
             hess = hess + vol_factor * pen_mult / N
         with np.errstate(divide="ignore"):
             precond_mult = np.where(k2 > 0, 1.0 / np.where(k2 > 0, hess, 1.0), 0.0)
-        rho_hat = to_spectral(prob.rho).coeffs[None]
+        rho_hat = rfft_coeffs(prob.rho.values, grid)[None] * half_scale(grid.n)
         forcing = np.stack([rho_hat * gj for gj in prob.params.g], axis=1)
         return precond_mult, precond_mult * vol_factor * project_div_free(forcing.copy(), grid)
 
@@ -761,7 +789,7 @@ class TestFormedTrials:
         grid = TorusGrid(d, n)
         rho = random_band_field(grid, seed=5, kmax=3, amplitude=0.4, offset=1.2)
         ws = stokes._Workspace([StokesProblem(rho, FluidParams(p=3.0, q=1.5, d=d), constant_law(1.0))])
-        x, w = (v.coeff_stack()[None] for v in random_velocities(grid, [6, 7], kmax=n // 2))
+        x, w = (ws.stack_of(v) for v in random_velocities(grid, [6, 7], kmax=n // 2))
         state = ws._eval_state(x)
         _, Sw = ws.curvature_along(state, w)
         alpha = 0.37

@@ -25,9 +25,10 @@ from nnstokes import (
     smooth_clamp,
     speed_sup,
 )
-from nnstokes import spectral
+from nnstokes import spectral, transport
 from nnstokes.fields import random_band_field, random_velocity, sines2_field
-from nnstokes.spectral import dealiaser, deriv_vectors, fine_size, to_grid, to_spectral
+from nnstokes.spectral import (_lattice, dealiaser, fine_size, irfft_values, restrict_coeffs, rfft_coeffs,
+                               to_grid, to_spectral)
 from nnstokes.transport import _cfl_cap, _substep_count
 
 TWO_PI = 2.0 * math.pi
@@ -260,28 +261,35 @@ class TestSpeedSup:
         assert speed_sup(zero_velocity(grid2d), mean_velocity=(3.0, 4.0)) == pytest.approx(5.0)
 
 
-def reference_rk4(rho, u, tau, m, mean_velocity=None):
+def reference_rk4(rho, u, tau, m, mean_velocity=None, full_layout=False):
     """The out-of-place stage loop that _rk4_substeps replaced: every stage
-    and product in a fresh array."""
+    and product in a fresh array, on the half layout. With full_layout it
+    runs on the full layout instead, as the loop did before the half
+    layout, restricting by the per-axis reference."""
     grid = rho.grid
     engine = dealiaser(grid.d, grid.n)
-    kd = deriv_vectors(grid)
+    kd = _lattice(grid.d, grid.n, half=not full_layout).derivs
     u_fine = engine.to_fine(u.coeff_stack())
     for j, cj in enumerate(mean_velocity or ()):
         u_fine[j] += cj
 
+    def to_coarse(values):
+        if not full_layout:
+            return engine.to_coarse(values)
+        return np.stack([restrict_coeffs(np.fft.fftn(v) / engine.m ** grid.d, grid.n) for v in values])
+
     def flux_divergence(rho_hat):
-        flux_hat = engine.to_coarse(engine.to_fine(rho_hat) * u_fine)
+        flux_hat = to_coarse(engine.to_fine(rho_hat) * u_fine)
         return 1j * sum(kd[j] * flux_hat[j] for j in range(grid.d))
 
-    y = to_spectral(rho).coeffs
+    y = to_spectral(rho).coeffs if full_layout else rfft_coeffs(rho.values, grid)
     for _ in range(m):
         k1 = flux_divergence(y)
         k2 = flux_divergence(y - 0.5 * tau * k1)
         k3 = flux_divergence(y - 0.5 * tau * k2)
         k4 = flux_divergence(y - tau * k3)
         y = y - (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return to_grid(SpectralField(grid, y)).values
+    return to_grid(SpectralField(grid, y)).values if full_layout else irfft_values(y, grid)
 
 
 def reference_semi_lagrangian(rho, u, tau, m, mean_velocity=None):
@@ -332,12 +340,44 @@ class TestStoredVelocityValues:
             rho = advect_step(rho, u, scheme)
         assert calls == {"to_grid": grid2d.d, "to_fine": int(kind == "spectral_rk4")}
 
+    def test_ten_steps_filter_the_velocity_once(self, grid2d, monkeypatch):
+        """The semi-Lagrangian scheme interpolates the velocity from its
+        spline coefficients, filtered once and kept on the velocity, so every
+        velocity interpolation skips the prefilter; it used to filter the
+        unchanged velocity again at every substep. The density, which
+        changes, is filtered by each of its interpolations."""
+        u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
+        filtered, prefilters = [], []
+        spline_filter_, map_coordinates_ = spectral.spline_filter, transport.map_coordinates
+
+        def counted_filter(a, *args, **kwargs):
+            filtered.append(np.array(a))
+            return spline_filter_(a, *args, **kwargs)
+
+        def counted_map(a, *args, prefilter=True, **kwargs):
+            prefilters.append(prefilter)
+            return map_coordinates_(a, *args, prefilter=prefilter, **kwargs)
+
+        monkeypatch.setattr(spectral, "spline_filter", counted_filter)
+        monkeypatch.setattr(transport, "map_coordinates", counted_map)
+        rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
+        scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
+        for _ in range(10):
+            rho = advect_step(rho, u, scheme)
+        assert len(filtered) == grid2d.d
+        for a, b in zip(filtered, u.grid_stack / grid2d.h):
+            assert np.array_equal(a, b)
+        substeps = len(prefilters) // (grid2d.d + 1)
+        assert substeps >= 10
+        assert prefilters == ([False] * grid2d.d + [True]) * substeps
+
     def test_stored_values_are_read_only(self, grid2d):
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         fine = fine_size(grid2d.n)
         assert u.grid_stack.shape == (2,) + grid2d.shape
         assert u.fine_stack.shape == (2, fine, fine)
-        for a in (u.grid_stack, u.fine_stack, *u.grid_values()):
+        assert u.spline_stack.shape == (2,) + grid2d.shape
+        for a in (u.grid_stack, u.fine_stack, u.spline_stack, *u.grid_values()):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -348,7 +388,7 @@ class TestStoredVelocityValues:
     def test_drift_leaves_the_stored_values_alone(self, grid2d):
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         plain = speed_sup(u)
-        grid_stack, fine_stack = u.grid_stack.copy(), u.fine_stack.copy()
+        grid_stack, fine_stack, spline_stack = u.grid_stack.copy(), u.fine_stack.copy(), u.spline_stack.copy()
         assert speed_sup(u, mean_velocity=(3.0, 4.0)) > plain
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         for kind in ("spectral_rk4", "semi_lagrangian"):
@@ -357,6 +397,7 @@ class TestStoredVelocityValues:
         assert speed_sup(u) == plain
         assert np.array_equal(u.grid_stack, grid_stack)
         assert np.array_equal(u.fine_stack, fine_stack)
+        assert np.array_equal(u.spline_stack, spline_stack)
 
     @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
     @pytest.mark.parametrize("d, n, dt, drift, substeps", [
@@ -373,6 +414,9 @@ class TestStoredVelocityValues:
         assert m == substeps
         out = advect_step(rho, u, scheme, mean_velocity=drift)
         assert out.values.tobytes() == REFERENCES[kind](rho, u, dt / m, m, drift).tobytes()
+        if kind == "spectral_rk4":
+            full = reference_rk4(rho, u, dt / m, m, drift, full_layout=True)
+            assert np.abs(out.values - full).max() <= 1e-13 * np.abs(full).max()
 
 
 class TestAdmissibleEta:

@@ -26,6 +26,11 @@ the counts, stop reason and value (float.hex) of the unit-scale probes:
 n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity, g = (s, s),
 at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, and at p = 12,
 delta = 100, s = 1 with viscosity 1, 1e3 and 1e6.
+
+Beside each SHA-256 of an array it prints the array's max |x| and L2 norm
+to 10 significant digits, and beside that of a diagnostics.csv the same
+two of each of its columns. A change that moves results at rounding level
+then shows as differing hashes next to equal summaries.
 """
 
 import hashlib
@@ -33,6 +38,8 @@ import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from nnstokes import (AdvectionScheme, FluidParams, StokesProblem, TorusGrid, advect_step,
                       atan_scaled, besov_norm, cli, commutator_residual, constant_law,
@@ -54,6 +61,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def summary(a) -> str:
+    """max |x| and the L2 norm of an array, to 10 significant digits."""
+    a = np.asarray(a)
+    return f"max|x| {np.abs(a).max():.10g} L2 {np.linalg.norm(a.ravel()):.10g}"
+
+
+def fingerprint(a: np.ndarray) -> str:
+    """The SHA-256 of an array's bytes, with its summary."""
+    return f"{sha256(a.tobytes())} ({summary(a)})"
+
+
 def simulate(path: str, text: str = None) -> str:
     """Run `nnstokes simulate` on a config file, or on text in place of its
     contents, and describe the diagnostics.csv it writes."""
@@ -65,7 +83,10 @@ def simulate(path: str, text: str = None) -> str:
         code = cli.main(["simulate", path, "--out", out, "--quiet"])
         with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
             csv = fh.read()
-    return f"exit {code}, iters {read_diagnostics(csv.decode()).iters}, diagnostics.csv {sha256(csv)}"
+    series = read_diagnostics(csv.decode())
+    columns = "".join(f"\n    {name}: {summary(getattr(series, name))}"
+                      for name in type(series)._COLUMNS if name != "iters")
+    return f"exit {code}, iters {series.iters}, diagnostics.csv {sha256(csv)}{columns}"
 
 
 def parsed(path: str) -> str:
@@ -75,7 +96,7 @@ def parsed(path: str) -> str:
     names = ("grid", "params", "law", "scheme", "smoothing_n", "t_final", "output_every",
              "penalty", "seed")
     lines = [f"  {name} = {getattr(config, name)!r}" for name in names]
-    return "\n".join(lines + [f"  rho0 {sha256(config.rho0.values.tobytes())}"])
+    return "\n".join(lines + [f"  rho0 {fingerprint(config.rho0.values)}"])
 
 
 def main() -> int:
@@ -91,7 +112,7 @@ def main() -> int:
             print(f"solve seed={seed} {label}: iterations={r.iterations} n_evals={r.n_evals} "
                   f"value={r.value.hex()} energy_residual={r.energy_residual.hex()} "
                   f"grad_norm={r.grad_norm.hex()} {r.stop_reason}; "
-                  f"velocity {sha256(u.coeff_stack().tobytes())}")
+                  f"velocity {fingerprint(u.coeff_stack())}")
     rho = smooth_density(sines2_field(TorusGrid(2, 8), 1.5, 0.4, 0.3), 4)
     for p, s, delta, nu in PROBES:
         _, r = solve_stokes(StokesProblem(rho, FluidParams(p=p, q=1.5, delta=delta, g=(s, s)),
@@ -116,7 +137,7 @@ def main() -> int:
         scheme = AdvectionScheme(kind, dt=dt, cfl_target=0.5)
         for _ in range(10):
             rho = advect_step(rho, u, scheme)
-        print(f"advect_frozen seed=0 {kind} 10 steps: density {sha256(rho.values.tobytes())}")
+        print(f"advect_frozen seed=0 {kind} 10 steps: density {fingerprint(rho.values)}")
     grid = TorusGrid(2, 32)
     rho = random_band_field(grid, seed=7, kmax=8, amplitude=0.5, offset=1.5)
     u = random_velocity(grid, seed=13, kmax=4, amplitude=1.0)
@@ -129,7 +150,7 @@ def main() -> int:
     for label, value in values.items():
         print(f"field: {label} {value.hex()}")
     for eta in (smooth_clamp(1.2), atan_scaled(0.5)):
-        print(f"field: renormalize {eta.kind} {sha256(renormalize(rho, eta).values.tobytes())}")
+        print(f"field: renormalize {eta.kind} {fingerprint(renormalize(rho, eta).values)}")
     drift = (0.3, -0.2)
     print(f"field: commutator_residual eps=0.5 drift={drift} "
           f"{commutator_residual(rho, u, 0.5, FluidParams(p=4.0, q=1.9), mean_velocity=drift).hex()}")
@@ -138,7 +159,7 @@ def main() -> int:
         for label, dt, mean_velocity in ((f"drift={drift}", 0.05, drift), ("dt=1", 1.0, None)):
             m = _substep_count(dt, _cfl_cap(scheme, grid, speed_sup(u, mean_velocity)))
             out = advect_step(rho, u, scheme, dt=dt, mean_velocity=mean_velocity)
-            print(f"field: advect_step {kind} {label} ({m} substeps) {sha256(out.values.tobytes())}")
+            print(f"field: advect_step {kind} {label} ({m} substeps) {fingerprint(out.values)}")
     return 0
 
 
