@@ -21,7 +21,7 @@ from .errors import (_NONNEGATIVE, _POSITIVE, BadValue, CflViolation, Inadmissib
 from .rheology import FluidParams, ViscosityLaw
 from .spectral import (GridField, TorusGrid, VelocityField, l2_inner, lebesgue_norm,
                        low_freq_truncate, reciprocal_norm, to_grid, to_spectral)
-from .stokes import StokesProblem, _diagnostics, _solve, _Workspace, newtonian_start, solve_stokes
+from .stokes import StokesProblem, _diagnostics, _solve, _Workspace, solve_stokes
 from .transport import _STEP_FLOOR, AdvectionScheme, _cfl_cap, advect_step, speed_sup
 
 _CLASSIFY_TOL = 1e-12
@@ -181,7 +181,7 @@ def run(config: SimulationConfig) -> SimulationResult:
     while True:
         prob = StokesProblem(rho, params, config.law, config.penalty)
         ws = _Workspace([prob])
-        start = newtonian_start(ws.forcing, config.grid, config.penalty)
+        start = ws.newtonian_start()
         u0 = None if lag is None else lag + start
         lag = None
         [(v, report)], c, mag2 = _solve(ws, [prob], u0)

@@ -31,15 +31,19 @@ integral, linear in u, is summed exactly from the coefficients. For
 instead, from the same start, and never differentiates the singular
 delta = 0 energy.
 
-The preconditioner M is the inverse of the Newtonian (plus penalty)
-coefficient Hessian. A cold solve starts on the ray of the Newtonian solve
-x0 = M P(rho g) (newtonian_start, P the divergence-free projection), at
-the point c x0 that minimizes the energy being minimized along that ray
-(_Workspace.ray_scale): the exact minimizer for p = 2 and any constant
-viscosity, and a start on the energy's own scale for every p, viscosity
-and delta. The coupled run (simulator.run) starts each later solve from
-the Newtonian predictor v_prev + M P((rho - rho_prev) g), exact for p = 2
-and unit viscosity.
+Every solve runs on a workspace (_Workspace): the tables that depend only
+on the grid and the penalty (the strain layout, the lattice multipliers and
+the preconditioner M, the inverse of the Newtonian plus penalty coefficient
+Hessian) are one read-only lattice per (grid, penalty), built once and
+shared (_solver_lattice); a workspace adds its batch's density load, the
+fine-grid viscosity, the forcing and its work weights. A cold solve starts
+on the ray of the Newtonian solve x0 = M P(rho g) (_Workspace.newtonian_start,
+P the divergence-free projection), at the point c x0 that minimizes the
+energy being minimized along that ray (_Workspace.ray_scale): the exact
+minimizer for p = 2 and any constant viscosity, and a start on the energy's
+own scale for every p, viscosity and delta. The coupled run (simulator.run) starts
+each later solve from the Newtonian predictor v_prev + M P((rho - rho_prev)
+g), exact for p = 2 and unit viscosity.
 """
 
 from __future__ import annotations
@@ -112,43 +116,50 @@ class StokesReport:
     stop_reason: str = ""
 
 
-@lru_cache(maxsize=32)
-def _newtonian_mult(grid: TorusGrid, penalty) -> np.ndarray:
-    """Inverse of the Newtonian (plus penalty) coefficient Hessian on the
-    half-layout lattice: the solver's preconditioner M, 0 at the zero mode."""
-    k2 = _lattice(grid.d, grid.n, half=True).k2
-    vol_factor = TWO_PI ** grid.d
-    hess = vol_factor * (0.5 * k2)
-    if penalty is not None:
-        N, k = penalty
-        hess = hess + vol_factor * k2 ** k / N
-    with np.errstate(divide="ignore"):
-        inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, hess, 1.0), 0.0)
-    inv.flags.writeable = False
-    return inv
+_SolverLattice = namedtuple("_SolverLattice", "grid stack_shape vol_factor hfd engine k2 pairs diagonal "
+                            "pair_weight pair_of strain_mult div_mult pen_N pen_mult precond_mult")
 
 
 @lru_cache(maxsize=32)
-def _half_multipliers(d: int, n: int):
-    """The strain's multipliers 0.5 i k_a and the divergence's i k_a on the
-    scaled half layout, read-only. The dealiased transforms take and
-    return the unscaled half, so the strain's remove the column scale and
-    the divergence's put it back."""
+def _solver_lattice(grid: TorusGrid, penalty) -> _SolverLattice:
+    """The read-only tables of one (grid, penalty): the member stack shape
+    in the scaled half layout, the torus and fine-cell volumes, the carried
+    strain pairs (_Workspace) with their contraction weights and the index
+    pair_of[a][j] of entry (a, j), the strain's multipliers 0.5 i k_a and
+    the divergence's i k_a (which remove and put back the column scale: the
+    dealiased transforms take and return the unscaled half), the penalty's
+    N and |k|^(2k) (None without one), and M, 0 at the zero mode."""
+    d, n = grid.d, grid.n
+    engine = dealiaser(d, n)
+    lattice = _lattice(d, n, half=True)
+    k2, vol_factor = lattice.k2, TWO_PI ** d
+    last = (d - 1, d - 1)
+    pairs = tuple((i, j) for i in range(d) for j in range(i, d) if (i, j) != last)
+    diagonal = tuple(q for q, (i, j) in enumerate(pairs) if i == j)
+    entries = pairs + (last,)
+    pair_of = tuple(tuple(entries.index((min(a, j), max(a, j))) for j in range(d)) for a in range(d))
+    # A : B = sum of A_ij B_ij over the carried pairs, off-diagonal ones
+    # twice, plus A_dd B_dd = (sum of A_ii)(sum of B_ii); in 2D that last
+    # term is A_11 B_11 and doubles the diagonal weight instead
+    pair_weight = np.array([1.0 if i == j and d == 3 else 2.0 for i, j in pairs])
     scale = half_scale(n)
-    derivs = _lattice(d, n, half=True).derivs
-    strain, div = [0.5j * k / scale for k in derivs], [1j * k * scale for k in derivs]
-    for a in strain + div:
+    strain_mult = tuple(0.5j * k / scale for k in lattice.derivs)
+    div_mult = tuple(1j * k * scale for k in lattice.derivs)
+    tables = [pair_weight, *strain_mult, *div_mult]
+    hess = vol_factor * (0.5 * k2)
+    pen_N = pen_mult = None
+    if penalty is not None:
+        pen_N, k = penalty
+        pen_mult = k2 ** k
+        hess = hess + vol_factor * pen_mult / pen_N
+        tables.append(pen_mult)
+    with np.errstate(divide="ignore"):
+        precond_mult = np.where(k2 > 0, 1.0 / np.where(k2 > 0, hess, 1.0), 0.0)
+    for a in tables + [precond_mult]:
         a.flags.writeable = False
-    return strain, div
-
-
-def newtonian_start(forcing: np.ndarray, grid: TorusGrid, penalty) -> np.ndarray:
-    """Newtonian solve M P f of forcing coefficient stacks f = rho g in the
-    scaled half layout, with any leading member axes: the ray of the
-    solver's cold start, and the exact minimizer for p = 2 and unit
-    viscosity. Applied to a change of forcing it predicts the change of the
-    minimizer."""
-    return _newtonian_mult(grid, penalty) * TWO_PI ** grid.d * project_div_free(forcing, grid)
+    return _SolverLattice(grid, (d,) + grid.shape[:-1] + (n // 2 + 1,), vol_factor, (TWO_PI / engine.m) ** d,
+                          engine, k2, pairs, diagonal, pair_weight, pair_of, strain_mult, div_mult,
+                          pen_N, pen_mult, precond_mult)
 
 
 def _sum_per_member(a: np.ndarray) -> np.ndarray:
@@ -157,25 +168,27 @@ def _sum_per_member(a: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Precomputed transforms and multipliers for a batch of problems.
-
-    The members share the grid, p, delta, g and the penalty; the density,
-    and with it the viscosity and the forcing, carries a leading member
-    axis. Every coefficient stack the workspace takes or returns (the
-    iterates, gradients and directions, the forcing, the force balance) is
-    in the scaled half layout of spectral (contract_half), of shape
-    (k,) + stack_shape = (k, d) + (n,)*(d-1) + (n/2+1,), so that the
-    minimizer's inner products are plain dot products of flat real rows;
-    velocity_from_stack and stack_of convert at the public boundary. sel
-    picks the k members a stack belongs to: a basic slice for the whole
-    batch, which reads the member data without copying, or an index array.
+    """A batch of problems that share the grid, p, delta, g and the
+    penalty; the density, and with it the viscosity and the forcing,
+    carries a leading member axis. The workspace holds the shared lattice
+    of its (grid, penalty) (_solver_lattice), p, delta and the batch's
+    density load: the fine-grid viscosity nu_fine, the forcing and its
+    work weights (load_forcing). Every coefficient stack the workspace
+    takes or returns (the iterates, gradients and directions, the forcing,
+    the force balance) is in the scaled half layout of spectral
+    (contract_half), of shape (k,) + stack_shape = (k, d) + (n,)*(d-1) +
+    (n/2+1,), so that the minimizer's inner products are plain dot
+    products of flat real rows; stack_of and VelocityField.from_half_stack
+    convert at the public boundary. sel picks the k members a stack
+    belongs to: a basic slice for the whole batch, which reads the member
+    data without copying, or an index array.
 
     Every coefficient stack the workspace is given must be divergence-free,
     k.c = 0 with the derivative wavevectors, as the projection leaves the
     solver's iterates, gradients and directions and every VelocityField it
     makes. The strain is then symmetric and traceless, so it is carried as
     the stack of its d(d+1)/2 - 1 entries i <= j other than (d, d)
-    (self.pairs): 2 in 2D, 5 in 3D. The last diagonal entry is minus the
+    (lattice.pairs): 2 in 2D, 5 in 3D. The last diagonal entry is minus the
     sum of the others, which _contract folds into its weights and
     force_balance restores for the stress. The attribute delta is mutable
     so a singular solve can minimize at the regularized delta and report
@@ -190,83 +203,56 @@ class _Workspace:
         if any(shared(other) != shared(prob) for other in problems[1:]):
             raise ValueError("batched problems must share the grid, p, delta, g and the penalty")
         grid = prob.rho.grid
-        self.grid = grid
+        self.lattice = lat = _solver_lattice(grid, prob.penalty)
         self.delta = float(prob.params.delta)
         self.p = prob.params.p
-        self.d = grid.d
-        half = grid.n // 2 + 1
-        self.stack_shape = (self.d,) + grid.shape[:-1] + (half,)
-        self.vol_factor = TWO_PI ** self.d
-        self.engine = dealiaser(grid.d, grid.n)
-        self.hfd = (TWO_PI / self.engine.m) ** self.d
-
-        self.strain_mult, self.div_mult = _half_multipliers(grid.d, grid.n)
-        self.k2 = _lattice(grid.d, grid.n, half=True).k2
-        last = (self.d - 1, self.d - 1)
-        self.pairs = tuple((i, j) for i in range(self.d) for j in range(i, self.d) if (i, j) != last)
-        self.diagonal = [q for q, (i, j) in enumerate(self.pairs) if i == j]
-        # A : B = sum of A_ij B_ij over the carried pairs, off-diagonal ones
-        # twice, plus A_dd B_dd = (sum of A_ii)(sum of B_ii); in 2D that last
-        # term is A_11 B_11 and doubles the diagonal weight instead
-        self.pair_weight = np.array([1.0 if i == j else 2.0 for i, j in self.pairs])
-        if self.d == 2:
-            self.pair_weight[self.diagonal] = 2.0
-        entries = self.pairs + (last,)
-        self.pair_of = [[entries.index((min(a, j), max(a, j))) for j in range(self.d)]
-                        for a in range(self.d)]
 
         rho_hat = rfft_coeffs(_rows([member.rho.values for member in problems]), grid)
-        rho_fine = self.engine.to_fine(rho_hat)
+        rho_fine = lat.engine.to_fine(rho_hat)
         self.nu_fine = _rows([np.asarray(member.law(r)) for member, r in zip(problems, rho_fine)])
         rho_hat *= half_scale(grid.n)
-        self.forcing = rho_hat[:, None] * np.reshape(prob.params.g, (-1,) + (1,) * self.d)
+        self.load_forcing(rho_hat[:, None] * np.reshape(prob.params.g, (-1,) + (1,) * grid.d))
+
+    def load_forcing(self, forcing: np.ndarray):
+        """Set the members' forcing coefficient stacks, of shape (k,) +
+        stack_shape, and the work weights derived from them."""
+        self.forcing = forcing
         # the work integral is linear in u: its fine-grid quadrature of the
         # padded fields, summed in coefficient space
-        self.work_weights = self.engine.nyquist_weight[..., :half] * self.forcing
-
-        if prob.penalty is not None:
-            N, k = prob.penalty
-            self.pen_N = N
-            self.pen_mult = self.k2 ** k
-        else:
-            self.pen_N = None
-            self.pen_mult = None
-
-        self.precond_mult = _newtonian_mult(grid, prob.penalty)
+        self.work_weights = self.lattice.engine.nyquist_weight[..., :forcing.shape[-1]] * forcing
 
     # -- subspace handling ---------------------------------------------------
 
-    def velocity_from_stack(self, stack: np.ndarray) -> VelocityField:
-        """The velocity of a coefficient stack, unchecked: the projection
-        enforces the subspace constraints by construction, and a relative
-        re-check would reject near-zero fields made of rounding dust."""
-        return VelocityField.from_half_stack(stack, self.grid)
-
-    @staticmethod
-    def stack_of(*velocities) -> np.ndarray:
-        """The coefficient stacks of velocities, one member each."""
+    def stack_of(self, *velocities) -> np.ndarray:
+        """The coefficient stacks of velocities on the workspace's grid, one
+        member each."""
+        for u in velocities:
+            if u.grid != self.lattice.grid:
+                raise ValueError(f"a velocity on {u.grid} was given for problems on {self.lattice.grid}")
         return np.stack([u.half_stack for u in velocities])
 
     def coeffs(self, x_flat: np.ndarray) -> np.ndarray:
         """Coefficient stacks of flat real rows."""
-        return x_flat.view(np.complex128).reshape((len(x_flat),) + self.stack_shape)
+        return x_flat.view(np.complex128).reshape((len(x_flat),) + self.lattice.stack_shape)
 
     # -- fine-grid evaluation --------------------------------------------------
 
     def _strain_fine(self, c: np.ndarray) -> np.ndarray:
-        """Strain entries self.pairs on the quadrature grid, shape (k, len(pairs)) + fine."""
-        mult = self.strain_mult
-        s_hat = np.empty((len(c), len(self.pairs)) + c.shape[2:], dtype=np.complex128)
-        for q, (i, j) in enumerate(self.pairs):
+        """Strain entries lattice.pairs on the quadrature grid, shape (k, len(pairs)) + fine."""
+        lat = self.lattice
+        mult = lat.strain_mult
+        s_hat = np.empty((len(c), len(lat.pairs)) + c.shape[2:], dtype=np.complex128)
+        for q, (i, j) in enumerate(lat.pairs):
             np.add(mult[i] * c[:, j], mult[j] * c[:, i], out=s_hat[:, q])
-        return self.engine.to_fine(s_hat)
+        return lat.engine.to_fine(s_hat)
 
     def _contract(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Pointwise A : B of two symmetric traceless tensors given by their
         pair stacks."""
-        out = np.einsum("q,bq...,bq...->b...", self.pair_weight, A, B)
-        if self.d == 3:
-            out += sum(A[:, q] for q in self.diagonal) * sum(B[:, q] for q in self.diagonal)
+        lat = self.lattice
+        out = np.einsum("q,bq...,bq...->b...", lat.pair_weight, A, B)
+        if lat.grid.d == 3:
+            out += sum(A[:, q] for q in lat.diagonal) * sum(B[:, q] for q in lat.diagonal)
         return out
 
     def _eval_state(self, c: np.ndarray, sel=slice(None), S=None) -> "_EvalState":
@@ -279,14 +265,15 @@ class _Workspace:
 
     def _penalty_energy_half(self, c: np.ndarray):
         """(1/(2N)) int |grad^k u|^2 via the coefficient sum."""
-        if self.pen_N is None:
+        lat = self.lattice
+        if lat.pen_N is None:
             return 0.0
-        tot = _sum_per_member(self.pen_mult * (c.real ** 2 + c.imag ** 2))
-        return 0.5 * self.vol_factor * tot / self.pen_N
+        tot = _sum_per_member(lat.pen_mult * (c.real ** 2 + c.imag ** 2))
+        return 0.5 * lat.vol_factor * tot / lat.pen_N
 
     def work_integral(self, c: np.ndarray, sel=slice(None)) -> np.ndarray:
         """int rho g . u, exact for the band-limited fields."""
-        return np.array([l2_inner(self.grid, ci, wi) for ci, wi in zip(c, self.work_weights[sel])])
+        return np.array([l2_inner(self.lattice.grid, ci, wi) for ci, wi in zip(c, self.work_weights[sel])])
 
     def _energy(self, c: np.ndarray, mag2: np.ndarray, sel=slice(None)) -> np.ndarray:
         if self.delta > 0:
@@ -294,7 +281,7 @@ class _Workspace:
             lifted = self.delta ** self.p * np.expm1(0.5 * self.p * np.log1p(mag2 / self.delta ** 2))
         else:
             lifted = mag2 ** (self.p / 2.0)
-        diss = self.hfd * _sum_per_member((self.nu_fine[sel] / self.p) * lifted)
+        diss = self.lattice.hfd * _sum_per_member((self.nu_fine[sel] / self.p) * lifted)
         return diss - self.work_integral(c, sel) + self._penalty_energy_half(c)
 
     def energy_balance(self, c: np.ndarray, state: "_EvalState"):
@@ -302,27 +289,30 @@ class _Workspace:
         of c, with the balance residual |dissipation + penalty - work| /
         max(1, |work|); all quadratures on the fine grid, so a converged
         minimizer balances to solver tolerance."""
-        diss = self.hfd * _sum_per_member(state.afield * state.mag2) + 2.0 * self._penalty_energy_half(c)
+        diss = (self.lattice.hfd * _sum_per_member(state.afield * state.mag2)
+                + 2.0 * self._penalty_energy_half(c))
         work = self.work_integral(c)
         return diss, work, np.abs(diss - work) / np.maximum(1.0, np.abs(work))
 
     def force_balance(self, state: "_EvalState", sel=slice(None)) -> np.ndarray:
         """Coefficients of rho g + div(stress) before the projection."""
-        T = list(np.moveaxis(self.engine.to_coarse(state.afield[:, None] * state.S), 1, 0))
-        T.append(-sum(T[q] for q in self.diagonal))  # the stress is traceless with the strain
+        lat = self.lattice
+        T = list(np.moveaxis(lat.engine.to_coarse(state.afield[:, None] * state.S), 1, 0))
+        T.append(-sum(T[q] for q in lat.diagonal))  # the stress is traceless with the strain
         out = self.forcing[sel].copy()
-        for j in range(self.d):
-            for a in range(self.d):
-                out[:, j] += self.div_mult[a] * T[self.pair_of[a][j]]
+        for j in range(lat.grid.d):
+            for a in range(lat.grid.d):
+                out[:, j] += lat.div_mult[a] * T[lat.pair_of[a][j]]
         return out
 
     def value_grad(self, c: np.ndarray, sel=slice(None), S=None):
         state = self._eval_state(c, sel, S)
         f = self._energy(c, state.mag2, sel)
+        lat = self.lattice
         bracket = -self.force_balance(state, sel)
-        if self.pen_N is not None:
-            bracket += (self.pen_mult / self.pen_N) * c
-        g = self.vol_factor * project_div_free(bracket, self.grid)
+        if lat.pen_N is not None:
+            bracket += (lat.pen_mult / lat.pen_N) * c
+        g = lat.vol_factor * project_div_free(bracket, lat.grid)
         return f, g, state
 
     def curvature_along(self, state: "_EvalState", w: np.ndarray, sel=slice(None)) -> np.ndarray:
@@ -338,7 +328,15 @@ class _Workspace:
             safe = np.where(base > 0, base, 1.0) ** ((self.p - 4.0) / 2.0)
             cross = self._contract(state.S, Sw)
             quad = quad + self.nu_fine[sel] * (self.p - 2.0) * np.where(base > 0, safe, 0.0) * cross ** 2
-        return self.hfd * _sum_per_member(quad) + 2.0 * self._penalty_energy_half(w), Sw
+        return self.lattice.hfd * _sum_per_member(quad) + 2.0 * self._penalty_energy_half(w), Sw
+
+    def newtonian_start(self) -> np.ndarray:
+        """Newtonian solve M P f of the forcing stacks f = rho g, one per
+        member, in the scaled half layout: the ray of the solver's cold
+        start, and the exact minimizer for p = 2 and unit viscosity. Its
+        change between two densities predicts the change of the minimizer."""
+        lat = self.lattice
+        return lat.precond_mult * lat.vol_factor * project_div_free(self.forcing, lat.grid)
 
     def ray_scale(self, c: np.ndarray) -> np.ndarray:
         """Per member, the scale s > 0 that minimizes the energy at
@@ -354,10 +352,11 @@ class _Workspace:
         delta = 0 without a penalty. Newton steps from t = 0, one fine-grid
         pass each, stay inside the bracket that those slope bounds give.
         """
+        hfd = self.lattice.hfd
         mag2 = self._eval_state(c).mag2
         work = self.work_integral(c)
         pen = 2.0 * self._penalty_energy_half(c)
-        forced = _sum_per_member(np.abs(project_div_free(self.forcing, self.grid)) ** 2)
+        forced = _sum_per_member(np.abs(project_div_free(self.forcing, self.lattice.grid)) ** 2)
         live = (forced > 1e-24 * _sum_per_member(np.abs(self.forcing) ** 2)) & (work > 0.0)
         log_work = np.log(np.where(live, work, 1.0))
         slopes = (min(1.0, self.p - 1.0), max(1.0, self.p - 1.0))
@@ -367,9 +366,9 @@ class _Workspace:
             s2m = np.exp(2.0 * t).reshape((-1,) + (1,) * (mag2.ndim - 1)) * mag2
             base = self.delta * self.delta + s2m
             a = self.nu_fine * _power_factor(s2m, self.p, self.delta) * mag2
-            phi = self.hfd * _sum_per_member(a) + pen
+            phi = hfd * _sum_per_member(a) + pen
             # s phi'(s) = (p - 2) int nu (delta^2 + s^2 m)^{(p-4)/2} s^2 m^2
-            dphi = (self.p - 2.0) * self.hfd * _sum_per_member(
+            dphi = (self.p - 2.0) * hfd * _sum_per_member(
                 a * np.where(base > 0, s2m / np.where(base > 0, base, 1.0), 0.0))
             # the members that keep their scale may divide by zero here
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -389,16 +388,17 @@ class _Workspace:
     def strain_norm(self, state: "_EvalState", r: float) -> np.ndarray:
         """L^r norm of |Du| per member on the quadrature grid."""
         _Domain(low=1.0).check("Lebesgue exponent", r)
-        return (self.hfd * _sum_per_member(state.mag2 ** (0.5 * r))) ** (1.0 / r)
+        return (self.lattice.hfd * _sum_per_member(state.mag2 ** (0.5 * r))) ** (1.0 / r)
 
     def precond_flat(self, g_flat: np.ndarray) -> np.ndarray:
         """The preconditioner M applied to one flat gradient row."""
-        y = g_flat.view(np.complex128).reshape(self.stack_shape) * self.precond_mult
+        lat = self.lattice
+        y = g_flat.view(np.complex128).reshape(lat.stack_shape) * lat.precond_mult
         return y.view(np.float64).ravel()
 
     def hk_norm(self, c: np.ndarray, k: int) -> np.ndarray:
-        mult = (1.0 + self.k2) ** k
-        return np.sqrt(self.vol_factor * _sum_per_member(mult * (c.real ** 2 + c.imag ** 2)))
+        mult = (1.0 + self.lattice.k2) ** k
+        return np.sqrt(self.lattice.vol_factor * _sum_per_member(mult * (c.real ** 2 + c.imag ** 2)))
 
 
 # Fine-grid strain pair stacks S, |Du|^2 and the stress factor
@@ -470,7 +470,7 @@ def _ncg(ws: _Workspace, member: int, x: np.ndarray, tol, max_iter, callback=Non
     stop_reason).
     """
     def grad_norm(g):
-        return np.sqrt(np.dot(g, g)) / ws.vol_factor ** 0.5
+        return np.sqrt(np.dot(g, g)) / ws.lattice.vol_factor ** 0.5
 
     f, g = yield _EVAL, x, None
     n_evals = 1
@@ -628,7 +628,7 @@ def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
         raise ValueError("gradient is singular for p < 2 at delta = 0; use delta > 0")
     ws = _Workspace([prob])
     _, g, _ = ws.value_grad(ws.stack_of(u))
-    return ws.velocity_from_stack(g[0] / ws.vol_factor)
+    return VelocityField.from_half_stack(g[0] / ws.lattice.vol_factor, ws.lattice.grid)
 
 
 def _solve(ws: _Workspace, problems, u0, tol=1e-8, max_iter=10000, strict=False, callback=None):
@@ -646,10 +646,10 @@ def _solve(ws: _Workspace, problems, u0, tol=1e-8, max_iter=10000, strict=False,
     ws.delta = delta
 
     if u0 is None:
-        stack = newtonian_start(ws.forcing, ws.grid, problems[0].penalty)
+        stack = ws.newtonian_start()
         stack *= ws.ray_scale(stack)
     else:
-        stack = project_div_free(u0, ws.grid)
+        stack = project_div_free(u0, ws.lattice.grid)
     x = np.ascontiguousarray(stack).view(np.float64).reshape(B, -1)
 
     x, gnorm, iters, evals, reason, final = _minimize_batch(ws, x, tol, max_iter, callback)
@@ -681,7 +681,7 @@ def _solve(ws: _Workspace, problems, u0, tol=1e-8, max_iter=10000, strict=False,
                 f"{member}no convergence in {report.iterations} iterations "
                 f"(grad norm {report.grad_norm:.3e}, {report.stop_reason})", report
             )
-        results.append((ws.velocity_from_stack(c[i]), report))
+        results.append((VelocityField.from_half_stack(c[i], ws.lattice.grid), report))
     return results, c, state.mag2
 
 
@@ -737,9 +737,6 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
         u0 = [u0] * B if isinstance(u0, VelocityField) else list(u0)
         if len(u0) != B:
             raise ValueError(f"u0 has {len(u0)} fields for {B} problems")
-        for u in u0:
-            if u.grid != ws.grid:
-                raise ValueError(f"u0 lives on {u.grid}, the problems on {ws.grid}")
         u0 = ws.stack_of(*u0)
     return _solve(ws, problems, u0, tol, max_iter, strict, callback)[0]
 
@@ -802,7 +799,7 @@ def monotonicity_gaps(prob: StokesProblem, u: VelocityField, phis):
     S, _, a = ws._eval_state(ws.stack_of(u, *phis))
 
     u0, rest = slice(0, 1), slice(1, None)
-    t1, t2, t3, t4 = (ws.hfd * _sum_per_member(a[i] * ws._contract(S[i], S[j]))
+    t1, t2, t3, t4 = (ws.lattice.hfd * _sum_per_member(a[i] * ws._contract(S[i], S[j]))
                       for i, j in ((u0, u0), (u0, rest), (rest, u0), (rest, rest)))
     return t1 - t2 - t3 + t4, np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)
 
@@ -853,12 +850,13 @@ def recover_pressure(prob: StokesProblem, u: VelocityField) -> SpectralField:
     rho g + div(stress); at a converged minimizer the projected remainder
     is at solver tolerance."""
     ws = _Workspace([prob])
-    R = expand_half(ws.force_balance(ws._eval_state(ws.stack_of(u)))[0], ws.grid)
-    kd, k2 = deriv_vectors(ws.grid), k_squared(ws.grid)
-    kdotR = sum(kd[j] * R[j] for j in range(ws.d))
+    grid = ws.lattice.grid
+    R = expand_half(ws.force_balance(ws._eval_state(ws.stack_of(u)))[0], grid)
+    kd, k2 = deriv_vectors(grid), k_squared(grid)
+    kdotR = sum(kd[j] * R[j] for j in range(grid.d))
     with np.errstate(divide="ignore", invalid="ignore"):
         pi_hat = np.where(k2 > 0, -1j * kdotR / np.where(k2 > 0, k2, 1.0), 0.0)
-    return SpectralField(ws.grid, pi_hat)
+    return SpectralField(grid, pi_hat)
 
 
 def solution_diagnostics(prob: StokesProblem, u: VelocityField) -> dict:

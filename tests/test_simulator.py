@@ -425,15 +425,20 @@ class TestOneWorkspacePerStep:
         smoothing of rho0 and one for each of 37 solves and 36 RK4 steps
         (116 and 42 when the predictor and the rows made their own). The
         solves and steps take only the half spectrum of their densities,
-        through rfft_coeffs; before that, all 74 went through to_spectral."""
+        through rfft_coeffs; before that, all 74 went through to_spectral.
+        The 37 workspaces share one solver lattice, built at most once."""
         config = parse_config((ROOT / "configs" / "newtonian2d.cfg").read_text())
         counts = {"to_spectral": 0, "rfft_coeffs": 0, "_Workspace": 0}
+        before = stokes._solver_lattice.cache_info()
         with pytest.MonkeyPatch.context() as monkeypatch:
             count_calls(monkeypatch, spectral, "to_spectral", counts)
             count_calls(monkeypatch, spectral, "rfft_coeffs", counts)
             count_calls(monkeypatch, stokes, "_Workspace", counts)
             assert run(config).completed
         assert counts == {"to_spectral": 1, "rfft_coeffs": 73, "_Workspace": 37}
+        after = stokes._solver_lattice.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits + after.misses - before.hits - before.misses == 37
 
 
 class TestTimeGrid:
@@ -487,8 +492,7 @@ class TestTimeGrid:
             return rho
 
         stubs = dict(
-            _Workspace=lambda problems: SimpleNamespace(forcing=None),
-            newtonian_start=lambda forcing, grid, penalty: 0.0,
+            _Workspace=lambda problems: SimpleNamespace(newtonian_start=lambda: 0.0),
             _solve=lambda ws, problems, u0: ([(zero, converged)], zero.coeff_stack()[None], None),
             _diagnostics=lambda ws, c, mag2, beta: dict.fromkeys(
                 ("du_beta", "dissipation", "work", "energy_residual"), 0.0),

@@ -9,7 +9,9 @@ a library module that did so would change it in every program that imports
 nnstokes.
 
 Every name a library module imports is used there; only the package's
-__init__.py imports names to re-export them.
+__init__.py imports names to re-export them. Every private module-level
+function, class or constant is read somewhere in the package: one that
+only the tests read is dead code kept alive by its tests.
 """
 
 import ast
@@ -104,3 +106,47 @@ def test_guard_flags_an_unused_import():
               "import os.path\nfrom .errors import BadValue, _field as field\n"
               "def f():\n    import math\n    return np.zeros(3)\n")
     assert unused_imports(source) == [(2, "os"), (4, "os"), (5, "BadValue"), (5, "field")]
+
+
+def private_definitions(source: str):
+    """(line, name) of every private name, _x but not __x__, that a
+    module-level def, class or assignment binds."""
+    def bound(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return [leaf.id for target in targets for leaf in getattr(target, "elts", [target])
+                if isinstance(leaf, ast.Name)]
+
+    return [(node.lineno, name) for node in ast.parse(source).body for name in bound(node)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set:
+    """Every name the source reads, as a bare name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def unused_private_names(sources: dict):
+    """(module, line, name) of every private module-level name of the
+    sources, a dict of module name to source, that none of them reads."""
+    read = set().union(*(names_read(source) for source in sources.values()))
+    return [(module, line, name) for module, source in sources.items()
+            for line, name in private_definitions(source) if name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert sum(len(private_definitions(source)) for source in sources.values()) > 50
+    assert unused_private_names(sources) == []
+
+
+def test_guard_flags_an_unused_private_name():
+    sources = {
+        "a.py": ("_USED, _SPARE = 1, 2\n_TABLE: dict = {}\n__all__ = []\n"
+                 "def _helper():\n    return _USED\nclass _Gone:\n    pass\n"
+                 "def public():\n    def _inner():\n        pass\n    return _TABLE\n"),
+        "b.py": "from .a import _helper\n_helper()\nimport a\na._Gone = None\n",
+    }
+    assert unused_private_names(sources) == [("a.py", 1, "_SPARE"), ("a.py", 6, "_Gone")]

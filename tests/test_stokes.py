@@ -2,6 +2,7 @@
 penalization, and the variational diagnostics built on top of them."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -400,7 +401,7 @@ class TestSolveStokesBatch:
         prob = batch_problems(3.0)[0]
         coarse = random_velocity(prob.rho.grid, seed=5, kmax=4)
         fine = random_velocity(TorusGrid(2, 32), seed=5, kmax=4)
-        grids = r"u0 lives on TorusGrid\(d=2, n=32\), the problems on TorusGrid\(d=2, n=16\)"
+        grids = r"a velocity on TorusGrid\(d=2, n=32\) was given for problems on TorusGrid\(d=2, n=16\)"
         with pytest.raises(ValueError, match=grids):
             solve_stokes(prob, u0=fine)
         with pytest.raises(ValueError, match=grids):
@@ -513,7 +514,7 @@ class TestSolveStokesBatch:
         max_iter = 1 if reason == "iteration limit" else 10000
         with np.errstate(all="ignore"):
             ws = stokes._Workspace(probs)
-            start = stokes.newtonian_start(ws.forcing, ws.grid, None).view(np.float64)
+            start = ws.newtonian_start().view(np.float64)
             x, _, _, _, reasons, final = stokes._minimize_batch(ws, start.reshape(len(probs), -1),
                                                                 1e-8, max_iter)
             assert reason in reasons
@@ -563,9 +564,10 @@ class TestSolve3D:
     def test_newtonian_solve_is_the_start(self, grid3d):
         prob = problem3d(grid3d, 2.0)
         u, report = solve_stokes(prob, strict=True)
+        ws = stokes._Workspace([prob])
         rho_hat = contract_half(to_spectral(prob.rho).coeffs, grid3d)
-        start = expand_half(stokes.newtonian_start(np.multiply.outer(prob.params.g, rho_hat), grid3d, None),
-                            grid3d)
+        ws.load_forcing(np.multiply.outer(prob.params.g, rho_hat)[None])
+        start = expand_half(ws.newtonian_start()[0], grid3d)
         assert report.iterations == 0
         assert np.abs(u.coeff_stack() - start).max() <= 1e-12 * np.abs(start).max()
 
@@ -594,7 +596,8 @@ class TestStrainContraction:
         rho = random_band_field(grid, seed=5, kmax=3, amplitude=0.4, offset=1.2)
         ws = stokes._Workspace([StokesProblem(rho, FluidParams(p=3.0, q=1.5, d=d), constant_law(1.0))])
         u, v = random_velocities(grid, [6, 7], kmax=n // 2)
-        A, B = self.full_strain(ws.engine, u.coeff_stack()), self.full_strain(ws.engine, v.coeff_stack())
+        engine = ws.lattice.engine
+        A, B = self.full_strain(engine, u.coeff_stack()), self.full_strain(engine, v.coeff_stack())
         S = ws._strain_fine(ws.stack_of(u, v))
         for got, ref in ((ws._eval_state(ws.stack_of(u)).mag2[0], np.einsum("ij...,ij...->...", A, A)),
                          (ws._contract(S[:1], S[1:])[0], np.einsum("ij...,ij...->...", A, B))):
@@ -658,7 +661,7 @@ class TestHalfLayout:
             assert np.abs(c.coeffs - mirror).max() <= 1e-14 * np.abs(c.coeffs).max()
             to_grid(c)  # raises NonHermitianField on an imaginary residue
         # the velocity keeps the solver's stack, of which it is the expansion
-        half = stokes._Workspace.stack_of(u)[0]
+        half = stokes._Workspace([prob]).stack_of(u)[0]
         assert np.array_equal(expand_half(half, grid), u.coeff_stack())
         assert np.abs(half - contract_half(u.coeff_stack(), grid)).max() <= 1e-15 * np.abs(half).max()
 
@@ -712,9 +715,38 @@ class TestNewtonianStart:
                              penalty=penalty)
         precond_mult, expected = self.inline_cold_start(prob)
         ws = stokes._Workspace([prob])
-        assert ws.precond_mult.tobytes() == precond_mult.tobytes()
-        got = stokes.newtonian_start(ws.forcing, grid2d, prob.penalty)
+        assert ws.lattice.precond_mult.tobytes() == precond_mult.tobytes()
+        got = ws.newtonian_start()
         assert got.tobytes() == expected.tobytes()
+
+
+class TestSolverLattice:
+    """The tables of one (grid, penalty) are built once and shared by every
+    workspace on them; a workspace holds only its density load beside them."""
+
+    def test_workspaces_share_their_lattice(self):
+        plain, other_density = batch_problems(3.0)[:2]
+        first, second = stokes._Workspace([plain]), stokes._Workspace([other_density])
+        assert first.lattice is second.lattice
+        assert not np.array_equal(first.forcing, second.forcing)
+        penalized = stokes._Workspace([replace(plain, penalty=(100.0, 3))])
+        assert penalized.lattice is not first.lattice
+        assert penalized.lattice.engine is first.lattice.engine
+
+    def test_lattice_tables_are_read_only(self):
+        lat = stokes._Workspace([replace(batch_problems(3.0)[0], penalty=(100.0, 3))]).lattice
+        for table in (lat.pair_weight, lat.pen_mult, lat.precond_mult, *lat.strain_mult, *lat.div_mult):
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+
+    def test_load_forcing_sets_the_work_weights(self):
+        """Doubling the forcing doubles the work of every velocity."""
+        prob = batch_problems(3.0)[0]
+        ws = stokes._Workspace([prob])
+        c = ws.stack_of(random_velocity(prob.rho.grid, seed=1, kmax=4))
+        work = ws.work_integral(c)
+        ws.load_forcing(2.0 * ws.forcing)
+        assert np.array_equal(ws.work_integral(c), 2.0 * work)
 
 
 class TestRayScaledStart:
@@ -729,7 +761,7 @@ class TestRayScaledStart:
         prob = StokesProblem(random_band_field(grid, seed=24, kmax=4, amplitude=0.5, offset=1.2),
                              FluidParams(p=p, q=1.5, delta=delta), constant_law(100.0), penalty)
         ws = stokes._Workspace([prob])
-        x0 = ws.velocity_from_stack(stokes.newtonian_start(ws.forcing, grid, penalty)[0])
+        x0 = VelocityField.from_half_stack(ws.newtonian_start()[0], grid)
         start, report = solve_stokes(prob, max_iter=0)
         assert report.iterations == 0
         assert report.value == functional_value(prob, start)
@@ -771,7 +803,7 @@ class TestRayScaledStart:
         rho = GridField(grid2d, 1.5 + 0.5 * np.sin(grid2d.coordinate(0) + 2.0 * grid2d.coordinate(1)))
         prob = StokesProblem(rho, FluidParams(p=3.0, q=1.5, g=(-1.0, -2.0)), constant_law(1.0))
         ws = stokes._Workspace([prob])
-        start = stokes.newtonian_start(ws.forcing, grid2d, None)
+        start = ws.newtonian_start()
         assert 0.0 < np.abs(start).max() < 1e-15
         assert ws.ray_scale(start).ravel().tolist() == [1.0]
         u, report = solve_stokes(prob, strict=True)
@@ -1154,3 +1186,114 @@ class TestSolutionDiagnostics:
         )
         u = random_velocity(grid2d, seed=68, kmax=4)
         assert solution_diagnostics(prob, u)["du_beta"] == apriori_check(prob, u)[0]
+
+
+def oracle_solve(problems, stars, tol=1e-8):
+    """Cold solves of problems whose forcing makes the coefficient stacks
+    stars, one per member, their exact discrete minimizers.
+
+    The forcing is minus the force balance of stars at zero forcing, plus
+    the penalty term when a penalty is active, so the energy's gradient
+    vanishes at stars; the energy is strictly convex on the solver's
+    subspace, so stars is its unique minimizer. It is built at the delta
+    that the solver minimizes, 1e-4 for p < 2 at delta = 0, and loaded
+    through the workspace's forcing load. Returns the (velocity, report)
+    pairs, the returned stacks and their relative L2 errors to stars."""
+    params = problems[0].params
+    at = problems
+    if params.p < 2 and params.delta == 0:
+        at = [replace(pr, params=replace(pr.params, delta=stokes._DELTA_SINGULAR)) for pr in problems]
+    build = stokes._Workspace(at)
+    build.load_forcing(np.zeros_like(build.forcing))
+    forcing = -build.force_balance(build._eval_state(stars))
+    lat = build.lattice
+    if lat.pen_N is not None:
+        forcing += (lat.pen_mult / lat.pen_N) * stars
+    ws = stokes._Workspace(problems)
+    ws.load_forcing(forcing)
+    results, c, _ = stokes._solve(ws, problems, None, tol=tol)
+    return results, c, [np.linalg.norm(ci - si) / np.linalg.norm(si) for ci, si in zip(c, stars)]
+
+
+def oracle_problem(d, p, penalty=None, **params):
+    """A unit-viscosity problem on the 2D n = 16 or the 3D n = 8 grid."""
+    grid = TorusGrid(d, 16 if d == 2 else 8)
+    rho = random_band_field(grid, seed=20, kmax=4, amplitude=0.5, offset=1.2)
+    return StokesProblem(rho, FluidParams(p=p, q=1.5, d=d, **params), constant_law(1.0), penalty)
+
+
+def oracle_star(prob, scale):
+    return scale * random_velocity(prob.rho.grid, seed=1, kmax=4).half_stack[None]
+
+
+ITEM_3 = ("ROADMAP item 3: the stop test and the singular delta are tied to O(1) units, "
+          "so an off-scale solve reports converged away from its minimizer")
+
+
+class TestExactOracle:
+    """A manufactured forcing gives an exact discrete answer at any p,
+    viscosity, delta and scale (ROADMAP item 2)."""
+
+    @pytest.mark.parametrize("d, p, penalty, params", [
+        (2, 1.5, None, {}),
+        (2, 3.0, None, {}),
+        (2, 4.0, None, {}),
+        (2, 2.0, None, {}),
+        (3, 3.0, None, {}),
+        (3, 1.5, None, {}),
+        (2, 3.0, (100.0, 3), {}),
+        (2, 1.5, None, {"delta": 0.5}),
+        (2, 12.0, None, {"delta": 100.0}),
+    ], ids=["p1.5", "p3", "p4", "p2", "3d_p3", "3d_p1.5", "p3_penalty", "p1.5_delta", "p12_delta"])
+    def test_unit_scale_solve_is_the_minimizer(self, d, p, penalty, params):
+        prob = oracle_problem(d, p, penalty, **params)
+        [(_, report)], _, [error] = oracle_solve([prob], oracle_star(prob, 1.0))
+        assert report.converged
+        assert error <= 1e-7
+
+    def test_batch_equals_its_batches_of_one(self):
+        probs = batch_problems(3.0)[:2]
+        grid = probs[0].rho.grid
+        stars = np.stack([random_velocity(grid, seed=seed, kmax=4).half_stack for seed in (1, 2)])
+        batch, c, errors = oracle_solve(probs, stars)
+        assert max(errors) <= 1e-7
+        for i, prob in enumerate(probs):
+            solo, c_solo, _ = oracle_solve([prob], stars[i:i + 1])
+            assert_same_solves(batch[i:i + 1], solo)
+            assert np.array_equal(c[i], c_solo[0])
+
+    @pytest.mark.xfail(strict=True, reason=ITEM_3)
+    @pytest.mark.parametrize("p, scale", [(3.0, 1e-4), (4.0, 1e-3), (1.5, 1e8), (1.5, 1e4), (3.0, 1e4)])
+    def test_off_scale_solve_is_the_minimizer(self, p, scale):
+        prob = oracle_problem(2, p)
+        [(_, report)], _, [error] = oracle_solve([prob], oracle_star(prob, scale))
+        assert report.converged
+        assert error <= 1e-6
+
+
+class TestVelocityOnAnotherGrid:
+    """A velocity on another grid than the problem's is rejected, naming both
+    grids, as a u0 is (TestSolveStokesBatch). The monotonicity gaps used to
+    return a gap for a 3D velocity against a 2D problem, and the other
+    functions failed inside numpy."""
+
+    CALLS = {
+        "functional_value": lambda prob, other, own: functional_value(prob, other),
+        "functional_gradient": lambda prob, other, own: functional_gradient(prob, other),
+        "energy_balance_residual": lambda prob, other, own: energy_balance_residual(prob, other),
+        "solution_diagnostics": lambda prob, other, own: solution_diagnostics(prob, other),
+        "recover_pressure": lambda prob, other, own: recover_pressure(prob, other),
+        "monotonicity_gaps": lambda prob, other, own: monotonicity_gaps(prob, own, [own, other]),
+        "monotonicity_gap": lambda prob, other, own: monotonicity_gap(prob, other, own),
+        "monotonicity_gap_with_scale": lambda prob, other, own: monotonicity_gap_with_scale(prob, own, other),
+    }
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16), (2, 8)])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected_naming_both_grids(self, call, d, n):
+        prob = batch_problems(3.0)[0]
+        other = random_velocities(TorusGrid(d, n), [1, 2], kmax=4)[0]
+        own = random_velocity(prob.rho.grid, seed=1, kmax=4)
+        grids = rf"a velocity on TorusGrid\(d={d}, n={n}\) was given for problems on TorusGrid\(d=2, n=16\)"
+        with pytest.raises(ValueError, match=grids):
+            self.CALLS[call](prob, other, own)
