@@ -122,6 +122,20 @@ _EXPONENT = _Domain(low=1.0, finite=False)  # of a Lebesgue norm, inf included
 _FINITE = _Domain(text="finite")
 
 
+def _finite_vector(name, value, d):
+    """None for None, else value as a tuple of d floats that pass _FINITE;
+    a _FieldError naming name where value is not such a sequence."""
+    if value is None:
+        return None
+    try:
+        k = len(value)
+    except TypeError:
+        k = repr(value)
+    if k != d:
+        raise _FieldError((name, f"{name} needs {d} components, got {k}"))
+    return tuple(_FINITE.check(name, c) for c in value)
+
+
 def _field(default=MISSING, domain=None, **rule):
     """A dataclass field whose domain is domain, else _Domain(**rule). A
     dict of named domains makes a tuple field of those components."""

@@ -29,7 +29,7 @@ from .fields import (
 )
 from .rheology import FluidParams, bounded_power_law, constant_law, power_law
 from .simulator import DiagnosticsSeries, SimulationConfig
-from .spectral import GridField, TorusGrid, j_max
+from .spectral import GridField, TorusGrid, _check_grid, j_max
 from .stokes import StokesProblem
 from .transport import AdvectionScheme
 
@@ -183,10 +183,10 @@ def _build_rho0(kind, params_text, grid, seed, base_dir, reader):
         except BadValue as exc:
             reader.flag_bad("init.params", f"bad snapshot: {exc}")
             return None
-        if rho.grid != grid:
-            reader.flag_bad("init.params",
-                            f"snapshot grid {rho.grid.d}x{rho.grid.n} does not match "
-                            f"configured grid {grid.d}x{grid.n}")
+        try:
+            _check_grid(grid, [rho], "a density", "a config")
+        except ValueError as exc:
+            reader.flag_bad("init.params", f"snapshot does not match the config: {exc}")
             return None
         return rho
 

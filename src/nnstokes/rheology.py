@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _EXPONENT, _FINITE, _NONNEGATIVE, _POSITIVE, _check_fields, _field, _FieldError
+from .errors import (_EXPONENT, _FINITE, _NONNEGATIVE, _POSITIVE, _check_fields, _field, _FieldError,
+                     _finite_vector)
 from .spectral import _DIMENSION, GridField
 
 
@@ -54,11 +55,12 @@ class FluidParams:
         if self.nu_max < self.nu_star:
             issues.append(("nu_max", f"nu_max must be >= nu_star = {self.nu_star}, "
                                      f"got {self.nu_max}"))
-        if len(raw) != self.d:
-            issues.append(("g", f"g needs {self.d} components, got {len(raw)}"))
+        try:
+            object.__setattr__(self, "g", _finite_vector("g", raw, self.d))
+        except _FieldError as exc:
+            issues += exc.issues
         if issues:
             raise _FieldError(*issues)
-        object.__setattr__(self, "g", tuple(_FINITE.check("g", c) for c in raw))
 
     def _gamma_over_sigma(self) -> float:
         if np.isinf(self.sigma):

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import (_NONNEGATIVE, _POSITIVE, BadValue, CflViolation, InadmissibleExponents,
                      MaxIterations, _check_fields, _field)
 from .rheology import FluidParams, ViscosityLaw
-from .spectral import (GridField, TorusGrid, VelocityField, l2_inner, lebesgue_norm,
+from .spectral import (GridField, TorusGrid, VelocityField, _check_grid, l2_inner, lebesgue_norm,
                        low_freq_truncate, reciprocal_norm, to_grid, to_spectral)
-from .stokes import StokesProblem, _diagnostics, _solve, _Workspace, solve_stokes
+from .stokes import StokesProblem, _diagnostics, _solve, _Workspace, pairing_l2, solve_stokes
 from .transport import _STEP_FLOOR, AdvectionScheme, _cfl_cap, advect_step, speed_sup
 
 _CLASSIFY_TOL = 1e-12
@@ -74,8 +74,7 @@ class SimulationConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.rho0.grid != self.grid:
-            raise ValueError("rho0 does not live on the configured grid")
+        _check_grid(self.grid, [self.rho0], "rho0", "a config")
         _check_fields(self)
         # the dimension and penalty rules of the problems run() will solve
         self.penalty = StokesProblem(self.rho0, self.params, self.law, self.penalty).penalty
@@ -138,13 +137,13 @@ def smooth_density(rho: GridField, j: int) -> GridField:
 
 
 def velocity_l2_distance(u: VelocityField, v: VelocityField) -> float:
+    _check_grid(u.grid, [v], "a velocity", "a distance to a velocity")
     diff = u.coeff_stack() - v.coeff_stack()
     return math.sqrt(l2_inner(u.grid, diff, diff))
 
 
 def velocity_l2_norm(u: VelocityField) -> float:
-    stack = u.coeff_stack()
-    return math.sqrt(l2_inner(u.grid, stack, stack))
+    return math.sqrt(pairing_l2(u, u))
 
 
 def run(config: SimulationConfig) -> SimulationResult:

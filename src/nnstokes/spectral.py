@@ -96,6 +96,14 @@ class TorusGrid:
         return np.broadcast_to(x.reshape(shape), self.shape)
 
 
+def _check_grid(grid: TorusGrid, fields, what: str, target: str):
+    """ValueError naming both grids unless each of fields lives on grid;
+    what names such a field, and target the owner of grid."""
+    for f in fields:
+        if f.grid != grid:
+            raise ValueError(f"{what} on {f.grid} was given for {target} on {grid}")
+
+
 class GridField:
     """Real point values on a TorusGrid, row-major."""
 
@@ -142,9 +150,7 @@ class VelocityField:
         grid = components[0].grid
         if len(components) != grid.d:
             raise ValueError(f"need {grid.d} components, got {len(components)}")
-        for c in components:
-            if c.grid != grid:
-                raise ValueError("all components must share one grid")
+        _check_grid(grid, components, "a component", "a velocity")
         self.components = components
         self.grid = grid
         if check:
@@ -344,11 +350,9 @@ def leray_project(components) -> VelocityField:
     Input is a sequence of d SpectralFields (a vector field); output
     satisfies the VelocityField invariants: k.u(k) = 0 and u(0) = 0.
     """
-    components = tuple(components)
-    grid = components[0].grid
-    stack = np.stack([c.coeffs for c in components])
-    out = project_div_free(stack, grid)
-    return VelocityField(tuple(SpectralField(grid, c) for c in out), check=False)
+    u = VelocityField(components, check=False)  # d components on one grid
+    out = project_div_free(u.coeff_stack(), u.grid)
+    return VelocityField(tuple(SpectralField(u.grid, c) for c in out), check=False)
 
 
 def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:

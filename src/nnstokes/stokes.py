@@ -63,6 +63,7 @@ from .spectral import (
     TorusGrid,
     VelocityField,
     TWO_PI,
+    _check_grid,
     _lattice,
     dealiaser,
     deriv_vectors,
@@ -226,9 +227,7 @@ class _Workspace:
     def stack_of(self, *velocities) -> np.ndarray:
         """The coefficient stacks of velocities on the workspace's grid, one
         member each."""
-        for u in velocities:
-            if u.grid != self.lattice.grid:
-                raise ValueError(f"a velocity on {u.grid} was given for problems on {self.lattice.grid}")
+        _check_grid(self.lattice.grid, velocities, "a velocity", "problems")
         return np.stack([u.half_stack for u in velocities])
 
     def coeffs(self, x_flat: np.ndarray) -> np.ndarray:
@@ -818,6 +817,7 @@ def monotonicity_gap_with_scale(prob: StokesProblem, u: VelocityField, phi: Velo
 
 def pairing_l2(u: VelocityField, v: VelocityField) -> float:
     """Spatial L2 inner product of two velocity fields."""
+    _check_grid(u.grid, [v], "a velocity", "pairing with a velocity")
     return l2_inner(u.grid, u.coeff_stack(), v.coeff_stack())
 
 
@@ -832,16 +832,20 @@ def minty_sweep(rho_sequence, rho_limit, test_functions, params: FluidParams,
     dict with the signed pairings, their magnitudes of shape
     (len(rho_sequence), len(test_functions)), and solver iteration counts.
     """
+    rho_sequence = list(rho_sequence)  # checked, then solved: an iterator is read once
+    _check_grid(rho_limit.grid, rho_sequence, "a density", "a limit density")
+    _check_grid(rho_limit.grid, test_functions, "a test field", "a limit density")
     prob_lim = StokesProblem(rho_limit, params, law, penalty)
     u_lim, rep_lim = solve_stokes(prob_lim, tol=tol, max_iter=max_iter, strict=True)
     members = solve_stokes_batch([StokesProblem(rho_n, params, law, penalty) for rho_n in rho_sequence],
                                  u0=u_lim, tol=tol, max_iter=max_iter, strict=True)
-    raw = np.zeros((len(members), len(test_functions)))
+    lim = u_lim.coeff_stack()
+    phis = [phi.coeff_stack() for phi in test_functions]
+    raw = np.zeros((len(members), len(phis)))
     iters = [rep_lim.iterations] + [rep_n.iterations for _, rep_n in members]
     for i, (u_n, _) in enumerate(members):
-        diff = u_n.coeff_stack() - u_lim.coeff_stack()
-        for j, phi in enumerate(test_functions):
-            raw[i, j] = l2_inner(u_n.grid, diff, phi.coeff_stack())
+        diff = u_n.coeff_stack() - lim
+        raw[i] = [l2_inner(u_n.grid, diff, phi) for phi in phis]
     return {"raw": raw, "pairings": np.abs(raw), "iterations": iters}
 
 

@@ -12,7 +12,8 @@ commutes with pointwise renormalization up to the same error.
 
 The velocity is frozen within a step. Constant background drifts, which
 the zero-mean velocity type cannot represent, enter through the explicit
-mean_velocity bypass argument.
+mean_velocity bypass: None or d finite numbers. A velocity and a density
+passed together share one grid; otherwise a ValueError names both.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .errors import (_EXPONENT, _FINITE, _NONNEGATIVE, _POSITIVE, CflViolation,
-                     UnresolvableMollifier, _check_fields, _field)
+                     UnresolvableMollifier, _check_fields, _field, _finite_vector)
 from .rheology import FluidParams
 from .spectral import (
     GridField,
     VelocityField,
+    _check_grid,
     _lattice,
     dealiaser,
     irfft_values,
@@ -52,7 +54,7 @@ class AdvectionScheme:
 
 def speed_sup(u: VelocityField, mean_velocity=None) -> float:
     """Pointwise maximum speed on the grid, bypass drift included."""
-    vals = _drifted(u.grid_stack, mean_velocity)
+    vals = _drifted(u.grid_stack, _finite_vector("mean_velocity", mean_velocity, u.grid.d))
     return float(np.sqrt(np.einsum("j...,j...->...", vals, vals).max()))
 
 
@@ -73,13 +75,10 @@ def _substep_count(dt: float, cap: float) -> int:
 
 
 def _drifted(stack: np.ndarray, mean_velocity) -> np.ndarray:
-    """A velocity's stored value stack, or a copy with the bypass drift added."""
+    """A stack of velocity components, or a copy with drift component j added to row j."""
     if mean_velocity is None:
         return stack
-    out = stack.copy()
-    for j, cj in enumerate(mean_velocity):
-        out[j] += cj
-    return out
+    return stack + np.reshape(mean_velocity, (-1,) + (1,) * (stack.ndim - 1))
 
 
 def _flux_divergence(rho_hat: np.ndarray, u_fine: np.ndarray, grid, out=None,
@@ -133,13 +132,10 @@ def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: i
                               mean_velocity):
     grid = rho.grid
     h = grid.h
-    u_idx = u.grid_stack / h
-    if mean_velocity is None:
-        splines = u.spline_stack
-    else:
-        for j, cj in enumerate(mean_velocity):
-            u_idx[j] += cj / h
-        splines = periodic_splines(u_idx)  # the drift changes the filtered values
+    drift = None if mean_velocity is None else np.divide(mean_velocity, h)
+    u_idx = _drifted(u.grid_stack / h, drift)
+    # a drift changes the filtered values
+    splines = u.spline_stack if drift is None else periodic_splines(u_idx)
     base = np.indices(grid.shape, dtype=np.float64, sparse=True)
 
     def trace_back(c, v, out):
@@ -177,8 +173,8 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
     mean_velocity), for a caller that has it already; it is computed when
     None.
     """
-    if rho.grid is not u.grid and rho.grid != u.grid:
-        raise ValueError("density and velocity live on different grids")
+    _check_grid(rho.grid, [u], "a velocity", "a density")
+    mean_velocity = _finite_vector("mean_velocity", mean_velocity, u.grid.d)
     dt = scheme.dt if dt is None else _NONNEGATIVE.check("advection step length", dt)
     if dt == 0.0:
         return GridField(rho.grid, rho.values.copy(), check=False)
@@ -340,6 +336,8 @@ def commutator_residual(rho: GridField, u: VelocityField, epsilon: float,
     UnresolvableMollifier when eps does not exceed the grid spacing.
     """
     grid = rho.grid
+    _check_grid(grid, [u], "a velocity", "a density")
+    mean_velocity = _finite_vector("mean_velocity", mean_velocity, grid.d)
     if _FINITE.check("mollifier width", epsilon) <= grid.h:
         raise UnresolvableMollifier(
             f"mollifier width {epsilon:g} must exceed the grid spacing {grid.h:g}"

@@ -57,12 +57,15 @@ def fresh_report():
     yield
 
 
-def verdict(num, name, ok, detail):
+def verdict(num, name, ok, detail, measured=""):
+    """Append the criterion's report line and assert ok. measured, such as
+    a wall time, goes to the assertion message only: the tracked report
+    holds nothing that changes from run to run."""
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d} {name}: {detail}"
     print(line)
     with REPORT.open("a", encoding="utf-8") as fh:
         fh.write(line + "\n")
-    assert ok, line
+    assert ok, line + measured
 
 
 def battery_verdict(num, name, battery):
@@ -92,7 +95,8 @@ class TestAcceptance:
             1,
             "newtonian oracle",
             rel <= 1e-8 and wall < 1.0,
-            f"rel L2 error {rel:.2e} <= 1e-8, wall {wall:.2f}s < 1s",
+            f"rel L2 error {rel:.2e} <= 1e-8, wall < 1s",
+            f" (wall {wall:.2f}s)",
         )
 
     def test_02_energy_balance(self):
@@ -164,7 +168,8 @@ class TestAcceptance:
             ok,
             f"completed={result.completed}, worst L^q drift {worst_drift:.2e} "
             f"<= 1e-3 for q in (1.2, 2, 4), mass drift {mass_drift:.2e} <= 1e-12, "
-            f"wall {wall:.1f}s <= 300s",
+            "wall <= 300s",
+            f" (wall {wall:.1f}s)",
         )
 
     def test_06_apriori_ratio(self):

@@ -2,8 +2,14 @@
 its domain, the errors._Domain rule that the config fields use: NaN, an
 infinity where the domain is finite, and a value just outside each bound
 raise a ValueError that names the argument, while a valid value returns
-its known result."""
+its known result.
 
+Where fields meet in one call they must share a grid, and a mean_velocity
+drift must have d finite components: a mismatch raises a ValueError that
+names both grids, or the drift's length or its non-finite component,
+before any solve starts."""
+
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -15,6 +21,7 @@ from nnstokes import (
     AdvectionScheme,
     FluidParams,
     GridField,
+    SimulationConfig,
     SpectralField,
     StokesProblem,
     TorusGrid,
@@ -26,12 +33,18 @@ from nnstokes import (
     custom_eta,
     evolve,
     lebesgue_norm,
+    leray_project,
+    minty_sweep,
+    pairing_l2,
     smooth_clamp,
     solve_stokes,
     solve_stokes_batch,
     solve_stokes_penalized,
+    speed_sup,
     to_spectral,
+    velocity_l2_distance,
 )
+from nnstokes import stokes
 from nnstokes.fields import random_band_field, random_velocities, random_velocity, sines2_field
 from nnstokes.spectral import k_squared
 from nnstokes.stokes import _Workspace
@@ -189,3 +202,108 @@ def test_values_outside_the_domain_raise(inputs, case):
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_valid_value_returns_its_result(inputs, case):
     assert case.holds(inputs, case.call(inputs, case.valid))
+
+
+# ---------------------------------------------------------------------------
+# where fields meet: one grid, and a drift of d finite components
+
+@functools.lru_cache(maxsize=None)
+def elsewhere(grid):
+    """A velocity and a density on grid, built once per grid."""
+    return random_velocities(grid, [1], kmax=4)[0], GridField(grid, np.ones(grid.shape))
+
+
+P4 = FluidParams(p=4.0, q=1.9)
+SL = AdvectionScheme("semi_lagrangian", dt=0.1)
+
+# name -> (inputs, velocity, density) -> result, for a velocity and a
+# density on another grid than the inputs' 2D n = 16 one
+GRID_CALLS = {
+    "VelocityField": lambda e, v, rho: VelocityField((e["u"].components[0], v.components[1])),
+    "leray_project": lambda e, v, rho: leray_project((e["u"].components[0], v.components[1])),
+    "pairing_l2": lambda e, v, rho: pairing_l2(e["u"], v),
+    "velocity_l2_distance": lambda e, v, rho: velocity_l2_distance(e["u"], v),
+    "minty_sweep test field": lambda e, v, rho: minty_sweep([e["rho"]], e["rho"], [v], P4,
+                                                            constant_law(1.0)),
+    "minty_sweep density": lambda e, v, rho: minty_sweep([rho], e["rho"], [e["u"]], P4,
+                                                         constant_law(1.0)),
+    "commutator_residual": lambda e, v, rho: commutator_residual(e["rho"], v, 0.5, P4),
+    "advect_step": lambda e, v, rho: advect_step(e["rho"], v, e["scheme"]),
+    "evolve": lambda e, v, rho: evolve(e["rho"], v, 0.1, e["scheme"]),
+    "stack_of": lambda e, v, rho: _Workspace([e["prob"]]).stack_of(v),
+    "SimulationConfig rho0": lambda e, v, rho: SimulationConfig(
+        grid=e["rho"].grid, params=FluidParams(p=2.0, q=1.5), law=constant_law(1.0), rho0=rho,
+        smoothing_n=2, scheme=e["scheme"], t_final=0.1, output_every=0.1),
+}
+OTHER_GRIDS = [TorusGrid(2, 32), TorusGrid(3, 16), TorusGrid(2, 8)]
+
+# name -> (inputs, mean_velocity) -> result
+DRIFT_CALLS = {
+    "speed_sup": lambda e, mv: speed_sup(e["u"], mv),
+    "advect_step spectral_rk4": lambda e, mv: advect_step(e["rho"], e["u"], e["scheme"],
+                                                          mean_velocity=mv, vmax=1.0),
+    "advect_step semi_lagrangian": lambda e, mv: advect_step(e["rho"], e["u"], SL,
+                                                             mean_velocity=mv, vmax=1.0),
+    "evolve": lambda e, mv: evolve(e["rho"], lambda t: (e["u"], mv), 0.1, e["scheme"]),
+    "commutator_residual": lambda e, mv: commutator_residual(e["rho"], e["u"], 0.5, P4,
+                                                             mean_velocity=mv),
+}
+# a drift of d - 1 and of d + 1 components (the first silently drifted one
+# axis, the second raised IndexError), NaN and inf components (a NaN or a
+# wrong density, or ZeroDivisionError), and a number that is no vector
+BAD_DRIFTS = [((0.5,), "needs 2 components, got 1"), ((0.5, 0.0, 7.0), "needs 2 components, got 3"),
+              ((NAN, 0.0), "must be finite, got nan"), ((INF, 0.0), "must be finite, got inf"),
+              (0.5, "needs 2 components, got 0.5")]
+
+
+@dataclass(frozen=True)
+class Meeting:
+    site: str
+    call: object  # inputs -> result, which must raise
+    match: str  # a regex the ValueError's message matches
+
+
+def grid_meeting(name, call, grid):
+    return Meeting(f"{name} on {grid.d}x{grid.n}", lambda e: call(e, *elsewhere(grid)),
+                   rf"on TorusGrid\(d={grid.d}, n={grid.n}\) was given for .+ on TorusGrid\(d=2, n=16\)")
+
+
+def drift_meeting(name, call, drift, message):
+    return Meeting(f"{name} mean_velocity={drift}", lambda e: call(e, drift),
+                   re.escape(f"mean_velocity {message}"))
+
+
+MEETINGS = (
+    [grid_meeting(name, call, grid) for name, call in GRID_CALLS.items() for grid in OTHER_GRIDS]
+    + [drift_meeting(name, call, drift, message) for name, call in DRIFT_CALLS.items()
+       for drift, message in BAD_DRIFTS]
+    + [Meeting("leray_project three components",
+               lambda e: leray_project((e["u"].components * 2)[:3]), "need 2 components, got 3"),
+       Meeting("FluidParams g a number", lambda e: FluidParams(p=2.0, q=1.5, g=0.5),
+               re.escape("g needs 2 components, got 0.5"))]
+)
+
+
+@pytest.mark.parametrize("meeting", MEETINGS, ids=[m.site for m in MEETINGS])
+def test_fields_that_do_not_meet_raise(inputs, meeting, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the arguments were checked")
+
+    monkeypatch.setattr(stokes, "_solve", no_solve)
+    with pytest.raises(ValueError, match=meeting.match):
+        meeting.call(inputs)
+
+
+@pytest.mark.parametrize("drift", [[0.5, 0], np.array([0.5, -0.0]), (np.float32(0.5), False)],
+                         ids=["list", "array", "numpy scalar"])
+def test_a_valid_drift_keeps_its_bits(inputs, drift):
+    """A drift given as any sequence of d finite numbers acts as the tuple
+    of those floats."""
+    as_floats = (0.5, 0.0)
+    for call in DRIFT_CALLS.values():
+        out, ref = call(inputs, drift), call(inputs, as_floats)
+        if isinstance(out, tuple):  # evolve: the final density
+            out, ref = out[0], ref[0]
+        if isinstance(out, GridField):
+            out, ref = out.values, ref.values
+        assert np.array_equal(out, ref)

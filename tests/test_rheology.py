@@ -73,6 +73,9 @@ class TestFluidParams:
             (dict(p=2.0, q=1.5, d=4), "d"),
             (dict(p=2.0, q=1.5, g=(1.0,)), "g"),
             (dict(p=2.0, q=1.5, g=(math.nan, 0.0)), "g"),
+            # one pass: a non-finite g is reported beside a broken nu_max
+            (dict(p=2.0, q=1.5, nu_star=2.0, nu_max=1.0, g=(math.nan, 0.0)),
+             "nu_max must be >= nu_star = 2.0, got 1.0; g must be finite, got nan"),
         ],
     )
     def test_validation(self, kwargs, pattern):

@@ -105,7 +105,8 @@ class TestClassifyExponents:
 
 class TestSimulationConfig:
     def test_rho0_grid_mismatch(self, grid2d, grid2d_fine):
-        with pytest.raises(ValueError, match="grid"):
+        grids = r"rho0 on TorusGrid\(d=2, n=64\) was given for a config on TorusGrid\(d=2, n=32\)"
+        with pytest.raises(ValueError, match=grids):
             newtonian_config(grid2d, sines2_field(grid2d_fine))
 
     def test_params_dimension_mismatch(self, grid2d):

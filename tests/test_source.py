@@ -8,6 +8,10 @@ The command line sets the C allocator's policy of its own process (cli.py);
 a library module that did so would change it in every program that imports
 nnstokes.
 
+Fields that meet in a call share one grid, a rule with one owner,
+spectral._check_grid: no other code compares .grid attributes with == or
+!=.
+
 Every name a library module imports is used there; only the package's
 __init__.py imports names to re-export them. Every private module-level
 function, class or constant is read somewhere in the package: one that
@@ -150,3 +154,28 @@ def test_guard_flags_an_unused_private_name():
         "b.py": "from .a import _helper\n_helper()\nimport a\na._Gone = None\n",
     }
     assert unused_private_names(sources) == [("a.py", 1, "_SPARE"), ("a.py", 6, "_Gone")]
+
+
+def grid_comparisons(source: str):
+    """(line, source) of every == or != comparison of a .grid attribute
+    outside the body of a function named _check_grid."""
+    tree = ast.parse(source)
+    owner = {id(node) for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name == "_check_grid" for node in ast.walk(fn)}
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in owner
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(isinstance(x, ast.Attribute) and x.attr == "grid"
+                    for x in (node.left, *node.comparators))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_grids_are_compared_by_one_helper(path):
+    assert grid_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_a_grid_comparison():
+    source = ("def _check_grid(grid, fields):\n    return [f for f in fields if f.grid != grid]\n"
+              "if rho.grid != u.grid:\n    pass\nsame = grid == u.grid\n"
+              "ok = rho.grid is u.grid or rho.grid.d == 3 or a < b.grid\n")
+    assert grid_comparisons(source) == [(3, "rho.grid != u.grid"), (5, "grid == u.grid")]

@@ -1111,6 +1111,16 @@ class TestMintySweep:
         out = minty_sweep([rho] * 4, rho, tests, params, constant_law(1.0))
         assert np.abs(out["pairings"]).max() < 1e-8
 
+    def test_an_iterator_of_densities_sweeps_like_a_list(self, grid2d):
+        """The densities are read twice, for the grid check and the solves."""
+        rho = random_band_field(grid2d, seed=44, kmax=3, amplitude=0.4, offset=1.5)
+        seq = [GridField(grid2d, rho.values * s) for s in (1.5, 2.0)]
+        tests = [random_velocity(grid2d, seed=45, kmax=3)]
+        args = (rho, tests, FluidParams(p=2.0, q=1.5), constant_law(1.0))
+        listed = minty_sweep(seq, *args)
+        assert listed["raw"].shape == (2, 1)
+        assert np.array_equal(minty_sweep(iter(seq), *args)["raw"], listed["raw"])
+
     def test_newtonian_linear_decay(self, grid2d):
         """For p = 2 the map is linear, so pairings are exactly
         <Psi(bump), phi>/m: each step m -> 4m divides them by 4."""
