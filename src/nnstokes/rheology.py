@@ -7,6 +7,17 @@ The stress kernel is
 with |Du| the Frobenius norm of the symmetric strain. At delta = 0 this is
 the exact power law nu(rho) |Du|^{p-2} Du; the offset delta > 0 restores
 differentiability at Du = 0 when p < 2.
+
+This module owns every pointwise evaluation of the power law, at
+m = |Du|^2: the stress factor (delta^2 + m)^{(p-2)/2} (_power_factor), the
+curvature factor (delta^2 + m)^{(p-4)/2} (_curvature_factor), the lifted
+power (delta^2 + m)^{p/2} - delta^p, p times the energy density
+(_lifted_power), and the share m / (delta^2 + m) (_strain_share). delta
+acts as zero where delta * delta == 0 (_acts_as_zero): its square
+underflows, delta^2 + m is m, and every kernel takes its delta = 0 form,
+a negative power and the share with the limit 0 where the strain
+vanishes. The singular case is p < 2 with a delta that acts as zero
+(_singular).
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ class FluidParams:
     exponent (in [1, inf]), gamma the degeneracy exponent of the viscosity
     lower bound, nu_star and nu_max the viscosity bounds, g the constant
     gravity vector, d the dimension, and delta the strain regularization
-    offset. nu_max defaults to nu_star, and g to -e_d. The derived exponent
+    offset; a delta below about 1.5e-162, whose square underflows, acts as
+    0. nu_max defaults to nu_star, and g to -e_d. The derived exponent
     beta satisfies
     1/beta = (1/p)(1 + gamma/sigma); packs with beta <= 1 are representable
     so the classifier can see them, and they always classify inadmissible.
@@ -174,15 +186,59 @@ def strain_magnitude_sq(Du: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,ij...->...", Du, Du)
 
 
-def _power_factor(mag2: np.ndarray, p: float, delta: float) -> np.ndarray:
-    """(delta^2 + |Du|^2)^{(p-2)/2}, with the p < 2, delta = 0 limit taken
-    as zero where the strain vanishes (the stress limit there is zero)."""
+def _acts_as_zero(delta: float) -> bool:
+    """Whether delta acts as zero: its square underflows to 0."""
+    return delta * delta == 0
+
+
+def _singular(p: float, delta: float) -> bool:
+    """Whether the energy is singular at Du = 0: p < 2 with a delta that
+    acts as zero."""
+    return p < 2 and _acts_as_zero(delta)
+
+
+def _where_positive(base: np.ndarray, kernel) -> np.ndarray:
+    """kernel(base) where base = delta^2 + |Du|^2 is positive, and its
+    limit 0 where base vanishes: where delta acts as zero and the strain
+    vanishes."""
+    live = base > 0
+    return np.where(live, kernel(np.where(live, base, 1.0)), 0.0)
+
+
+def _guarded_power(mag2: np.ndarray, e: float, delta: float) -> np.ndarray:
+    """(delta^2 + |Du|^2)^e, with the limit 0 for e < 0 where delta acts as
+    zero and the strain vanishes."""
     base = delta * delta + mag2
-    if p >= 2 or delta > 0:
-        return base ** ((p - 2.0) / 2.0)
-    with np.errstate(divide="ignore"):
-        out = np.where(mag2 > 0, mag2, 1.0) ** ((p - 2.0) / 2.0)
-    return np.where(mag2 > 0, out, 0.0)
+    if e >= 0 or not _acts_as_zero(delta):
+        return base ** e
+    return _where_positive(base, lambda b: b ** e)
+
+
+def _power_factor(mag2: np.ndarray, p: float, delta: float) -> np.ndarray:
+    """(delta^2 + |Du|^2)^{(p-2)/2}, the stress factor."""
+    return _guarded_power(mag2, (p - 2.0) / 2.0, delta)
+
+
+def _curvature_factor(mag2: np.ndarray, p: float, delta: float) -> np.ndarray:
+    """(delta^2 + |Du|^2)^{(p-4)/2}: the energy density's second derivative
+    along a strain W is nu [power factor |W|^2 + (p - 2) curvature factor
+    (Du : W)^2]."""
+    return _guarded_power(mag2, (p - 4.0) / 2.0, delta)
+
+
+def _lifted_power(mag2: np.ndarray, p: float, delta: float) -> np.ndarray:
+    """(delta^2 + |Du|^2)^{p/2} - delta^p, free of cancellation where
+    delta^2 >> |Du|^2; its derivative in |Du|^2 is (p/2) times the stress
+    factor."""
+    if _acts_as_zero(delta):
+        return mag2 ** (p / 2.0)
+    return delta ** p * np.expm1(0.5 * p * np.log1p(mag2 / delta ** 2))
+
+
+def _strain_share(mag2: np.ndarray, delta: float) -> np.ndarray:
+    """|Du|^2 / (delta^2 + |Du|^2), with the limit 0 where delta acts as
+    zero and the strain vanishes."""
+    return _where_positive(delta * delta + mag2, lambda b: mag2 / b)
 
 
 def viscosity_eval(law: ViscosityLaw, rho: GridField) -> GridField:

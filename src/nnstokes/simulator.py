@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import (_NONNEGATIVE, _POSITIVE, BadValue, CflViolation, InadmissibleExponents,
                      MaxIterations, _check_fields, _field)
 from .rheology import FluidParams, ViscosityLaw
-from .spectral import (GridField, TorusGrid, VelocityField, _check_grid, l2_inner, lebesgue_norm,
-                       low_freq_truncate, reciprocal_norm, to_grid, to_spectral)
+from .spectral import (_SMOOTHING_INDEX, GridField, TorusGrid, VelocityField, _check_grid, l2_inner,
+                       lebesgue_norm, low_freq_truncate, reciprocal_norm, to_grid, to_spectral)
 from .stokes import StokesProblem, _diagnostics, _solve, _Workspace, pairing_l2, solve_stokes
 from .transport import _STEP_FLOOR, AdvectionScheme, _cfl_cap, advect_step, speed_sup
 
@@ -65,7 +65,7 @@ class SimulationConfig:
     params: FluidParams
     law: ViscosityLaw
     rho0: GridField
-    smoothing_n: int = _field(low=0, integer=True)
+    smoothing_n: int = _field(domain=_SMOOTHING_INDEX)
     scheme: AdvectionScheme
     t_final: float = _field(domain=_NONNEGATIVE)
     output_every: float = _field(domain=_POSITIVE)

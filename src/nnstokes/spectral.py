@@ -439,10 +439,17 @@ class DyadicCutoff:
 _CUTOFF = DyadicCutoff()
 
 
+# dyadic indices: any integer for a block, an integer >= 0 for a smoothing
+_BLOCK_INDEX = _Domain(integer=True)
+_SMOOTHING_INDEX = _Domain(low=0, integer=True)
+
+
 def lp_block(F: SpectralField, j: int) -> SpectralField:
     """Dyadic block: j = -1 is the low ball chi(|k|), j >= 0 the annulus
-    phi(|k| / 2^j) with support 2^j < |k| < 2^{j+2}. Blocks below -1 vanish."""
-    if j <= -2:
+    phi(|k| / 2^j) with support 2^j < |k| < 2^{j+2}. Blocks below -1 and
+    above j_max vanish."""
+    j = _BLOCK_INDEX.check("block index j", j)
+    if j <= -2 or j > j_max(F.grid):
         return SpectralField(F.grid, np.zeros(F.grid.shape, dtype=np.complex128))
     r = _lattice(F.grid.d, F.grid.n).radius
     if j == -1:
@@ -461,7 +468,10 @@ def _low_pass(d: int, n: int, j: int):
 
 def low_freq_truncate(F: SpectralField, j: int) -> SpectralField:
     """Smooth low-pass companion of the blocks: identity on |k| <= 2^{j-1},
-    zero on |k| >= 2^j, so it converges to the identity as j grows."""
+    zero on |k| >= 2^j, so it converges to the identity as j grows. j is a
+    smoothing index, the domain of a config's smoothing.n; from j_max on
+    it is the identity."""
+    j = min(_SMOOTHING_INDEX.check("smoothing index j", j), j_max(F.grid))
     return SpectralField(F.grid, F.coeffs * _low_pass(F.grid.d, F.grid.n, j))
 
 

@@ -27,9 +27,11 @@ stress, the dissipation, the monotonicity gap and the a-priori strain norm
 are evaluated on one 3/2-times finer quadrature grid, which keeps the
 discrete gradient an exact derivative of the discrete energy; the work
 integral, linear in u, is summed exactly from the coefficients. For
-1 < p < 2 with delta = 0 the solver minimizes the delta = 1e-4 energy
-instead, from the same start, and never differentiates the singular
-delta = 0 energy.
+1 < p < 2 with a delta that acts as zero (rheology) the solver minimizes
+the delta = 1e-4 energy instead, from the same start, and never
+differentiates the singular delta = 0 energy. The pointwise kernels of
+the power law are rheology's; this module contracts, transforms and sums
+them.
 
 Every solve runs on a workspace (_Workspace): the tables that depend only
 on the grid and the penalty (the strain layout, the lattice multipliers and
@@ -56,7 +58,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import _POSITIVE, DegenerateViscosity, MaxIterations, _check_fields, _Domain, _field, _FieldError
-from .rheology import FluidParams, ViscosityLaw, _power_factor
+from .rheology import (FluidParams, ViscosityLaw, _curvature_factor, _lifted_power, _power_factor, _singular,
+                       _strain_share)
 from .spectral import (
     GridField,
     SpectralField,
@@ -275,11 +278,7 @@ class _Workspace:
         return np.array([l2_inner(self.lattice.grid, ci, wi) for ci, wi in zip(c, self.work_weights[sel])])
 
     def _energy(self, c: np.ndarray, mag2: np.ndarray, sel=slice(None)) -> np.ndarray:
-        if self.delta > 0:
-            # (delta^2 + |Du|^2)^{p/2} - delta^p, free of cancellation where delta^2 >> |Du|^2
-            lifted = self.delta ** self.p * np.expm1(0.5 * self.p * np.log1p(mag2 / self.delta ** 2))
-        else:
-            lifted = mag2 ** (self.p / 2.0)
+        lifted = _lifted_power(mag2, self.p, self.delta)
         diss = self.lattice.hfd * _sum_per_member((self.nu_fine[sel] / self.p) * lifted)
         return diss - self.work_integral(c, sel) + self._penalty_energy_half(c)
 
@@ -323,10 +322,9 @@ class _Workspace:
         Sw = self._strain_fine(w)
         quad = state.afield * self._contract(Sw, Sw)
         if self.p != 2.0:
-            base = self.delta * self.delta + state.mag2
-            safe = np.where(base > 0, base, 1.0) ** ((self.p - 4.0) / 2.0)
+            curv = _curvature_factor(state.mag2, self.p, self.delta)
             cross = self._contract(state.S, Sw)
-            quad = quad + self.nu_fine[sel] * (self.p - 2.0) * np.where(base > 0, safe, 0.0) * cross ** 2
+            quad = quad + self.nu_fine[sel] * (self.p - 2.0) * curv * cross ** 2
         return self.lattice.hfd * _sum_per_member(quad) + 2.0 * self._penalty_energy_half(w), Sw
 
     def newtonian_start(self) -> np.ndarray:
@@ -363,12 +361,10 @@ class _Workspace:
         lo, hi = np.full(len(c), -np.inf), np.full(len(c), np.inf)
         for _ in range(60):
             s2m = np.exp(2.0 * t).reshape((-1,) + (1,) * (mag2.ndim - 1)) * mag2
-            base = self.delta * self.delta + s2m
             a = self.nu_fine * _power_factor(s2m, self.p, self.delta) * mag2
             phi = hfd * _sum_per_member(a) + pen
             # s phi'(s) = (p - 2) int nu (delta^2 + s^2 m)^{(p-4)/2} s^2 m^2
-            dphi = (self.p - 2.0) * hfd * _sum_per_member(
-                a * np.where(base > 0, s2m / np.where(base > 0, base, 1.0), 0.0))
+            dphi = (self.p - 2.0) * hfd * _sum_per_member(a * _strain_share(s2m, self.delta))
             # the members that keep their scale may divide by zero here
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = t + np.log(phi) - log_work
@@ -621,10 +617,11 @@ def functional_value(prob: StokesProblem, u: VelocityField) -> float:
 
 def functional_gradient(prob: StokesProblem, u: VelocityField) -> VelocityField:
     """L2 Riesz representative of the energy derivative, projected onto the
-    divergence-free zero-mean subspace. Rejects the singular case delta = 0
-    with p < 2."""
-    if prob.params.p < 2 and prob.params.delta == 0:
-        raise ValueError("gradient is singular for p < 2 at delta = 0; use delta > 0")
+    divergence-free zero-mean subspace. Rejects the singular case: p < 2
+    with a delta that acts as zero."""
+    if _singular(prob.params.p, prob.params.delta):
+        raise ValueError("gradient is singular for p < 2 at a delta that acts as zero; "
+                         "use a delta whose square is positive")
     ws = _Workspace([prob])
     _, g, _ = ws.value_grad(ws.stack_of(u))
     return VelocityField.from_half_stack(g[0] / ws.lattice.vol_factor, ws.lattice.grid)
@@ -641,7 +638,7 @@ def _solve(ws: _Workspace, problems, u0, tol=1e-8, max_iter=10000, strict=False,
     if problems[0].penalty is None and np.any(ws.nu_fine.reshape(B, -1).max(axis=1) == 0.0):
         raise DegenerateViscosity("viscosity vanishes on the whole grid and no penalty is active")
 
-    delta = _DELTA_SINGULAR if params.p < 2 and params.delta == 0.0 else float(params.delta)
+    delta = _DELTA_SINGULAR if _singular(params.p, params.delta) else float(params.delta)
     ws.delta = delta
 
     if u0 is None:
@@ -712,7 +709,8 @@ def solve_stokes_batch(problems, u0=None, tol: float = 1e-8, max_iter: int = 100
     report, that it would get solved alone; callback(member, iteration,
     value, grad_norm) is called once at each of its iterates.
 
-    For 1 < p < 2 with delta = 0 requested, the solver minimizes the
+    For 1 < p < 2 with a delta that acts as zero requested (one whose
+    square underflows, delta = 0 included), the solver minimizes the
     regularized delta = 1e-4 energy from the same start, and
     report.delta_schedule reads (1e-4,); otherwise it reads the requested
     (delta,). The reported gradient norm and energy residual refer to the

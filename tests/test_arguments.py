@@ -27,6 +27,7 @@ from nnstokes import (
     TorusGrid,
     VelocityField,
     atan_scaled,
+    bernstein_ratio,
     besov_norm,
     commutator_residual,
     constant_law,
@@ -34,9 +35,13 @@ from nnstokes import (
     evolve,
     lebesgue_norm,
     leray_project,
+    low_freq_truncate,
+    lp_block,
     minty_sweep,
     pairing_l2,
     smooth_clamp,
+    smooth_density,
+    smooth_velocity,
     solve_stokes,
     solve_stokes_batch,
     solve_stokes_penalized,
@@ -46,7 +51,7 @@ from nnstokes import (
 )
 from nnstokes import stokes
 from nnstokes.fields import random_band_field, random_velocities, random_velocity, sines2_field
-from nnstokes.spectral import k_squared
+from nnstokes.spectral import j_max, k_squared
 from nnstokes.stokes import _Workspace
 from nnstokes.transport import advect_step
 
@@ -70,6 +75,7 @@ def inputs():
         "rho": rho,
         "ones": GridField(grid, np.ones(grid.shape)),
         "threes": to_spectral(GridField(grid, np.full(grid.shape, 3.0))),
+        "sin2": to_spectral(GridField(grid, np.sin(2.0 * grid.coordinate(0)))),
         "u": random_velocity(grid, seed=11, kmax=4, amplitude=1.0),
         "scheme": AdvectionScheme("spectral_rk4", dt=0.1),
         "prob": prob,
@@ -171,6 +177,25 @@ CASES = [
     Case("solve_stokes_penalized max_iter", "max_iter",
          lambda e, max_iter: solve_stokes_penalized(e["penalized"], max_iter=max_iter)[1],
          (NAN, INF, -INF, -1, 2.5), 3, lambda e, report: report.converged),
+    # a smoothing index is a config's smoothing.n; j = -5 used to keep only the mean
+    Case("low_freq_truncate j", "smoothing index j",
+         lambda e, j: low_freq_truncate(e["threes"], j),
+         (NAN, INF, -INF, 2.5, -5), 0, lambda e, out: np.array_equal(out.coeffs, e["threes"].coeffs)),
+    Case("smooth_velocity j", "smoothing index j",
+         lambda e, j: smooth_velocity(e["u"], j),
+         (NAN, INF, -INF, 2.5, -5), j_max(TorusGrid(2, 16)),
+         lambda e, v: np.array_equal(v.coeff_stack(), e["u"].coeff_stack())),
+    Case("smooth_density j", "smoothing index j",
+         lambda e, j: smooth_density(e["rho"], j),
+         (NAN, INF, -INF, 2.5, -5), j_max(TorusGrid(2, 16)),
+         lambda e, f: np.allclose(f.values, e["rho"].values, rtol=0.0, atol=1e-15)),
+    # any integer is a block; those below -1 vanish
+    Case("lp_block j", "block index j",
+         lambda e, j: lp_block(e["threes"], j),
+         (NAN, INF, -INF, 2.5), -5, lambda e, out: not np.any(out.coeffs)),
+    Case("bernstein_ratio j", "block index j",
+         lambda e, j: bernstein_ratio(e["sin2"], j, 2.0),
+         (NAN, INF, -INF, 2.5), 0, lambda e, out: out == 2.0),  # |grad sin 2x| = 2 |sin 2x| in L^2
     Case("random_velocity kmax", "kmax",
          lambda e, kmax: random_velocity(e["rho"].grid, seed=1, kmax=kmax),
          (NAN, INF, -INF, 0.0), 4.0, lambda e, u: band_limited(u, 4.0)),

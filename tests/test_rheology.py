@@ -20,7 +20,8 @@ from nnstokes import (
     table_law,
     viscosity_eval,
 )
-from nnstokes.rheology import strain_magnitude_sq
+from nnstokes.rheology import (_acts_as_zero, _curvature_factor, _lifted_power, _power_factor, _singular,
+                               _strain_share, strain_magnitude_sq)
 
 
 def make_strain(grid, entries):
@@ -292,6 +293,88 @@ class TestStress:
             gaps.append(np.abs(S - exact).max())
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.15)
         assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.15)
+
+
+KERNEL_M = np.logspace(-2.0, 2.0, 9)
+
+
+def central_difference(f, m):
+    h = 1e-5 * m
+    return (f(m + h) - f(m - h)) / (2.0 * h)
+
+
+class TestKernels:
+    """The pointwise power-law kernels and the rule for when delta acts as
+    zero. The identities tie the energy density, the stress factor and the
+    curvature factor together, so a rescaled form of any one of them must
+    keep them."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 12.0])
+    @pytest.mark.parametrize("delta", [0.0, 1e-4, 0.5])
+    def test_lifted_power_derivative_is_the_stress_factor(self, p, delta):
+        slope = central_difference(lambda m: _lifted_power(m, p, delta), KERNEL_M)
+        assert np.allclose(slope, 0.5 * p * _power_factor(KERNEL_M, p, delta), rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 12.0])
+    @pytest.mark.parametrize("delta", [0.0, 1e-4, 0.5])
+    def test_stress_factor_derivative_is_the_curvature_factor(self, p, delta):
+        slope = central_difference(lambda m: _power_factor(m, p, delta), KERNEL_M)
+        expected = 0.5 * (p - 2.0) * _curvature_factor(KERNEL_M, p, delta)
+        assert np.allclose(slope, expected, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("p", [4.0, 12.0])
+    def test_lifted_power_at_delta_is_free_of_cancellation(self, p):
+        """(delta^2 + m)^{p/2} - delta^p at m << delta^2 is about
+        (p/2) delta^{p-2} m, not rounding dust."""
+        m = np.array([1e-20, 1e-12])
+        assert np.allclose(_lifted_power(m, p, 0.5), 0.5 * p * 0.5 ** (p - 2.0) * m, rtol=1e-6)
+
+    def test_acts_as_zero_where_the_square_underflows(self):
+        assert [_acts_as_zero(d) for d in (0.0, 1e-200, 1e-170, 1.5e-162)] == [True] * 4
+        assert [_acts_as_zero(d) for d in (1.6e-162, 1e-160, 1e-4)] == [False] * 3
+        assert _singular(1.5, 1e-170) and _singular(1.5, 0.0)
+        assert not _singular(1.5, 1e-160) and not _singular(3.0, 0.0)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-170, 1e-200])
+    def test_negative_powers_vanish_with_the_strain(self, delta):
+        """Where delta acts as zero the e < 0 powers and the strain share
+        take their limit 0 at m = 0, bit for bit as at delta = 0."""
+        m = np.array([0.0, 0.25, 4.0])
+        for p in (1.5, 3.0):
+            for kernel in (_power_factor, _curvature_factor, _lifted_power):
+                out = kernel(m, p, delta)
+                assert out.tobytes() == kernel(m, p, 0.0).tobytes()
+            assert _curvature_factor(m, p, delta)[0] == 0.0
+        assert _power_factor(m, 1.5, delta)[0] == 0.0
+        assert _strain_share(m, delta).tolist() == [0.0, 1.0, 1.0]
+
+    def test_representable_delta_keeps_the_offset(self):
+        m = np.array([0.0])
+        assert _power_factor(m, 1.5, 1e-4)[0] == pytest.approx(1e-4 ** -0.5, rel=1e-15)
+        assert _curvature_factor(m, 3.0, 1e-4)[0] == pytest.approx(1e4, rel=1e-15)
+        assert _strain_share(m, 1e-4)[0] == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("delta", [1e-170, 1e-200])
+    def test_stress_and_dissipation_as_at_delta_zero(self, grid2d, p, delta):
+        """A zero strain point gave inf * 0 = nan at p = 1.5 when the
+        delta > 0 formula took (delta^2 + 0)^{-1/4}."""
+        rho = GridField(grid2d, np.ones(grid2d.shape))
+        Du = make_strain(grid2d, {(0, 1): 0.7}) * np.sin(grid2d.coordinate(0))
+        law = constant_law(1.0)
+        params, zero = FluidParams(p=p, q=1.5, delta=delta), FluidParams(p=p, q=1.5)
+        S = stress(law, params, rho, Du)
+        diss = dissipation_density(law, params, rho, Du).values
+        assert np.all(np.isfinite(S)) and np.all(np.isfinite(diss))
+        assert S.tobytes() == stress(law, zero, rho, Du).tobytes()
+        assert diss.tobytes() == dissipation_density(law, zero, rho, Du).values.tobytes()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the lifted form delta^p expm1(...) "
+                                           "underflows delta^p to 0 while expm1 overflows")
+    def test_lifted_power_at_large_p(self):
+        with np.errstate(all="ignore"):
+            out = _lifted_power(np.array([1.0]), 100.0, 1e-4)[0]
+        assert out == pytest.approx(math.exp(50.0 * math.log1p(1e-8)), rel=1e-12)
 
 
 class TestMonotoneOperatorPointwise:

@@ -12,6 +12,11 @@ Fields that meet in a call share one grid, a rule with one owner,
 spectral._check_grid: no other code compares .grid attributes with == or
 !=.
 
+The power law has one owner, rheology: no other module compares a name
+or attribute ending in delta with a number (the rule for when delta acts
+as zero is rheology._acts_as_zero), and none calls expm1 or log1p (the
+cancellation-free lifted power is rheology._lifted_power).
+
 Every name a library module imports is used there; only the package's
 __init__.py imports names to re-export them. Every private module-level
 function, class or constant is read somewhere in the package: one that
@@ -179,3 +184,51 @@ def test_guard_flags_a_grid_comparison():
               "if rho.grid != u.grid:\n    pass\nsame = grid == u.grid\n"
               "ok = rho.grid is u.grid or rho.grid.d == 3 or a < b.grid\n")
     assert grid_comparisons(source) == [(3, "rho.grid != u.grid"), (5, "grid == u.grid")]
+
+
+def power_law_evaluations(source: str):
+    """(line, source) of every comparison of a name or attribute ending in
+    delta with a number, and of every call of a function named expm1 or
+    log1p."""
+    def ends_in_delta(x):
+        return (isinstance(x, ast.Name) and x.id.endswith("delta")
+                or isinstance(x, ast.Attribute) and x.attr.endswith("delta"))
+
+    def number(x):
+        if isinstance(x, ast.UnaryOp) and isinstance(x.op, (ast.USub, ast.UAdd)):
+            x = x.operand
+        return (isinstance(x, ast.Constant) and isinstance(x.value, (int, float))
+                and not isinstance(x.value, bool))
+
+    def flagged(node):
+        if isinstance(node, ast.Compare):
+            operands = (node.left, *node.comparators)
+            return any(map(ends_in_delta, operands)) and any(map(number, operands))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name in ("expm1", "log1p")
+        return False
+
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source)) if flagged(node)]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "rheology.py"],
+                         ids=lambda path: path.name)
+def test_power_law_is_evaluated_in_rheology(path):
+    assert power_law_evaluations(path.read_text(encoding="utf-8")) == []
+
+
+def test_rheology_owns_the_power_law():
+    rheology = next(path for path in SOURCES if path.name == "rheology.py")
+    assert power_law_evaluations(rheology.read_text(encoding="utf-8")) != []
+
+
+def test_guard_flags_a_power_law_evaluation():
+    source = ("if self.delta > 0:\n    pass\nsingular = p < 2 and params.delta == 0.0\n"
+              "x = np.expm1(a) + log1p(b)\nok = delta * delta == 0 or -1 < ws.delta\n"
+              "fine = delta_schedule == (1e-4,) or delta > eps or self.delta is None or p > 2\n"
+              "flag = delta != True\n")
+    assert power_law_evaluations(source) == [
+        (1, "self.delta > 0"), (3, "params.delta == 0.0"), (4, "np.expm1(a)"), (4, "log1p(b)"),
+        (5, "-1 < ws.delta")]

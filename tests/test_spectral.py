@@ -327,6 +327,16 @@ class TestDyadicBlocks:
         F = to_spectral(random_grid_field(grid2d, 3))
         assert np.abs(lp_block(F, -2).coeffs).max() == 0.0
 
+    def test_indices_beyond_j_max(self, grid2d):
+        """Blocks above j_max vanish and the low pass is the identity from
+        j_max on, also where 2^j overflows a float (j >= 1024 used to raise
+        OverflowError, and so did a config's smoothing.n = 2000)."""
+        F = to_spectral(random_grid_field(grid2d, 3))
+        for j in (j_max(grid2d) + 1, 2000, 10 ** 30):
+            assert not np.any(lp_block(F, j).coeffs)
+            assert np.array_equal(low_freq_truncate(F, j).coeffs, low_freq_truncate(F, j_max(grid2d)).coeffs)
+        assert np.array_equal(low_freq_truncate(F, j_max(grid2d)).coeffs, F.coeffs)
+
     def test_mode_three_touches_blocks_zero_and_one(self, grid2d):
         F = mode_field(grid2d, (3, 0))
         hits = [

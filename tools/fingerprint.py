@@ -24,8 +24,10 @@ spectral_rk4 and one semi_lagrangian step of it with that drift and of
 one forced into 16 CFL substeps. It also prints
 the counts, stop reason and value (float.hex) of the unit-scale probes:
 n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity, g = (s, s),
-at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, and at p = 12,
-delta = 100, s = 1 with viscosity 1, 1e3 and 1e6.
+at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, at p = 12,
+delta = 100, s = 1 with viscosity 1, 1e3 and 1e6, and at p = 1.5 and p = 3
+with delta = 1e-170, whose square underflows, so that they solve as at
+delta = 0.
 
 Beside each SHA-256 of an array it prints the array's max |x| and L2 norm
 to 10 significant digits, and beside that of a diagnostics.csv the same
@@ -54,7 +56,8 @@ CASES = (("2d_p1.5", 2, 128, 1.5), ("2d_p3", 2, 128, 3.0),
          ("2d_p4", 2, 128, 4.0), ("3d_p3", 3, 32, 3.0))
 # unit-scale probes: (p, s, delta, viscosity)
 PROBES = ((1.5, 1e8, 0.0, 1.0), (1.5, 1e4, 0.0, 1.0), (1.5, 1e2, 0.0, 1.0), (3.0, 1e-8, 0.0, 1.0),
-          (12.0, 1.0, 100.0, 1.0), (12.0, 1.0, 100.0, 1e3), (12.0, 1.0, 100.0, 1e6))
+          (12.0, 1.0, 100.0, 1.0), (12.0, 1.0, 100.0, 1e3), (12.0, 1.0, 100.0, 1e6),
+          (1.5, 1.0, 1e-170, 1.0), (3.0, 1.0, 1e-170, 1.0))
 
 
 def sha256(data: bytes) -> str:
