@@ -140,7 +140,11 @@ class VelocityField:
     use, and kept as the read-only stacks grid_stack, of shape
     (d,) + grid.shape, and fine_stack, of shape (d,) + (3n/2,)*d; so is
     spline_stack, the cubic-spline coefficients of grid_stack / h that the
-    semi-Lagrangian scheme interpolates.
+    semi-Lagrangian scheme interpolates. The slot departures holds None or
+    the semi-Lagrangian scheme's last key (substep length, drift) with the
+    read-only stack, of shape (d,) + grid.shape, of the index-space
+    departure points it traced for that key; a step with another key
+    replaces it.
     """
 
     def __init__(self, components, check: bool = True):
@@ -153,6 +157,7 @@ class VelocityField:
         _check_grid(grid, components, "a component", "a velocity")
         self.components = components
         self.grid = grid
+        self.departures = None
         if check:
             self.validate()
 

@@ -8,7 +8,11 @@ Fourier coefficients with a dealiased divergence-form tendency and a
 mode of the tendency vanishes identically. semi_lagrangian traces
 characteristics backward with a midpoint rule and resamples by cubic
 spline interpolation; it is monotone up to interpolation overshoot and
-commutes with pointwise renormalization up to the same error.
+commutes with pointwise renormalization up to the same error. Its
+departure points depend on the velocity, the substep length and the
+drift, not on the density: a velocity keeps those of its last (substep
+length, drift), so that stepping it again with the same ones, as evolve
+with a frozen velocity does, interpolates only the density.
 
 The velocity is frozen within a step. Constant background drifts, which
 the zero-mean velocity type cannot represent, enter through the explicit
@@ -32,6 +36,7 @@ from .spectral import (
     VelocityField,
     _check_grid,
     _lattice,
+    _read_only,
     dealiaser,
     irfft_values,
     lebesgue_norm,
@@ -53,9 +58,18 @@ class AdvectionScheme:
 
 
 def speed_sup(u: VelocityField, mean_velocity=None) -> float:
-    """Pointwise maximum speed on the grid, bypass drift included."""
+    """Pointwise maximum speed on the grid, bypass drift included; inf only
+    for a speed beyond the largest float."""
     vals = _drifted(u.grid_stack, _finite_vector("mean_velocity", mean_velocity, u.grid.d))
-    return float(np.sqrt(np.einsum("j...,j...->...", vals, vals).max()))
+    sq = float(np.einsum("j...,j...->...", vals, vals).max())
+    if sq < math.inf:
+        return math.sqrt(sq)
+    # the squares overflow: the speeds scaled by the largest component first
+    scale = float(np.abs(vals).max())
+    if scale == math.inf:
+        return scale
+    vals = vals / scale
+    return scale * math.sqrt(float(np.einsum("j...,j...->...", vals, vals).max()))
 
 
 # the shortest substep advect_step takes; a shorter one raises CflViolation
@@ -128,9 +142,17 @@ def _rk4_substeps(rho: GridField, u: VelocityField, tau: float, m: int, mean_vel
     return GridField(grid, irfft_values(y, grid), check=False)
 
 
-def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: int,
-                              mean_velocity):
-    grid = rho.grid
+def _departure_points(u: VelocityField, tau: float, mean_velocity) -> np.ndarray:
+    """The midpoint rule's index-space departure points for a substep of
+    length tau, base - tau u(base - (tau/2) u) with u in grid units, drift
+    added. The velocity keeps them, read-only, with their (tau, drift) in
+    its departures slot; a step with the same key reads them back, and one
+    with another key replaces them."""
+    key = (tau, mean_velocity)
+    kept = u.departures  # read once: a step in another thread may replace it
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    grid = u.grid
     h = grid.h
     drift = None if mean_velocity is None else np.divide(mean_velocity, h)
     u_idx = _drifted(u.grid_stack / h, drift)
@@ -144,23 +166,26 @@ def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: i
         for b, o in zip(base, out):
             np.subtract(b, o, out=o)
 
-    vals = rho.values
-    mean0 = float(vals.mean())
-    # the midpoint and then the departure point in one buffer: three stacks
-    # in all, so that at n = 128 their release at the return stays under
-    # glibc's heap-trim threshold (about 1.2 MB) and the next step faults
-    # no pages back in
     point = np.empty_like(u_idx)
     u_mid = np.empty_like(u_idx)
+    trace_back(0.5 * tau, u_idx, point)
+    for j in range(grid.d):
+        map_coordinates(splines[j], point, order=3, mode="grid-wrap", output=u_mid[j],
+                        prefilter=False)
+    trace_back(tau, u_mid, point)
+    u.departures = (key, _read_only(point))
+    return point
+
+
+def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: int,
+                              mean_velocity):
+    point = _departure_points(u, tau, mean_velocity)
+    vals = rho.values
+    mean0 = float(vals.mean())
     for _ in range(m):
-        trace_back(0.5 * tau, u_idx, point)
-        for j in range(grid.d):
-            map_coordinates(splines[j], point, order=3, mode="grid-wrap", output=u_mid[j],
-                            prefilter=False)
-        trace_back(tau, u_mid, point)
         vals = map_coordinates(vals, point, order=3, mode="grid-wrap")
         vals += mean0 - vals.mean()
-    return GridField(grid, vals)
+    return GridField(rho.grid, vals)
 
 
 def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
@@ -180,13 +205,16 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
         return GridField(rho.grid, rho.values.copy(), check=False)
 
     vmax = speed_sup(u, mean_velocity) if vmax is None else _NONNEGATIVE.check("vmax", vmax)
-    m = _substep_count(dt, _cfl_cap(scheme, rho.grid, vmax))
-    if dt / m < _STEP_FLOOR:
+    cap = _cfl_cap(scheme, rho.grid, vmax)
+    # a cap under the floor leaves every substep under it; it is 0 for an
+    # infinite speed, and for a finite one whose quotient underflows
+    m = _substep_count(dt, cap) if cap >= _STEP_FLOOR else 1
+    tau = dt / m
+    if tau < _STEP_FLOOR or cap < _STEP_FLOOR:
         raise CflViolation(
-            f"CFL reduction drove the substep to {dt / m:.3e} (< {_STEP_FLOOR:g}); "
+            f"CFL reduction drove the substep to {min(tau, cap):.3e} (< {_STEP_FLOOR:g}); "
             f"velocity sup {vmax:.3e} is too fast for this grid"
         )
-    tau = dt / m
 
     if scheme.kind == "spectral_rk4":
         return _rk4_substeps(rho, u, tau, m, mean_velocity)

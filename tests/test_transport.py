@@ -49,6 +49,17 @@ def negate(u):
     )
 
 
+def overflowing_sine(grid):
+    """u = (0, 3e308 sin x1): finite coefficients whose grid values overflow."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs[1, 0], coeffs[-1, 0] = -1.5e308j, 1.5e308j
+    zero = SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    u = VelocityField((zero, SpectralField(grid, coeffs)))
+    with np.errstate(over="ignore"):
+        u.grid_stack  # kept, so the tests meet no overflow warning
+    return u
+
+
 def zero_velocity(grid):
     zero = SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
     return VelocityField((zero,) * grid.d, check=False)
@@ -261,6 +272,36 @@ class TestSpeedSup:
     def test_drift_included(self, grid2d):
         assert speed_sup(zero_velocity(grid2d), mean_velocity=(3.0, 4.0)) == pytest.approx(5.0)
 
+    def test_no_overflow_below_the_largest_float(self):
+        """Squaring the speeds overflowed for any speed above about 1.3e154."""
+        grid = TorusGrid(2, 16)
+        u = random_velocity(grid, seed=1, kmax=4, amplitude=1.0)
+        fast = random_velocity(grid, seed=1, kmax=4, amplitude=1e160)
+        assert speed_sup(fast) == pytest.approx(1e160 * speed_sup(u), rel=1e-12)
+        assert speed_sup(zero_velocity(grid), mean_velocity=(3e300, 4e300)) == pytest.approx(5e300)
+        assert speed_sup(zero_velocity(grid), mean_velocity=(1.5e308, 1.5e308)) == math.inf
+
+    def test_an_infinite_grid_value_is_an_infinite_speed(self):
+        """u = (0, 3e308 sin x1) has finite coefficients, +-1.5e308 i."""
+        assert speed_sup(overflowing_sine(TorusGrid(2, 16))) == math.inf
+
+    @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
+    @pytest.mark.parametrize("amplitude, drift", [(1e160, None), (1.0, (1e308, 0.0)),
+                                                  (1.0, (1.5e308, 1.5e308)), (None, None)])
+    def test_a_fast_velocity_is_a_cfl_violation(self, kind, amplitude, drift):
+        """A speed whose squares overflow, or that is itself infinite, used
+        to end in a ZeroDivisionError from the substep count. Amplitude None
+        is overflowing_sine."""
+        grid = TorusGrid(2, 16)
+        u = (overflowing_sine(grid) if amplitude is None
+             else random_velocity(grid, seed=1, kmax=4, amplitude=amplitude))
+        rho = sines2_field(grid, offset=1.0, a=0.5, b=0.25)
+        scheme = AdvectionScheme(kind=kind, dt=1.0)
+        with pytest.raises(CflViolation, match="too fast"):
+            advect_step(rho, u, scheme, mean_velocity=drift)
+        with pytest.raises(CflViolation, match="too fast"):
+            evolve(rho, lambda t: (u, drift), 1.0, scheme)
+
 
 def reference_rk4(rho, u, tau, m, mean_velocity=None, full_layout=False):
     """The out-of-place stage loop that _rk4_substeps replaced: every stage
@@ -344,9 +385,12 @@ class TestStoredVelocityValues:
     def test_ten_steps_filter_the_velocity_once(self, grid2d, monkeypatch):
         """The semi-Lagrangian scheme interpolates the velocity from its
         spline coefficients, filtered once and kept on the velocity, so every
-        velocity interpolation skips the prefilter; it used to filter the
-        unchanged velocity again at every substep. The density, which
-        changes, is filtered by each of its interpolations."""
+        velocity interpolation skips the prefilter. It traces the departure
+        points once per (velocity, substep length, drift) and keeps them on
+        the velocity, so ten steps of one velocity at one dt interpolate the
+        velocity d times in all; it used to trace them again at every
+        substep. The density, which changes, is filtered by each of its
+        interpolations, one per substep."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         filtered, prefilters = [], []
         spline_filter_, map_coordinates_ = spectral.spline_filter, transport.map_coordinates
@@ -368,17 +412,23 @@ class TestStoredVelocityValues:
         assert len(filtered) == grid2d.d
         for a, b in zip(filtered, u.grid_stack / grid2d.h):
             assert np.array_equal(a, b)
-        substeps = len(prefilters) // (grid2d.d + 1)
+        substeps = len(prefilters) - grid2d.d
         assert substeps >= 10
-        assert prefilters == ([False] * grid2d.d + [True]) * substeps
+        assert prefilters == [False] * grid2d.d + [True] * substeps
 
     def test_stored_values_are_read_only(self, grid2d):
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         fine = fine_size(grid2d.n)
+        assert u.departures is None
+        advect_step(sines2_field(grid2d, offset=2.0, a=0.5, b=0.25), u,
+                    AdvectionScheme(kind="semi_lagrangian", dt=0.05))
+        key, departures = u.departures
+        assert key == (0.05, None)
         assert u.grid_stack.shape == (2,) + grid2d.shape
         assert u.fine_stack.shape == (2, fine, fine)
         assert u.spline_stack.shape == (2,) + grid2d.shape
-        for a in (u.grid_stack, u.fine_stack, u.spline_stack, *u.grid_values()):
+        assert departures.shape == (2,) + grid2d.shape
+        for a in (u.grid_stack, u.fine_stack, u.spline_stack, departures, *u.grid_values()):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -387,18 +437,65 @@ class TestStoredVelocityValues:
             assert np.array_equal(a, to_grid(c, check=False).values)
 
     def test_drift_leaves_the_stored_values_alone(self, grid2d):
+        """A drifted step replaces the kept departure points without writing
+        into them: a step that reads them before the drifted one still gives
+        the undrifted result, and so does an undrifted step after it."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         plain = speed_sup(u)
+        rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
+        sl = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
+        undrifted = advect_step(rho, u, sl).values
+        departures = u.departures[1]
+        kept = departures.copy()
         grid_stack, fine_stack, spline_stack = u.grid_stack.copy(), u.fine_stack.copy(), u.spline_stack.copy()
         assert speed_sup(u, mean_velocity=(3.0, 4.0)) > plain
-        rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         for kind in ("spectral_rk4", "semi_lagrangian"):
             advect_step(rho, u, AdvectionScheme(kind=kind, dt=0.05), mean_velocity=(3.0, 4.0))
+        assert u.departures[0] == (0.05 / 4, (3.0, 4.0))
         commutator_residual(rho, u, 0.5, FluidParams(p=4.0, q=1.9), mean_velocity=(3.0, 4.0))
         assert speed_sup(u) == plain
         assert np.array_equal(u.grid_stack, grid_stack)
         assert np.array_equal(u.fine_stack, fine_stack)
         assert np.array_equal(u.spline_stack, spline_stack)
+        assert np.array_equal(departures, kept)
+        assert advect_step(rho, u, sl).values.tobytes() == undrifted.tobytes()
+        assert u.departures[0] == (0.05, None)
+
+    def test_steps_with_changing_keys_match_the_out_of_place_loop(self, grid2d):
+        """Steps of one velocity at dt, dt/2, with a drift and at dt again
+        each trace with their own key, whether the kept one or a new one.
+        Then a step of 2 substeps and one of 1 share the substep length and
+        so the key."""
+        u = random_velocity(grid2d, seed=13, kmax=4, amplitude=1.0)
+        rho = random_band_field(grid2d, seed=7, kmax=8, amplitude=0.5, offset=1.5)
+        scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.08)
+        substeps, stacks = [], []
+        for dt, drift in ((0.08, None), (0.04, None), (0.08, (0.3, -0.2)), (0.08, None),
+                          (0.08, None), (0.2, None), (0.1, None)):
+            m = _substep_count(dt, _cfl_cap(scheme, grid2d, speed_sup(u, drift)))
+            expected = reference_semi_lagrangian(rho, u, dt / m, m, drift)
+            rho = advect_step(rho, u, scheme, dt=dt, mean_velocity=drift)
+            assert rho.values.tobytes() == expected.tobytes()
+            assert u.departures[0] == (dt / m, drift)
+            substeps.append(m)
+            stacks.append(u.departures[1])
+        assert substeps == [1, 1, 1, 1, 1, 2, 1]
+        assert [a is b for a, b in zip(stacks, stacks[1:])] == [False, False, False, True, False, True]
+
+    def test_evolve_with_a_remainder_matches_the_steps(self, grid2d):
+        """T = 0.105 at dt = 0.01 ends with a step of about 0.005: ten steps
+        on one key, then one on another."""
+        u = random_velocity(grid2d, seed=13, kmax=4, amplitude=1.0)
+        rho0 = random_band_field(grid2d, seed=7, kmax=8, amplitude=0.5, offset=1.5)
+        scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.01)
+        out, times, _ = evolve(rho0, u, 0.105, scheme)
+        assert len(times) == 12
+        vals, vmax = rho0.values, speed_sup(u)
+        for t0, t1 in zip(times, times[1:]):
+            dt = min(scheme.dt, 0.105 - t0)
+            m = _substep_count(dt, _cfl_cap(scheme, grid2d, vmax))
+            vals = reference_semi_lagrangian(GridField(grid2d, vals), u, dt / m, m)
+        assert out.values.tobytes() == vals.tobytes()
 
     @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
     @pytest.mark.parametrize("d, n, dt, drift, substeps", [

@@ -21,7 +21,10 @@ commutator_residual, lebesgue_norm and besov_norm of one field, with the
 SHA-256 of its smooth_clamp and atan_scaled renormalizations, the same
 commutator_residual with a mean_velocity drift, and the SHA-256 of one
 spectral_rk4 and one semi_lagrangian step of it with that drift and of
-one forced into 16 CFL substeps. It also prints
+one forced into 16 CFL substeps, of a semi_lagrangian evolve to T = 0.105
+at dt = 0.01, which ends on a short step, and of six semi_lagrangian steps
+alternating dt = 0.05 and 0.025, each of which traces its departure points
+anew. It also prints
 the counts, stop reason and value (float.hex) of the unit-scale probes:
 n = 8, sines2 1.5/0.4/0.3 smoothed at 4, constant viscosity, g = (s, s),
 at p = 1.5 with s = 1e8, 1e4, 1e2 and p = 3 with s = 1e-8, at p = 12,
@@ -44,7 +47,7 @@ import tempfile
 import numpy as np
 
 from nnstokes import (AdvectionScheme, FluidParams, StokesProblem, TorusGrid, advect_step,
-                      atan_scaled, besov_norm, cli, commutator_residual, constant_law,
+                      atan_scaled, besov_norm, cli, commutator_residual, constant_law, evolve,
                       lebesgue_norm, parse_config, read_diagnostics, renormalize, run_battery,
                       smooth_clamp, solve_stokes, to_spectral)
 from nnstokes.fields import random_band_field, random_velocity, sines2_field
@@ -163,6 +166,14 @@ def main() -> int:
             m = _substep_count(dt, _cfl_cap(scheme, grid, speed_sup(u, mean_velocity)))
             out = advect_step(rho, u, scheme, dt=dt, mean_velocity=mean_velocity)
             print(f"field: advect_step {kind} {label} ({m} substeps) {fingerprint(out.values)}")
+    sl = AdvectionScheme("semi_lagrangian", dt=0.01)
+    out, times, _ = evolve(rho, u, 0.105, sl)
+    print(f"field: evolve semi_lagrangian T=0.105 dt=0.01 ({len(times) - 1} steps) "
+          f"{fingerprint(out.values)}")
+    out = rho
+    for dt in (0.05, 0.025) * 3:
+        out = advect_step(out, u, sl, dt=dt)
+    print(f"field: advect_step semi_lagrangian dt=0.05,0.025 x3 {fingerprint(out.values)}")
     return 0
 
 
