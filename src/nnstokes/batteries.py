@@ -126,23 +126,17 @@ def run_leray_battery(seed: int = 0, n: int = 64, count: int = 50) -> BatteryRes
             div_ok = False
         worst_div = max(worst_div, 0.0 if div_ok else 1.0)
 
-        again = leray_project(u.components)
-        scale = max(float(np.abs(c.coeffs).max()) for c in u.components)
-        idem = max(float(np.abs(a.coeffs - b.coeffs).max())
-                   for a, b in zip(again.components, u.components))
-        worst_idem = max(worst_idem, idem / max(scale, 1e-300))
+        c = u.coeff_stack()
+        idem = float(np.abs(leray_project(u.components).coeff_stack() - c).max())
+        worst_idem = max(worst_idem, idem / max(float(np.abs(c).max()), 1e-300))
 
-        raw_sq = sum(float(np.sum(np.abs(r.coeffs) ** 2)) for r in raw)
-        cross = sum(float(np.vdot(r.coeffs - c.coeffs, c.coeffs).real)
-                    for r, c in zip(raw, u.components))
-        worst_orth = max(worst_orth, abs(cross) / raw_sq)
+        r = np.stack([f.coeffs for f in raw])
+        worst_orth = max(worst_orth, abs(float(np.vdot(r - c, c).real)) / float(np.vdot(r, r).real))
 
         phi = to_spectral(GridField(grid, rng.standard_normal(grid.shape)))
-        grad = [SpectralField(grid, 1j * ks[j] * phi.coeffs) for j in range(grid.d)]
-        pg = leray_project(grad)
-        gscale = max(float(np.abs(g.coeffs).max()) for g in grad)
-        worst_grad = max(worst_grad,
-                         max(float(np.abs(c.coeffs).max()) for c in pg.components) / gscale)
+        grad = np.stack([1j * k * phi.coeffs for k in ks])
+        pg = leray_project([SpectralField(grid, g) for g in grad])
+        worst_grad = max(worst_grad, float(np.abs(pg.coeff_stack()).max() / np.abs(grad).max()))
 
     _check(checks, worst_div == 0.0, f"{count} projected fields satisfy the subspace invariants")
     _check(checks, worst_idem <= 1e-14, f"idempotence, worst defect {worst_idem:.2e}")
@@ -257,8 +251,7 @@ def run_transport_battery(seed: int = 0, n: int = 128, T: float = 1.0) -> Batter
         drift = abs(lebesgue_norm(rho_T, q) - n0) / n0
         _check(checks, drift <= 1e-3 * T, f"L^{q:g} drift {drift:.2e} <= 1e-3 per unit time")
 
-    neg = VelocityField(tuple(SpectralField(grid, -c.coeffs) for c in u.components),
-                        check=False)
+    neg = VelocityField(tuple(SpectralField(grid, -c) for c in u.coeff_stack()), check=False)
     half = 0.5
     fwd, _, _ = evolve(rho0, u, half, scheme)
     back, _, _ = evolve(fwd, neg, half, scheme)

@@ -134,17 +134,18 @@ class SpectralField:
 class VelocityField:
     """d spectral components constrained divergence-free with zero mean.
 
-    A velocity is a value: its coefficients are never written after
-    construction (nothing in the package does). So its grid values and its
-    3/2-rule fine-grid values are each transformed at most once, on first
-    use, and kept as the read-only stacks grid_stack, of shape
-    (d,) + grid.shape, and fine_stack, of shape (d,) + (3n/2,)*d; so is
-    spline_stack, the cubic-spline coefficients of grid_stack / h that the
-    semi-Lagrangian scheme interpolates. The slot departures holds None or
-    the semi-Lagrangian scheme's last key (substep length, drift) with the
-    read-only stack, of shape (d,) + grid.shape, of the index-space
-    departure points it traced for that key; a step with another key
-    replaces it.
+    A velocity is a value: its coefficients cannot be written after
+    construction. They are one read-only stack of shape (d,) + grid.shape,
+    copied from the given components; coeff_stack() returns it, and
+    components are read-only SpectralField views of its rows. Those views,
+    its grid values (grid_stack), its 3/2-rule fine-grid values
+    (fine_stack, of shape (d,) + (3n/2,)*d) and the cubic-spline
+    coefficients of grid_stack / h that the semi-Lagrangian scheme
+    interpolates (spline_stack) are each made at most once, on first use,
+    and kept read-only. The slot departures holds None or the
+    semi-Lagrangian scheme's last key (substep length, drift) with the
+    read-only stack of the index-space departure points it traced for
+    that key; a step with another key replaces it.
     """
 
     def __init__(self, components, check: bool = True):
@@ -155,38 +156,43 @@ class VelocityField:
         if len(components) != grid.d:
             raise ValueError(f"need {grid.d} components, got {len(components)}")
         _check_grid(grid, components, "a component", "a velocity")
-        self.components = components
+        self._stack = _read_only(np.array([c.coeffs for c in components]))
         self.grid = grid
         self.departures = None
         if check:
             self.validate()
 
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(SpectralField(self.grid, c) for c in self._stack)
+
     def validate(self, tol: float = 1e-12):
-        ks = wave_vectors(self.grid)
-        scale = max(float(np.abs(c.coeffs).max()) for c in self.components)
+        if not np.all(np.isfinite(self._stack)):
+            raise ValueError("velocity coefficients must be finite")
+        scale = float(np.abs(self._stack).max())
         if scale == 0.0:
             return
-        div = sum(k * c.coeffs for k, c in zip(ks, self.components))
-        div_max = float(np.abs(div).max())
+        div_max = float(np.abs(sum(k * c for k, c in zip(wave_vectors(self.grid), self._stack))).max())
         kmax = self.grid.n / 2 * math.sqrt(self.grid.d)
         if div_max > tol * scale * kmax:
             raise ValueError(f"velocity is not divergence-free: |k.u| up to {div_max:.3e}")
-        mean = max(float(abs(c.coeffs.flat[0])) for c in self.components)
+        mean = float(np.abs(self._stack.reshape(self.grid.d, -1)[:, 0]).max())
         if mean > tol * scale:
             raise ValueError(f"velocity mean is not zero: {mean:.3e}")
 
     @cached_property
     def grid_stack(self) -> np.ndarray:
-        return _read_only(np.stack([to_grid(c, check=False).values for c in self.components]))
+        values = np.fft.ifftn(self._stack, axes=tuple(range(-self.grid.d, 0))) * self.grid.npoints
+        return _read_only(values.real.copy())
 
     @cached_property
     def fine_stack(self) -> np.ndarray:
-        return _read_only(dealiaser(self.grid.d, self.grid.n).to_fine(self.coeff_stack()))
+        return _read_only(dealiaser(self.grid.d, self.grid.n).to_fine(self._stack))
 
     @cached_property
     def half_stack(self) -> np.ndarray:
         """The coefficients in the scaled half layout, the solver's."""
-        return _read_only(contract_half(self.coeff_stack(), self.grid))
+        return _read_only(contract_half(self._stack, self.grid))
 
     @classmethod
     def from_half_stack(cls, stack: np.ndarray, grid: TorusGrid) -> "VelocityField":
@@ -206,7 +212,7 @@ class VelocityField:
         return list(self.grid_stack)
 
     def coeff_stack(self) -> np.ndarray:
-        return np.stack([c.coeffs for c in self.components])
+        return self._stack
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -396,7 +402,7 @@ def strain_tensor(u: VelocityField) -> np.ndarray:
     out = np.empty((d, d) + grid.shape)
     for i in range(d):
         for j in range(i, d):
-            cij = 0.5j * (ks[i] * u.components[j].coeffs + ks[j] * u.components[i].coeffs)
+            cij = 0.5j * (ks[i] * u.coeff_stack()[j] + ks[j] * u.coeff_stack()[i])
             sij = np.fft.ifftn(cij).real * grid.npoints
             out[i, j] = sij
             out[j, i] = sij

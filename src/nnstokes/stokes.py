@@ -837,13 +837,11 @@ def minty_sweep(rho_sequence, rho_limit, test_functions, params: FluidParams,
     u_lim, rep_lim = solve_stokes(prob_lim, tol=tol, max_iter=max_iter, strict=True)
     members = solve_stokes_batch([StokesProblem(rho_n, params, law, penalty) for rho_n in rho_sequence],
                                  u0=u_lim, tol=tol, max_iter=max_iter, strict=True)
-    lim = u_lim.coeff_stack()
-    phis = [phi.coeff_stack() for phi in test_functions]
-    raw = np.zeros((len(members), len(phis)))
+    raw = np.zeros((len(members), len(test_functions)))
     iters = [rep_lim.iterations] + [rep_n.iterations for _, rep_n in members]
     for i, (u_n, _) in enumerate(members):
-        diff = u_n.coeff_stack() - lim
-        raw[i] = [l2_inner(u_n.grid, diff, phi) for phi in phis]
+        diff = u_n.coeff_stack() - u_lim.coeff_stack()
+        raw[i] = [l2_inner(u_n.grid, diff, phi.coeff_stack()) for phi in test_functions]
     return {"raw": raw, "pairings": np.abs(raw), "iterations": iters}
 
 

@@ -78,7 +78,7 @@ _STEP_FLOOR = 1e-12
 
 def _cfl_cap(scheme: AdvectionScheme, grid, vmax: float) -> float:
     """The CFL cap cfl_target * h / vmax on a step; inf for a fluid at rest."""
-    return scheme.cfl_target * grid.h / vmax if vmax > 0 else math.inf
+    return scheme.cfl_target * grid.h / vmax if vmax != 0 else math.inf
 
 
 def _substep_count(dt: float, cap: float) -> int:
@@ -194,9 +194,9 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
 
     The step is split into power-of-two substeps until each satisfies
     dt/m <= cfl_target * h / max|u|. Raises CflViolation when that would
-    push the substep below 1e-12. vmax is max|u|, speed_sup(u,
-    mean_velocity), for a caller that has it already; it is computed when
-    None.
+    push the substep below 1e-12, as an infinite or NaN speed does. vmax
+    is max|u|, speed_sup(u, mean_velocity), for a caller that has it
+    already; it is computed when None.
     """
     _check_grid(rho.grid, [u], "a velocity", "a density")
     mean_velocity = _finite_vector("mean_velocity", mean_velocity, u.grid.d)
@@ -207,12 +207,12 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
     vmax = speed_sup(u, mean_velocity) if vmax is None else _NONNEGATIVE.check("vmax", vmax)
     cap = _cfl_cap(scheme, rho.grid, vmax)
     # a cap under the floor leaves every substep under it; it is 0 for an
-    # infinite speed, and for a finite one whose quotient underflows
+    # infinite speed or an underflowing quotient, and NaN for a NaN speed
     m = _substep_count(dt, cap) if cap >= _STEP_FLOOR else 1
     tau = dt / m
-    if tau < _STEP_FLOOR or cap < _STEP_FLOOR:
+    if tau < _STEP_FLOOR or not cap >= _STEP_FLOOR:
         raise CflViolation(
-            f"CFL reduction drove the substep to {min(tau, cap):.3e} (< {_STEP_FLOOR:g}); "
+            f"CFL reduction drove the substep to {min(cap, tau):.3e} (< {_STEP_FLOOR:g}); "
             f"velocity sup {vmax:.3e} is too fast for this grid"
         )
 

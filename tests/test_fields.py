@@ -1,6 +1,9 @@
 """Seeded field generators: the batched velocity generator against the
 per-component loop it replaced."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,17 @@ class TestRandomVelocities:
     def test_empty_seed_list(self):
         assert random_velocities(TorusGrid(2, 8), [], kmax=3) == []
 
+
+    @pytest.mark.parametrize("amplitude", [1e307, math.inf, math.nan])
+    def test_overflowing_amplitude_rejected(self, amplitude):
+        """The transform overflowed for amplitude 1e307, and the velocity
+        came back NaN with only RuntimeWarnings."""
+        grid = TorusGrid(2, 16)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=re.escape(f"amplitude {amplitude!r} gives non-finite")):
+            random_velocities(grid, [1, 2], kmax=4, amplitude=amplitude)
+
+    def test_large_amplitude_keeps_its_bits(self):
+        grid = TorusGrid(2, 16)
+        expected = loop_velocity(grid, 1, 4, 1e300).coeff_stack()
+        assert np.array_equal(random_velocity(grid, 1, kmax=4, amplitude=1e300).coeff_stack(), expected)

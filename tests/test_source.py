@@ -17,6 +17,11 @@ or attribute ending in delta with a number (the rule for when delta acts
 as zero is rheology._acts_as_zero), and none calls expm1 or log1p (the
 cancellation-free lifted power is rheology._lifted_power).
 
+A velocity's coefficient layout has one owner, spectral: a VelocityField
+stores one read-only coefficient stack, and coeff_stack() returns it, so
+outside spectral.py no comprehension iterates a .components attribute to
+read .coeffs, the way the stack used to be rebuilt.
+
 Every name a library module imports is used there; only the package's
 __init__.py imports names to re-export them. Every private module-level
 function, class or constant is read somewhere in the package: one that
@@ -232,3 +237,33 @@ def test_guard_flags_a_power_law_evaluation():
     assert power_law_evaluations(source) == [
         (1, "self.delta > 0"), (3, "params.delta == 0.0"), (4, "np.expm1(a)"), (4, "log1p(b)"),
         (5, "-1 < ws.delta")]
+
+
+def component_coefficient_reads(source: str):
+    """(line, source) of every comprehension that iterates a .components
+    attribute and reads a .coeffs attribute, in line order."""
+    def reads(node, attr):
+        return any(isinstance(x, ast.Attribute) and x.attr == attr for x in ast.walk(node))
+
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+                  and any(reads(gen.iter, "components") for gen in node.generators)
+                  and reads(node, "coeffs"))
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "spectral.py"],
+                         ids=lambda path: path.name)
+def test_velocity_stacks_are_not_rebuilt(path):
+    assert component_coefficient_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_a_component_coefficient_read():
+    source = ("scale = max(float(np.abs(c.coeffs).max()) for c in u.components)\n"
+              "neg = [SpectralField(g, -c.coeffs) for c in u.components]\n"
+              "idem = {a: b.coeffs for a, b in zip(again.components, u.components)}\n"
+              "smooth = tuple(low_freq_truncate(c, j) for c in u.components)\n"
+              "rows = [r.coeffs for r in raw]\nstack = u.coeff_stack()\n")
+    assert component_coefficient_reads(source) == [
+        (1, "(float(np.abs(c.coeffs).max()) for c in u.components)"),
+        (2, "[SpectralField(g, -c.coeffs) for c in u.components]"),
+        (3, "{a: b.coeffs for a, b in zip(again.components, u.components)}")]

@@ -27,11 +27,12 @@ from nnstokes import (
     partial_derivative,
     reciprocal_norm,
     sharp_truncate,
+    speed_sup,
     strain_tensor,
     to_grid,
     to_spectral,
 )
-from nnstokes.fields import random_band_field
+from nnstokes.fields import random_band_field, random_velocity
 from nnstokes.spectral import (
     Dealiaser,
     contract_half,
@@ -272,6 +273,84 @@ class TestVelocityField:
         zero = SpectralField(grid2d, np.zeros(grid2d.shape, dtype=np.complex128))
         with pytest.raises(ValueError, match="need 2 components, got 3"):
             VelocityField((zero,) * 3)
+
+    def test_in_place_write_raises(self):
+        """A velocity's coefficients are one read-only stack. An in-place
+        write into a component used to succeed and leave every stored value
+        stale: speed_sup kept 0.818 where a fresh velocity gives 2.453."""
+        u = random_velocity(TorusGrid(2, 16), seed=1, kmax=4)
+        before = speed_sup(u)
+        for c in u.components:
+            with pytest.raises(ValueError, match="read-only"):
+                c.coeffs *= 3
+        with pytest.raises(ValueError, match="read-only"):
+            u.coeff_stack()[0, 1, 0] = 1.0
+        assert speed_sup(u) == before == speed_sup(VelocityField(u.components))
+
+    def test_stack_is_stored_once(self, grid2d):
+        """coeff_stack() returns the stored stack, which the components view."""
+        u = random_velocity(grid2d, seed=2, kmax=4)
+        stack = u.coeff_stack()
+        assert stack is u.coeff_stack()
+        assert stack.shape == (2,) + grid2d.shape and not stack.flags.writeable
+        for c, row in zip(u.components, stack):
+            assert c.coeffs.base is stack and np.array_equal(c.coeffs, row)
+
+    def test_callers_arrays_are_copied(self, grid2d):
+        """The velocity copies the given coefficients: the caller's arrays
+        keep their flags and share no memory with it."""
+        raw = [to_spectral(random_grid_field(grid2d, seed)) for seed in (3, 4)]
+        coeffs = project_div_free(np.stack([f.coeffs for f in raw]), grid2d)
+        given_ = [SpectralField(grid2d, c) for c in coeffs]
+        u = VelocityField(given_)
+        for f in given_:
+            assert f.coeffs.flags.writeable
+            assert not np.shares_memory(f.coeffs, u.coeff_stack())
+        kept = coeffs.copy()
+        given_[0].coeffs[1, 0] += 1.0
+        assert np.array_equal(u.coeff_stack(), kept)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, grid2d, bad):
+        """Every comparison of validate is False for NaN, so a NaN velocity
+        used to pass the check."""
+        coeffs = np.zeros((2,) + grid2d.shape, dtype=np.complex128)
+        coeffs[0, 0, 1] = bad
+        comps = [SpectralField(grid2d, c) for c in coeffs]
+        with pytest.raises(ValueError, match="velocity coefficients must be finite"):
+            VelocityField(comps)
+        VelocityField(comps, check=False)  # unchecked, as the solver's own output is
+
+    def test_divergence_rejected(self, grid2d):
+        f = mode_field(grid2d, (1, 0))  # a mode along axis 0, carried by u_0
+        zero = SpectralField(grid2d, np.zeros(grid2d.shape, dtype=np.complex128))
+        with pytest.raises(ValueError, match="velocity is not divergence-free: "
+                                             r"\|k\.u\| up to 1\.000e\+00"):
+            VelocityField((f, zero))
+
+    def test_mean_rejected(self, grid2d):
+        coeffs = np.zeros((2,) + grid2d.shape, dtype=np.complex128)
+        coeffs[1, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="velocity mean is not zero: 5.000e-01"):
+            VelocityField([SpectralField(grid2d, c) for c in coeffs])
+
+
+class TestFieldShapes:
+    def test_grid_values_shape_rejected(self, grid2d):
+        with pytest.raises(ValueError, match=r"values shape \(32, 16\) != grid shape \(32, 32\)"):
+            GridField(grid2d, np.ones((32, 16)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_values_rejected(self, grid2d, bad):
+        values = np.ones(grid2d.shape)
+        values[3, 4] = bad
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            GridField(grid2d, values)
+        GridField(grid2d, values, check=False)
+
+    def test_coeffs_shape_rejected(self, grid2d):
+        with pytest.raises(ValueError, match=r"coeffs shape \(32,\) != grid shape \(32, 32\)"):
+            SpectralField(grid2d, np.zeros(32, dtype=np.complex128))
 
 
 class TestStrainTensor:

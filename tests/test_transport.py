@@ -302,6 +302,21 @@ class TestSpeedSup:
         with pytest.raises(CflViolation, match="too fast"):
             evolve(rho, lambda t: (u, drift), 1.0, scheme)
 
+    @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
+    def test_a_nan_velocity_is_a_cfl_violation(self, kind):
+        """The speed of a velocity with a NaN coefficient is NaN, which the
+        CFL cap used to read as a fluid at rest: one substep, after which
+        RK4 returned NaN and the semi-Lagrangian scheme a finite but
+        garbled density, with no error."""
+        grid = TorusGrid(2, 16)
+        coeffs = random_velocity(grid, seed=1, kmax=4).coeff_stack().copy()
+        coeffs[0, 1, 0] = math.nan
+        u = VelocityField([SpectralField(grid, c) for c in coeffs], check=False)
+        assert math.isnan(speed_sup(u))
+        rho = sines2_field(grid, offset=2.0, a=0.5, b=0.25)
+        with pytest.raises(CflViolation, match="velocity sup nan"):
+            advect_step(rho, u, AdvectionScheme(kind=kind, dt=0.05))
+
 
 def reference_rk4(rho, u, tau, m, mean_velocity=None, full_layout=False):
     """The out-of-place stage loop that _rk4_substeps replaced: every stage
@@ -361,26 +376,32 @@ class TestStoredVelocityValues:
 
     @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
     def test_ten_steps_transform_the_velocity_once(self, grid2d, kind, monkeypatch):
+        """Ten steps transform the velocity's stored coefficient stack to
+        the grid once, as one batched inverse FFT (it used to take one
+        to_grid call per component), and to the fine grid at most once."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         coeffs = u.coeff_stack()
-        calls = {"to_grid": 0, "to_fine": 0}
-        to_grid_, to_fine_ = spectral.to_grid, spectral.Dealiaser.to_fine
+        calls = {"ifftn": 0, "to_fine": 0}
+        ifftn_, to_fine_ = np.fft.ifftn, spectral.Dealiaser.to_fine
 
-        def counted_to_grid(F, check=True):
-            calls["to_grid"] += any(F is c for c in u.components)
-            return to_grid_(F, check)
+        def of_velocity(a):
+            return np.shape(a) == coeffs.shape and np.array_equal(a, coeffs)
+
+        def counted_ifftn(a, *args, **kwargs):
+            calls["ifftn"] += of_velocity(a)
+            return ifftn_(a, *args, **kwargs)
 
         def counted_to_fine(engine, stack):
-            calls["to_fine"] += stack.shape == coeffs.shape and np.array_equal(stack, coeffs)
+            calls["to_fine"] += of_velocity(stack)
             return to_fine_(engine, stack)
 
-        monkeypatch.setattr(spectral, "to_grid", counted_to_grid)
+        monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
         monkeypatch.setattr(spectral.Dealiaser, "to_fine", counted_to_fine)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         scheme = AdvectionScheme(kind=kind, dt=0.05)
         for _ in range(10):
             rho = advect_step(rho, u, scheme)
-        assert calls == {"to_grid": grid2d.d, "to_fine": int(kind == "spectral_rk4")}
+        assert calls == {"ifftn": 1, "to_fine": int(kind == "spectral_rk4")}
 
     def test_ten_steps_filter_the_velocity_once(self, grid2d, monkeypatch):
         """The semi-Lagrangian scheme interpolates the velocity from its
