@@ -159,10 +159,11 @@ def run(config: SimulationConfig) -> SimulationResult:
     applied to the projected change of forcing, which is the exact
     minimizer for p = 2 with unit viscosity. The step length never jumps
     past an output time or the CFL cap, and steps end exactly on the
-    output times and on t_final. A non-converged solve or a CflViolation
-    in the advection step aborts with the rows and snapshots recorded so
-    far, completed=False and the reason. A pack with beta < 1, whose
-    du_beta column is not a norm, raises BadValue before the first solve.
+    output times and on t_final. A non-converged solve, or a CflViolation
+    from the CFL cap or the step (such as an infinite or NaN speed), aborts
+    with the rows and snapshots recorded so far, completed=False and the
+    reason. A pack with beta < 1, whose du_beta column is not a norm,
+    raises BadValue before the first solve.
     """
     params = config.params
     if params.beta < 1:
@@ -210,9 +211,9 @@ def run(config: SimulationConfig) -> SimulationResult:
         # this step, which then ends exactly on the output time or t_final
         target = next_out if next_out < config.t_final - _STEP_FLOOR else config.t_final
         vmax = speed_sup(u)
-        cap = _cfl_cap(config.scheme, config.grid, vmax)
-        dt, t_next = (target - t, target) if target - t <= cap + _STEP_FLOOR else (cap, t + cap)
         try:
+            cap = _cfl_cap(config.scheme, config.grid, vmax)
+            dt, t_next = (target - t, target) if target - t <= cap + _STEP_FLOOR else (cap, t + cap)
             rho = advect_step(rho, u, config.scheme, dt=dt, vmax=vmax)
         except CflViolation as exc:
             return SimulationResult(series, snapshots, completed=False,

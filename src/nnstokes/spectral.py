@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.ndimage import spline_filter
 
 from .errors import _EXPONENT, _FINITE, NonHermitianField, _check_fields, _Domain, _field
 
@@ -138,11 +137,9 @@ class VelocityField:
     construction. They are one read-only stack of shape (d,) + grid.shape,
     copied from the given components; coeff_stack() returns it, and
     components are read-only SpectralField views of its rows. Those views,
-    its grid values (grid_stack), its 3/2-rule fine-grid values
-    (fine_stack, of shape (d,) + (3n/2,)*d) and the cubic-spline
-    coefficients of grid_stack / h that the semi-Lagrangian scheme
-    interpolates (spline_stack) are each made at most once, on first use,
-    and kept read-only. The slot departures holds None or the
+    its grid values (grid_stack) and its 3/2-rule fine-grid values
+    (fine_stack, of shape (d,) + (3n/2,)*d) are each made at most once, on
+    first use, and kept read-only. The slot departures holds None or the
     semi-Lagrangian scheme's last key (substep length, drift) with the
     read-only stack of the index-space departure points it traced for
     that key; a step with another key replaces it.
@@ -203,10 +200,6 @@ class VelocityField:
         u.half_stack = _read_only(stack.copy())
         return u
 
-    @cached_property
-    def spline_stack(self) -> np.ndarray:
-        return _read_only(periodic_splines(self.grid_stack / self.grid.h))
-
     def grid_values(self) -> list:
         """Read-only views of the components' grid values."""
         return list(self.grid_stack)
@@ -218,13 +211,6 @@ class VelocityField:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def periodic_splines(stack: np.ndarray) -> np.ndarray:
-    """Cubic-spline coefficients of each periodic field of a stack: the
-    prefilter of map_coordinates(..., order=3, mode="grid-wrap"), which
-    then interpolates them with prefilter=False."""
-    return np.stack([spline_filter(a, order=3, output=np.float64, mode="grid-wrap") for a in stack])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ commutes with pointwise renormalization up to the same error. Its
 departure points depend on the velocity, the substep length and the
 drift, not on the density: a velocity keeps those of its last (substep
 length, drift), so that stepping it again with the same ones, as evolve
-with a frozen velocity does, interpolates only the density.
+with a frozen velocity does, interpolates only the density. Its spline
+filters and interpolations are all here, and import their library on first
+use: a process that takes no semi-Lagrangian step never loads it.
 
 The velocity is frozen within a step. Constant background drifts, which
 the zero-mean velocity type cannot represent, enter through the explicit
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import (_EXPONENT, _FINITE, _NONNEGATIVE, _POSITIVE, CflViolation,
                      UnresolvableMollifier, _check_fields, _field, _finite_vector)
@@ -40,7 +41,6 @@ from .spectral import (
     dealiaser,
     irfft_values,
     lebesgue_norm,
-    periodic_splines,
     rfft_coeffs,
 )
 
@@ -77,8 +77,19 @@ _STEP_FLOOR = 1e-12
 
 
 def _cfl_cap(scheme: AdvectionScheme, grid, vmax: float) -> float:
-    """The CFL cap cfl_target * h / vmax on a step; inf for a fluid at rest."""
-    return scheme.cfl_target * grid.h / vmax if vmax != 0 else math.inf
+    """The CFL cap cfl_target * h / vmax on a step; inf for a fluid at rest.
+    A cap under the step floor, which leaves every substep under it, raises
+    CflViolation: 0 for an infinite speed or an underflowing quotient, and
+    NaN for a NaN speed."""
+    return _floored(scheme.cfl_target * grid.h / vmax if vmax != 0 else math.inf, vmax)
+
+
+def _floored(tau: float, vmax: float) -> float:
+    """tau, a substep or a cap on one, if it reaches the step floor; else CflViolation."""
+    if tau >= _STEP_FLOOR:
+        return tau
+    raise CflViolation(f"CFL reduction drove the substep to {tau:.3e} (< {_STEP_FLOOR:g}); "
+                       f"velocity sup {vmax:.3e} is too fast for this grid")
 
 
 def _substep_count(dt: float, cap: float) -> int:
@@ -147,17 +158,16 @@ def _departure_points(u: VelocityField, tau: float, mean_velocity) -> np.ndarray
     length tau, base - tau u(base - (tau/2) u) with u in grid units, drift
     added. The velocity keeps them, read-only, with their (tau, drift) in
     its departures slot; a step with the same key reads them back, and one
-    with another key replaces them."""
+    with another key replaces them, so a velocity is spline-filtered once per key."""
     key = (tau, mean_velocity)
     kept = u.departures  # read once: a step in another thread may replace it
     if kept is not None and kept[0] == key:
         return kept[1]
+    from scipy import ndimage
     grid = u.grid
     h = grid.h
     drift = None if mean_velocity is None else np.divide(mean_velocity, h)
     u_idx = _drifted(u.grid_stack / h, drift)
-    # a drift changes the filtered values
-    splines = u.spline_stack if drift is None else periodic_splines(u_idx)
     base = np.indices(grid.shape, dtype=np.float64, sparse=True)
 
     def trace_back(c, v, out):
@@ -170,8 +180,9 @@ def _departure_points(u: VelocityField, tau: float, mean_velocity) -> np.ndarray
     u_mid = np.empty_like(u_idx)
     trace_back(0.5 * tau, u_idx, point)
     for j in range(grid.d):
-        map_coordinates(splines[j], point, order=3, mode="grid-wrap", output=u_mid[j],
-                        prefilter=False)
+        splines = ndimage.spline_filter(u_idx[j], order=3, output=np.float64, mode="grid-wrap")
+        ndimage.map_coordinates(splines, point, order=3, mode="grid-wrap", output=u_mid[j],
+                                prefilter=False)
     trace_back(tau, u_mid, point)
     u.departures = (key, _read_only(point))
     return point
@@ -179,11 +190,12 @@ def _departure_points(u: VelocityField, tau: float, mean_velocity) -> np.ndarray
 
 def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: int,
                               mean_velocity):
+    from scipy import ndimage
     point = _departure_points(u, tau, mean_velocity)
     vals = rho.values
     mean0 = float(vals.mean())
     for _ in range(m):
-        vals = map_coordinates(vals, point, order=3, mode="grid-wrap")
+        vals = ndimage.map_coordinates(vals, point, order=3, mode="grid-wrap")
         vals += mean0 - vals.mean()
     return GridField(rho.grid, vals)
 
@@ -205,16 +217,8 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
         return GridField(rho.grid, rho.values.copy(), check=False)
 
     vmax = speed_sup(u, mean_velocity) if vmax is None else _NONNEGATIVE.check("vmax", vmax)
-    cap = _cfl_cap(scheme, rho.grid, vmax)
-    # a cap under the floor leaves every substep under it; it is 0 for an
-    # infinite speed or an underflowing quotient, and NaN for a NaN speed
-    m = _substep_count(dt, cap) if cap >= _STEP_FLOOR else 1
-    tau = dt / m
-    if tau < _STEP_FLOOR or not cap >= _STEP_FLOOR:
-        raise CflViolation(
-            f"CFL reduction drove the substep to {min(cap, tau):.3e} (< {_STEP_FLOOR:g}); "
-            f"velocity sup {vmax:.3e} is too fast for this grid"
-        )
+    m = _substep_count(dt, _cfl_cap(scheme, rho.grid, vmax))
+    tau = _floored(dt / m, vmax)
 
     if scheme.kind == "spectral_rk4":
         return _rk4_substeps(rho, u, tau, m, mean_velocity)

@@ -9,7 +9,7 @@ import pytest
 
 from nnstokes import CSV_HEADER, TorusGrid, read_snapshot, sines2_field, write_snapshot
 from nnstokes.batteries import BatteryResult
-from nnstokes.errors import NonHermitianField, UnresolvableMollifier
+from nnstokes.errors import CflViolation, MaxIterations, NonHermitianField, UnresolvableMollifier
 from nnstokes.cli import main
 from nnstokes import cli
 
@@ -198,6 +198,17 @@ class TestPackageErrors:
         monkeypatch.setattr(cli, "solve_stokes", fail)
         path = write_config(tmp_path, SUBCRITICAL)
         assert main(["solve-stokes", path]) == 2
+        assert capsys.readouterr().err == "error: stub failure\n"
+
+
+    @pytest.mark.parametrize("exc", [MaxIterations, CflViolation])
+    def test_solver_and_cfl_errors_exit_3(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(prob):
+            raise exc("stub failure")
+
+        monkeypatch.setattr(cli, "solve_stokes", fail)
+        path = write_config(tmp_path, SUBCRITICAL)
+        assert main(["solve-stokes", path]) == 3
         assert capsys.readouterr().err == "error: stub failure\n"
 
 

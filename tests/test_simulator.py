@@ -265,6 +265,32 @@ class TestRun:
         _, t0 = read_snapshot(str(out / "snapshot_0000.nnst"))
         assert t0 == 0.0
 
+    @pytest.mark.parametrize("speed", [math.inf, math.nan])
+    def test_a_non_finite_speed_is_a_cfl_breakdown(self, grid2d, monkeypatch, speed):
+        """An infinite speed gave a CFL cap of 0, so run stepped dt = 0, a
+        copy, forever; a NaN speed gave dt = NaN, which advect_step refused
+        with a ValueError that was no NnstokesError. Both now end the run
+        at t = 0 with its row and snapshot. The step is counted so that a
+        loop fails instead of hanging."""
+        monkeypatch.setattr(simulator, "speed_sup", lambda u: speed)
+        step = simulator.advect_step
+        calls = []
+
+        def counted_step(*args, **kwargs):
+            calls.append(kwargs.get("dt"))
+            if len(calls) > 3:
+                raise RuntimeError(f"run keeps stepping: dt = {calls}")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "advect_step", counted_step)
+        result = run(newtonian_config(grid2d, sines2_field(grid2d)))
+        assert not result.completed
+        assert result.reason.startswith("CFL breakdown at t = 0: ")
+        assert "too fast" in result.reason
+        assert calls == []
+        assert result.series.t == [0.0]
+        assert [t for t, _ in result.snapshots] == [0.0]
+
 
 def counted_iterations(monkeypatch):
     """Record the iterations of every solve that run makes."""

@@ -22,7 +22,12 @@ stores one read-only coefficient stack, and coeff_stack() returns it, so
 outside spectral.py no comprehension iterates a .components attribute to
 read .coeffs, the way the stack used to be rebuilt.
 
-Every name a library module imports is used there; only the package's
+The semi-Lagrangian interpolation has one owner, transport: no other
+module imports scipy, and transport imports scipy.ndimage only inside its
+semi-Lagrangian functions, so that importing the package does not load it.
+
+Every name a library module imports is used there, in the scope that
+imports it (the module, or a function); only the package's
 __init__.py imports names to re-export them. Every private module-level
 function, class or constant is read somewhere in the package: one that
 only the tests read is dead code kept alive by its tests.
@@ -99,14 +104,24 @@ def test_guard_flags_an_allocator_policy():
 
 
 def unused_imports(source: str):
-    """(line, name) of every name a module-level import binds that the
-    module never reads; `from __future__` imports bind no name."""
+    """(line, name) of every name an import binds that its scope, the
+    module or the function the import is made in, never reads; `from
+    __future__` imports bind no name. A scope's reads include those of the
+    functions nested in it, so an import is flagged when any scope that
+    holds it, and so its innermost one, never reads the name."""
+    def bound(nodes):
+        return [(node.lineno, alias.asname or alias.name.split(".")[0]) for node in nodes
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+
     tree = ast.parse(source)
-    bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
-             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
-             and getattr(node, "module", None) != "__future__" for alias in node.names]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(line, name) for line, name in bound if name not in read]
+    unused = set()
+    for scope in [tree, *(node for node in ast.walk(tree)
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+        nodes = list(ast.walk(scope))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        unused.update((line, name) for line, name in bound(nodes) if name not in read)
+    return sorted(unused)
 
 
 @pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
@@ -119,7 +134,54 @@ def test_guard_flags_an_unused_import():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "import os.path\nfrom .errors import BadValue, _field as field\n"
               "def f():\n    import math\n    return np.zeros(3)\n")
-    assert unused_imports(source) == [(2, "os"), (4, "os"), (5, "BadValue"), (5, "field")]
+    assert unused_imports(source) == [(2, "os"), (4, "os"), (5, "BadValue"), (5, "field"),
+                                      (7, "math")]
+
+
+def test_guard_flags_an_unused_function_level_import():
+    source = ("import numpy as np\ndef f():\n    from scipy import ndimage\n    return np\n"
+              "def g():\n    import math\n    def inner():\n        return math.pi\n"
+              "    import os\n    return inner\nos.sep\n")
+    assert unused_imports(source) == [(3, "ndimage"), (9, "os")]
+
+
+def scipy_imports(source: str):
+    """(line, enclosing function or None, source) of every import of scipy
+    or of one of its modules."""
+    def of_scipy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "scipy")
+
+    tree = ast.parse(source)
+    owner = {id(node): fn.name for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(fn)}
+    return sorted((node.lineno, owner.get(id(node)), ast.unparse(node))
+                  for node in ast.walk(tree) if of_scipy(node))
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "transport.py"],
+                         ids=lambda path: path.name)
+def test_only_transport_imports_scipy(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_transport_imports_scipy_ndimage_on_first_use():
+    transport = next(path for path in SOURCES if path.name == "transport.py")
+    found = scipy_imports(transport.read_text(encoding="utf-8"))
+    assert [(fn, text) for _, fn, text in found] == [
+        ("_departure_points", "from scipy import ndimage"),
+        ("_semi_lagrangian_substeps", "from scipy import ndimage")]
+
+
+def test_guard_flags_a_scipy_import():
+    source = ("import scipy\nfrom scipy.ndimage import map_coordinates\nimport numpy, scipy.fft as f\n"
+              "def step():\n    def inner():\n        from scipy import ndimage\n"
+              "import scipyx\nfrom .scipy import x\nfrom numpy import scipy\n")
+    assert scipy_imports(source) == [
+        (1, None, "import scipy"), (2, None, "from scipy.ndimage import map_coordinates"),
+        (3, None, "import numpy, scipy.fft as f"), (6, "inner", "from scipy import ndimage")]
 
 
 def private_definitions(source: str):

@@ -1,9 +1,14 @@
 """Advection schemes, renormalization maps, and the commutator diagnostic."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.ndimage import map_coordinates
 
 from nnstokes import (
@@ -22,6 +27,7 @@ from nnstokes import (
     evolve,
     lebesgue_norm,
     renormalize,
+    run_battery,
     smooth_clamp,
     speed_sup,
 )
@@ -130,6 +136,18 @@ class TestAdvectStep:
         scheme = AdvectionScheme(kind="spectral_rk4", dt=10.0, cfl_target=0.5)
         with pytest.raises(CflViolation):
             advect_step(rho, fast, scheme)
+
+    @pytest.mark.parametrize("dt, cap", [(5e-13, math.inf), (4.1 * 1.5e-12, 1.5e-12)])
+    def test_a_substep_under_the_floor_is_a_cfl_violation(self, grid2d, dt, cap):
+        """The cap passes the 1e-12 floor, but the substep does not: a step
+        shorter than the floor, or one whose power-of-two split lands under
+        it (8 substeps of 7.7e-13 under a cap of 1.5e-12)."""
+        rho = sines2_field(grid2d, offset=1.0, a=0.5, b=0.25)
+        scheme = AdvectionScheme(kind="spectral_rk4", cfl_target=0.5)
+        vmax = 0.0 if cap == math.inf else scheme.cfl_target * grid2d.h / cap
+        assert _cfl_cap(scheme, grid2d, vmax) >= 1e-12
+        with pytest.raises(CflViolation, match=r"substep to [57]\.[0-9]{3}e-13 \(< 1e-12\)"):
+            advect_step(rho, zero_velocity(grid2d), scheme, dt=dt, vmax=vmax)
 
     @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
     def test_mass_conserved(self, grid2d_fine, kind):
@@ -405,16 +423,16 @@ class TestStoredVelocityValues:
 
     def test_ten_steps_filter_the_velocity_once(self, grid2d, monkeypatch):
         """The semi-Lagrangian scheme interpolates the velocity from its
-        spline coefficients, filtered once and kept on the velocity, so every
-        velocity interpolation skips the prefilter. It traces the departure
-        points once per (velocity, substep length, drift) and keeps them on
-        the velocity, so ten steps of one velocity at one dt interpolate the
-        velocity d times in all; it used to trace them again at every
-        substep. The density, which changes, is filtered by each of its
-        interpolations, one per substep."""
+        spline coefficients, which it filters itself, so every velocity
+        interpolation skips the prefilter. It traces the departure points
+        once per (velocity, substep length, drift) and keeps them on the
+        velocity, so ten steps of one velocity at one dt filter and
+        interpolate the velocity d times in all; it used to trace them again
+        at every substep. The density, which changes, is filtered by each of
+        its interpolations, one per substep."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         filtered, prefilters = [], []
-        spline_filter_, map_coordinates_ = spectral.spline_filter, transport.map_coordinates
+        spline_filter_, map_coordinates_ = ndimage.spline_filter, ndimage.map_coordinates
 
         def counted_filter(a, *args, **kwargs):
             filtered.append(np.array(a))
@@ -424,8 +442,8 @@ class TestStoredVelocityValues:
             prefilters.append(prefilter)
             return map_coordinates_(a, *args, prefilter=prefilter, **kwargs)
 
-        monkeypatch.setattr(spectral, "spline_filter", counted_filter)
-        monkeypatch.setattr(transport, "map_coordinates", counted_map)
+        monkeypatch.setattr(ndimage, "spline_filter", counted_filter)
+        monkeypatch.setattr(ndimage, "map_coordinates", counted_map)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
         for _ in range(10):
@@ -437,6 +455,34 @@ class TestStoredVelocityValues:
         assert substeps >= 10
         assert prefilters == [False] * grid2d.d + [True] * substeps
 
+    def test_a_new_key_filters_the_velocity_again(self, grid2d, monkeypatch):
+        """The velocity's spline coefficients are not kept: a step with the
+        kept key filters nothing, and a step with a new key, another substep
+        length or a drift, filters the d components of grid_stack / h, drift
+        added, once more."""
+        u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
+        filtered = []
+        spline_filter_ = ndimage.spline_filter
+
+        def counted_filter(a, *args, **kwargs):
+            filtered.append(np.array(a))
+            return spline_filter_(a, *args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "spline_filter", counted_filter)
+        rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
+        scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
+        counts = []
+        for dt, drift in ((0.05, None), (0.05, None), (0.035, None), (0.035, None),
+                          (0.035, (0.3, -0.2)), (0.035, (0.3, -0.2)), (0.05, None)):
+            advect_step(rho, u, scheme, dt=dt, mean_velocity=drift)
+            counts.append(len(filtered))
+        assert counts == [2, 2, 4, 4, 6, 6, 8]
+        h = grid2d.h
+        plain = u.grid_stack / h
+        drifted = plain + np.reshape(np.divide((0.3, -0.2), h), (2, 1, 1))
+        for a, b in zip(filtered, [*plain, *plain, *drifted, *plain]):
+            assert np.array_equal(a, b)
+
     def test_stored_values_are_read_only(self, grid2d):
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         fine = fine_size(grid2d.n)
@@ -447,9 +493,8 @@ class TestStoredVelocityValues:
         assert key == (0.05, None)
         assert u.grid_stack.shape == (2,) + grid2d.shape
         assert u.fine_stack.shape == (2, fine, fine)
-        assert u.spline_stack.shape == (2,) + grid2d.shape
         assert departures.shape == (2,) + grid2d.shape
-        for a in (u.grid_stack, u.fine_stack, u.spline_stack, departures, *u.grid_values()):
+        for a in (u.grid_stack, u.fine_stack, departures, *u.grid_values()):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -468,7 +513,7 @@ class TestStoredVelocityValues:
         undrifted = advect_step(rho, u, sl).values
         departures = u.departures[1]
         kept = departures.copy()
-        grid_stack, fine_stack, spline_stack = u.grid_stack.copy(), u.fine_stack.copy(), u.spline_stack.copy()
+        grid_stack, fine_stack = u.grid_stack.copy(), u.fine_stack.copy()
         assert speed_sup(u, mean_velocity=(3.0, 4.0)) > plain
         for kind in ("spectral_rk4", "semi_lagrangian"):
             advect_step(rho, u, AdvectionScheme(kind=kind, dt=0.05), mean_velocity=(3.0, 4.0))
@@ -477,7 +522,6 @@ class TestStoredVelocityValues:
         assert speed_sup(u) == plain
         assert np.array_equal(u.grid_stack, grid_stack)
         assert np.array_equal(u.fine_stack, fine_stack)
-        assert np.array_equal(u.spline_stack, spline_stack)
         assert np.array_equal(departures, kept)
         assert advect_step(rho, u, sl).values.tobytes() == undrifted.tobytes()
         assert u.departures[0] == (0.05, None)
@@ -536,6 +580,44 @@ class TestStoredVelocityValues:
         if kind == "spectral_rk4":
             full = reference_rk4(rho, u, dt / m, m, drift, full_layout=True)
             assert np.abs(out.values - full).max() <= 1e-13 * np.abs(full).max()
+
+
+class TestSemiLagrangianImports:
+    def test_scipy_ndimage_is_imported_on_the_first_semi_lagrangian_step(self):
+        """Only the semi-Lagrangian scheme uses scipy.ndimage, which used to
+        take most of the time of importing the package: importing nnstokes
+        or its command line, or taking an RK4 step, leaves it unloaded, and
+        the first semi-Lagrangian step loads it."""
+        script = (
+            "import sys\n"
+            "loaded = lambda: 'scipy.ndimage' in sys.modules\n"
+            "import nnstokes\n"
+            "print(loaded())\n"
+            "import nnstokes.cli\n"
+            "print(loaded())\n"
+            "from nnstokes import AdvectionScheme, TorusGrid, advect_step, random_velocity, sines2_field\n"
+            "grid = TorusGrid(2, 16)\n"
+            "rho, u = sines2_field(grid), random_velocity(grid, seed=1, kmax=4)\n"
+            "advect_step(rho, u, AdvectionScheme(kind='spectral_rk4'))\n"
+            "print(loaded())\n"
+            "advect_step(rho, u, AdvectionScheme(kind='semi_lagrangian'))\n"
+            "print(loaded())\n"
+        )
+        src = str(pathlib.Path(transport.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.split() == ["False", "False", "False", "True"]
+
+
+class TestTransportBattery:
+    def test_every_check_passes(self):
+        """The battery's semi-Lagrangian range and mass checks run the
+        scheme's interpolation at 2D n = 128."""
+        result = run_battery("transport", seed=0)
+        assert [ok for ok, _ in result.checks] == [True] * 9, result.report()
+        assert result.report().endswith("battery transport: 9 checks, passed")
+        assert [label.split()[0] for _, label in result.checks[-2:]] == ["semi-lagrangian"] * 2
 
 
 class TestAdmissibleEta:
