@@ -141,8 +141,9 @@ class VelocityField:
     (fine_stack, of shape (d,) + (3n/2,)*d) are each made at most once, on
     first use, and kept read-only. The slot departures holds None or the
     semi-Lagrangian scheme's last key (substep length, drift) with the
-    read-only stack of the index-space departure points it traced for
-    that key; a step with another key replaces it.
+    read-only cubic-spline stencil of the departure points it traced for
+    that key, 4d + 1 numbers per grid point; a step with another key
+    replaces it.
     """
 
     def __init__(self, components, check: bool = True):

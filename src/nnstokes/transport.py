@@ -6,15 +6,17 @@ Two interchangeable one-step schemes are provided. spectral_rk4 advances
 Fourier coefficients with a dealiased divergence-form tendency and a
 4-stage Runge-Kutta step; it conserves the mean exactly because the zero
 mode of the tendency vanishes identically. semi_lagrangian traces
-characteristics backward with a midpoint rule and resamples by cubic
-spline interpolation; it is monotone up to interpolation overshoot and
-commutes with pointwise renormalization up to the same error. Its
-departure points depend on the velocity, the substep length and the
-drift, not on the density: a velocity keeps those of its last (substep
-length, drift), so that stepping it again with the same ones, as evolve
-with a frozen velocity does, interpolates only the density. Its spline
-filters and interpolations are all here, and import their library on first
-use: a process that takes no semi-Lagrangian step never loads it.
+characteristics backward with a midpoint rule and resamples by periodic
+cubic B-spline interpolation; it is monotone up to interpolation overshoot
+and commutes with pointwise renormalization up to the same error. The
+splines are NumPy alone: the prefilter divides the half-layout
+coefficients by the spline's symbol, and an interpolation sums 4^d
+gathers of the wrap-padded spline coefficients against a stencil of
+weights. Its departure points depend on the velocity, the substep length
+and the drift, not on the density: a velocity keeps their stencil for its
+last (substep length, drift), so that stepping it again with the same
+ones, as evolve with a frozen velocity does, filters and interpolates
+only the density.
 
 The velocity is frozen within a step. Constant background drifts, which
 the zero-mean velocity type cannot represent, enter through the explicit
@@ -25,7 +27,9 @@ passed together share one grid; otherwise a ValueError names both.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,10 +88,15 @@ def _cfl_cap(scheme: AdvectionScheme, grid, vmax: float) -> float:
     return _floored(scheme.cfl_target * grid.h / vmax if vmax != 0 else math.inf, vmax)
 
 
-def _floored(tau: float, vmax: float) -> float:
-    """tau, a substep or a cap on one, if it reaches the step floor; else CflViolation."""
+def _floored(tau: float, vmax: float, split: bool = True) -> float:
+    """tau, a substep or a cap on one, if it reaches the step floor; else
+    CflViolation, which blames the velocity only where the CFL rule split
+    the step: an unsplit substep under the floor is the requested step."""
     if tau >= _STEP_FLOOR:
         return tau
+    if not split:
+        raise CflViolation(f"the requested step length sets the substep to {tau:.3e} "
+                           f"(< {_STEP_FLOOR:g})")
     raise CflViolation(f"CFL reduction drove the substep to {tau:.3e} (< {_STEP_FLOOR:g}); "
                        f"velocity sup {vmax:.3e} is too fast for this grid")
 
@@ -153,49 +162,102 @@ def _rk4_substeps(rho: GridField, u: VelocityField, tau: float, m: int, mean_vel
     return GridField(grid, irfft_values(y, grid), check=False)
 
 
-def _departure_points(u: VelocityField, tau: float, mean_velocity) -> np.ndarray:
-    """The midpoint rule's index-space departure points for a substep of
-    length tau, base - tau u(base - (tau/2) u) with u in grid units, drift
-    added. The velocity keeps them, read-only, with their (tau, drift) in
-    its departures slot; a step with the same key reads them back, and one
-    with another key replaces them, so a velocity is spline-filtered once per key."""
+@lru_cache(maxsize=32)
+def _spline_symbol(d: int, n: int) -> np.ndarray:
+    """The read-only half-layout symbol of periodic cubic B-spline
+    interpolation at the nodes, prod_a (4 + 2 cos(2 pi k_a / n)) / 6: the
+    values' coefficients are the splines' times it."""
+    waves = _lattice(d, n, half=True).waves
+    return _read_only(math.prod((4.0 + 2.0 * np.cos((2.0 * math.pi / n) * k)) / 6.0 for k in waves))
+
+
+def _splines(values: np.ndarray, grid) -> np.ndarray:
+    """The periodic cubic B-spline coefficients that interpolate real grid
+    values, with any leading batch axes: the prefilter, one division by
+    the symbol between rfft_coeffs and irfft_values."""
+    coeffs = rfft_coeffs(values, grid)
+    coeffs /= _spline_symbol(grid.d, grid.n)
+    return irfft_values(coeffs, grid)
+
+
+# the cubic-spline stencil of points on a grid: the flat index of each
+# point's first node in the (n + 3)^d wrap-padded coefficients, and the
+# weights, shape (d, 4, points), of its nodes floor(x) - 1 ... floor(x) + 2
+_Stencil = namedtuple("_Stencil", "base weights")
+
+
+def _stencil(points: np.ndarray, n: int) -> _Stencil:
+    """The read-only stencil of index-space points of shape (d,) + grid
+    shape on a periodic grid of n points per axis."""
+    d = points.shape[0]
+    weights = np.empty((d, 4, points[0].size))
+    base = 0
+    for x, w in zip(points.reshape(d, -1), weights):  # an axis at a time, in small arrays
+        node = np.floor(x)
+        y = x - node  # past the node floor(x), and z short of the next one
+        z = 1.0 - y
+        w[0] = z * z * z / 6.0
+        w[1] = 2.0 / 3.0 - y * y * (1.0 - 0.5 * y)
+        w[2] = 2.0 / 3.0 - z * z * (1.0 - 0.5 * z)
+        w[3] = y * y * y / 6.0
+        base = base * (n + 3) + node.astype(np.intp) % n
+    return _Stencil(_read_only(base), _read_only(weights))
+
+
+def _interpolate(splines: np.ndarray, stencil: _Stencil) -> np.ndarray:
+    """The grid values at a stencil's points of the periodic cubic spline
+    with coefficients splines: a sum over the 4^d nodes of each point, in
+    C order, of coefficient times weights."""
+    padded = np.pad(splines, (1, 2), mode="wrap")
+    flat = padded.ravel()
+    out = np.zeros(stencil.base.size)
+    term = np.empty_like(out)
+    for node in np.ndindex((4,) * splines.ndim):
+        # every index is in range: "clip" spares the checked, buffered gather
+        np.take(flat[np.ravel_multi_index(node, padded.shape):], stencil.base, out=term, mode="clip")
+        for w, o in zip(stencil.weights, node):
+            term *= w[o]
+        out += term
+    return out.reshape(splines.shape)
+
+
+def _departure_stencil(u: VelocityField, tau: float, mean_velocity) -> _Stencil:
+    """The stencil of the midpoint rule's index-space departure points for
+    a substep of length tau, base - tau u(base - (tau/2) u) with u in grid
+    units, drift added. The velocity keeps it with its (tau, drift) in its
+    departures slot; a step with the same key reads it back, and one with
+    another key replaces it, so a velocity is spline-filtered once per key."""
     key = (tau, mean_velocity)
     kept = u.departures  # read once: a step in another thread may replace it
     if kept is not None and kept[0] == key:
         return kept[1]
-    from scipy import ndimage
     grid = u.grid
     h = grid.h
     drift = None if mean_velocity is None else np.divide(mean_velocity, h)
     u_idx = _drifted(u.grid_stack / h, drift)
     base = np.indices(grid.shape, dtype=np.float64, sparse=True)
 
-    def trace_back(c, v, out):
-        """out = base - c v, the index grid base broadcast from one axis at a time."""
-        np.multiply(v, c, out=out)
-        for b, o in zip(base, out):
+    def trace_back(c, v):
+        """The stencil of base - c v, the index grid base broadcast from one axis at a time."""
+        point = np.multiply(v, c)
+        for b, o in zip(base, point):
             np.subtract(b, o, out=o)
+        return _stencil(point, grid.n)
 
-    point = np.empty_like(u_idx)
-    u_mid = np.empty_like(u_idx)
-    trace_back(0.5 * tau, u_idx, point)
-    for j in range(grid.d):
-        splines = ndimage.spline_filter(u_idx[j], order=3, output=np.float64, mode="grid-wrap")
-        ndimage.map_coordinates(splines, point, order=3, mode="grid-wrap", output=u_mid[j],
-                                prefilter=False)
-    trace_back(tau, u_mid, point)
-    u.departures = (key, _read_only(point))
-    return point
+    midpoints = trace_back(0.5 * tau, u_idx)
+    u_mid = np.array([_interpolate(s, midpoints) for s in _splines(u_idx, grid)])
+    stencil = trace_back(tau, u_mid)
+    u.departures = (key, stencil)
+    return stencil
 
 
 def _semi_lagrangian_substeps(rho: GridField, u: VelocityField, tau: float, m: int,
                               mean_velocity):
-    from scipy import ndimage
-    point = _departure_points(u, tau, mean_velocity)
+    stencil = _departure_stencil(u, tau, mean_velocity)
     vals = rho.values
     mean0 = float(vals.mean())
     for _ in range(m):
-        vals = ndimage.map_coordinates(vals, point, order=3, mode="grid-wrap")
+        vals = _interpolate(_splines(vals, rho.grid), stencil)
         vals += mean0 - vals.mean()
     return GridField(rho.grid, vals)
 
@@ -206,7 +268,8 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
 
     The step is split into power-of-two substeps until each satisfies
     dt/m <= cfl_target * h / max|u|. Raises CflViolation when that would
-    push the substep below 1e-12, as an infinite or NaN speed does. vmax
+    push the substep below 1e-12, as an infinite or NaN speed does, and
+    for a nonzero dt under 1e-12, which names the step, not the speed. vmax
     is max|u|, speed_sup(u, mean_velocity), for a caller that has it
     already; it is computed when None.
     """
@@ -218,7 +281,7 @@ def advect_step(rho: GridField, u: VelocityField, scheme: AdvectionScheme,
 
     vmax = speed_sup(u, mean_velocity) if vmax is None else _NONNEGATIVE.check("vmax", vmax)
     m = _substep_count(dt, _cfl_cap(scheme, rho.grid, vmax))
-    tau = _floored(dt / m, vmax)
+    tau = _floored(dt / m, vmax, split=m > 1)
 
     if scheme.kind == "spectral_rk4":
         return _rk4_substeps(rho, u, tau, m, mean_velocity)

@@ -22,9 +22,9 @@ stores one read-only coefficient stack, and coeff_stack() returns it, so
 outside spectral.py no comprehension iterates a .components attribute to
 read .coeffs, the way the stack used to be rebuilt.
 
-The semi-Lagrangian interpolation has one owner, transport: no other
-module imports scipy, and transport imports scipy.ndimage only inside its
-semi-Lagrangian functions, so that importing the package does not load it.
+No module imports scipy: the semi-Lagrangian scheme's cubic splines,
+which used scipy.ndimage, are NumPy in transport, so numpy is the one
+runtime dependency.
 
 Every name a library module imports is used there, in the scope that
 imports it (the module, or a function); only the package's
@@ -164,15 +164,14 @@ def scipy_imports(source: str):
 @pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "transport.py"],
                          ids=lambda path: path.name)
 def test_only_transport_imports_scipy(path):
+    """Every module but transport imports no scipy; transport, which
+    imported scipy.ndimage for its splines, imports none either (below)."""
     assert scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_transport_imports_scipy_ndimage_on_first_use():
+def test_transport_imports_no_scipy():
     transport = next(path for path in SOURCES if path.name == "transport.py")
-    found = scipy_imports(transport.read_text(encoding="utf-8"))
-    assert [(fn, text) for _, fn, text in found] == [
-        ("_departure_points", "from scipy import ndimage"),
-        ("_semi_lagrangian_substeps", "from scipy import ndimage")]
+    assert scipy_imports(transport.read_text(encoding="utf-8")) == []
 
 
 def test_guard_flags_a_scipy_import():

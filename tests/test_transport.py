@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import ndimage
 from scipy.ndimage import map_coordinates
 
 from nnstokes import (
@@ -35,7 +34,7 @@ from nnstokes import spectral, transport
 from nnstokes.fields import random_band_field, random_velocity, sines2_field
 from nnstokes.spectral import (_lattice, dealiaser, fine_size, irfft_values, restrict_coeffs, rfft_coeffs,
                                to_grid, to_spectral)
-from nnstokes.transport import _cfl_cap, _substep_count
+from nnstokes.transport import _cfl_cap, _interpolate, _splines, _stencil, _substep_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,6 +147,16 @@ class TestAdvectStep:
         assert _cfl_cap(scheme, grid2d, vmax) >= 1e-12
         with pytest.raises(CflViolation, match=r"substep to [57]\.[0-9]{3}e-13 \(< 1e-12\)"):
             advect_step(rho, zero_velocity(grid2d), scheme, dt=dt, vmax=vmax)
+
+    @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
+    def test_an_unsplit_step_under_the_floor_does_not_blame_the_velocity(self, grid2d, kind):
+        """A fluid at rest has no CFL limit: a step shorter than the floor
+        is too short as requested, and the error says so, not that the
+        velocity is too fast."""
+        rho = sines2_field(grid2d, offset=1.0, a=0.5, b=0.25)
+        with pytest.raises(CflViolation) as info:
+            advect_step(rho, zero_velocity(grid2d), AdvectionScheme(kind=kind), dt=5e-13)
+        assert str(info.value) == "the requested step length sets the substep to 5.000e-13 (< 1e-12)"
 
     @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
     def test_mass_conserved(self, grid2d_fine, kind):
@@ -368,7 +377,9 @@ def reference_rk4(rho, u, tau, m, mean_velocity=None, full_layout=False):
 
 
 def reference_semi_lagrangian(rho, u, tau, m, mean_velocity=None):
-    """The out-of-place substep loop that _semi_lagrangian_substeps replaced."""
+    """The out-of-place substep loop that _semi_lagrangian_substeps replaced,
+    which traced the characteristics at every substep with scipy.ndimage's
+    cubic splines."""
     grid = rho.grid
     h = grid.h
     u_idx = np.stack([to_grid(c, check=False).values for c in u.components]) / h
@@ -421,66 +432,65 @@ class TestStoredVelocityValues:
             rho = advect_step(rho, u, scheme)
         assert calls == {"ifftn": 1, "to_fine": int(kind == "spectral_rk4")}
 
+    @staticmethod
+    def count_splines_and_stencils(monkeypatch):
+        """Lists that record the values of every prefilter (_splines) and
+        the shape of the points of every stencil build (_stencil)."""
+        filtered, stencils = [], []
+        splines_, stencil_ = transport._splines, transport._stencil
+
+        def counted_splines(values, grid):
+            filtered.append(np.array(values))
+            return splines_(values, grid)
+
+        def counted_stencil(points, n):
+            stencils.append(points.shape)
+            return stencil_(points, n)
+
+        monkeypatch.setattr(transport, "_splines", counted_splines)
+        monkeypatch.setattr(transport, "_stencil", counted_stencil)
+        return filtered, stencils
+
     def test_ten_steps_filter_the_velocity_once(self, grid2d, monkeypatch):
-        """The semi-Lagrangian scheme interpolates the velocity from its
-        spline coefficients, which it filters itself, so every velocity
-        interpolation skips the prefilter. It traces the departure points
-        once per (velocity, substep length, drift) and keeps them on the
-        velocity, so ten steps of one velocity at one dt filter and
-        interpolate the velocity d times in all; it used to trace them again
-        at every substep. The density, which changes, is filtered by each of
-        its interpolations, one per substep."""
+        """The semi-Lagrangian scheme traces the departure points once per
+        (velocity, substep length, drift) and keeps their stencil on the
+        velocity, so ten steps of one velocity at one dt prefilter the
+        velocity once, its d components in one batch, and build two
+        stencils, at the midpoints and at the departure points; it used to
+        trace them again at every substep. The density, which changes, is
+        prefiltered once per substep."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
-        filtered, prefilters = [], []
-        spline_filter_, map_coordinates_ = ndimage.spline_filter, ndimage.map_coordinates
-
-        def counted_filter(a, *args, **kwargs):
-            filtered.append(np.array(a))
-            return spline_filter_(a, *args, **kwargs)
-
-        def counted_map(a, *args, prefilter=True, **kwargs):
-            prefilters.append(prefilter)
-            return map_coordinates_(a, *args, prefilter=prefilter, **kwargs)
-
-        monkeypatch.setattr(ndimage, "spline_filter", counted_filter)
-        monkeypatch.setattr(ndimage, "map_coordinates", counted_map)
+        filtered, stencils = self.count_splines_and_stencils(monkeypatch)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
         for _ in range(10):
             rho = advect_step(rho, u, scheme)
-        assert len(filtered) == grid2d.d
-        for a, b in zip(filtered, u.grid_stack / grid2d.h):
-            assert np.array_equal(a, b)
-        substeps = len(prefilters) - grid2d.d
+        assert stencils == [(2,) + grid2d.shape] * 2
+        assert np.array_equal(filtered[0], u.grid_stack / grid2d.h)
+        substeps = len(filtered) - 1
         assert substeps >= 10
-        assert prefilters == [False] * grid2d.d + [True] * substeps
+        assert [a.shape for a in filtered[1:]] == [grid2d.shape] * substeps
 
     def test_a_new_key_filters_the_velocity_again(self, grid2d, monkeypatch):
         """The velocity's spline coefficients are not kept: a step with the
-        kept key filters nothing, and a step with a new key, another substep
-        length or a drift, filters the d components of grid_stack / h, drift
-        added, once more."""
+        kept key filters no velocity and builds no stencil, and a step with
+        a new key, another substep length or a drift, filters grid_stack / h,
+        drift added, once more and builds two stencils."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
-        filtered = []
-        spline_filter_ = ndimage.spline_filter
-
-        def counted_filter(a, *args, **kwargs):
-            filtered.append(np.array(a))
-            return spline_filter_(a, *args, **kwargs)
-
-        monkeypatch.setattr(ndimage, "spline_filter", counted_filter)
+        filtered, stencils = self.count_splines_and_stencils(monkeypatch)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
         counts = []
         for dt, drift in ((0.05, None), (0.05, None), (0.035, None), (0.035, None),
                           (0.035, (0.3, -0.2)), (0.035, (0.3, -0.2)), (0.05, None)):
             advect_step(rho, u, scheme, dt=dt, mean_velocity=drift)
-            counts.append(len(filtered))
-        assert counts == [2, 2, 4, 4, 6, 6, 8]
+            counts.append((sum(a.ndim == 3 for a in filtered), len(stencils)))
+        assert counts == [(1, 2), (1, 2), (2, 4), (2, 4), (3, 6), (3, 6), (4, 8)]
         h = grid2d.h
         plain = u.grid_stack / h
         drifted = plain + np.reshape(np.divide((0.3, -0.2), h), (2, 1, 1))
-        for a, b in zip(filtered, [*plain, *plain, *drifted, *plain]):
+        velocities = [a for a in filtered if a.ndim == 3]
+        for a, b in zip(velocities, [plain, plain, drifted, plain]):
             assert np.array_equal(a, b)
 
     def test_stored_values_are_read_only(self, grid2d):
@@ -489,12 +499,14 @@ class TestStoredVelocityValues:
         assert u.departures is None
         advect_step(sines2_field(grid2d, offset=2.0, a=0.5, b=0.25), u,
                     AdvectionScheme(kind="semi_lagrangian", dt=0.05))
-        key, departures = u.departures
+        key, (base, weights) = u.departures
         assert key == (0.05, None)
         assert u.grid_stack.shape == (2,) + grid2d.shape
         assert u.fine_stack.shape == (2, fine, fine)
-        assert departures.shape == (2,) + grid2d.shape
-        for a in (u.grid_stack, u.fine_stack, departures, *u.grid_values()):
+        assert base.shape == (grid2d.npoints,)
+        assert weights.shape == (2, 4, grid2d.npoints)
+        assert base.size + weights.size == (4 * grid2d.d + 1) * grid2d.npoints
+        for a in (u.grid_stack, u.fine_stack, base, weights, *u.grid_values()):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -503,16 +515,16 @@ class TestStoredVelocityValues:
             assert np.array_equal(a, to_grid(c, check=False).values)
 
     def test_drift_leaves_the_stored_values_alone(self, grid2d):
-        """A drifted step replaces the kept departure points without writing
-        into them: a step that reads them before the drifted one still gives
+        """A drifted step replaces the kept departure stencil without writing
+        into it: a step that reads it before the drifted one still gives
         the undrifted result, and so does an undrifted step after it."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
         plain = speed_sup(u)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         sl = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
         undrifted = advect_step(rho, u, sl).values
-        departures = u.departures[1]
-        kept = departures.copy()
+        stencil = u.departures[1]
+        kept = [a.copy() for a in stencil]
         grid_stack, fine_stack = u.grid_stack.copy(), u.fine_stack.copy()
         assert speed_sup(u, mean_velocity=(3.0, 4.0)) > plain
         for kind in ("spectral_rk4", "semi_lagrangian"):
@@ -522,7 +534,7 @@ class TestStoredVelocityValues:
         assert speed_sup(u) == plain
         assert np.array_equal(u.grid_stack, grid_stack)
         assert np.array_equal(u.fine_stack, fine_stack)
-        assert np.array_equal(departures, kept)
+        assert all(np.array_equal(a, b) for a, b in zip(stencil, kept))
         assert advect_step(rho, u, sl).values.tobytes() == undrifted.tobytes()
         assert u.departures[0] == (0.05, None)
 
@@ -530,7 +542,9 @@ class TestStoredVelocityValues:
         """Steps of one velocity at dt, dt/2, with a drift and at dt again
         each trace with their own key, whether the kept one or a new one.
         Then a step of 2 substeps and one of 1 share the substep length and
-        so the key."""
+        so the key. Each step is within 1e-12 of the scipy.ndimage loop and,
+        with a kept stencil or a new one, bit for bit the step of a fresh
+        copy of the velocity, which traces its key anew."""
         u = random_velocity(grid2d, seed=13, kmax=4, amplitude=1.0)
         rho = random_band_field(grid2d, seed=7, kmax=8, amplitude=0.5, offset=1.5)
         scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.08)
@@ -539,8 +553,11 @@ class TestStoredVelocityValues:
                           (0.08, None), (0.2, None), (0.1, None)):
             m = _substep_count(dt, _cfl_cap(scheme, grid2d, speed_sup(u, drift)))
             expected = reference_semi_lagrangian(rho, u, dt / m, m, drift)
+            fresh = advect_step(rho, VelocityField(u.components, check=False), scheme, dt=dt,
+                                mean_velocity=drift)
             rho = advect_step(rho, u, scheme, dt=dt, mean_velocity=drift)
-            assert rho.values.tobytes() == expected.tobytes()
+            assert np.abs(rho.values - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert rho.values.tobytes() == fresh.values.tobytes()
             assert u.departures[0] == (dt / m, drift)
             substeps.append(m)
             stacks.append(u.departures[1])
@@ -560,7 +577,7 @@ class TestStoredVelocityValues:
             dt = min(scheme.dt, 0.105 - t0)
             m = _substep_count(dt, _cfl_cap(scheme, grid2d, vmax))
             vals = reference_semi_lagrangian(GridField(grid2d, vals), u, dt / m, m)
-        assert out.values.tobytes() == vals.tobytes()
+        assert np.abs(out.values - vals).max() <= 1e-12 * np.abs(vals).max()
 
     @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
     @pytest.mark.parametrize("d, n, dt, drift, substeps", [
@@ -576,21 +593,24 @@ class TestStoredVelocityValues:
         m = _substep_count(dt, _cfl_cap(scheme, grid, speed_sup(u, drift)))
         assert m == substeps
         out = advect_step(rho, u, scheme, mean_velocity=drift)
-        assert out.values.tobytes() == REFERENCES[kind](rho, u, dt / m, m, drift).tobytes()
-        if kind == "spectral_rk4":
+        expected = REFERENCES[kind](rho, u, dt / m, m, drift)
+        if kind == "semi_lagrangian":  # NumPy splines against scipy.ndimage's
+            assert np.abs(out.values - expected).max() <= 1e-12 * np.abs(expected).max()
+        else:
+            assert out.values.tobytes() == expected.tobytes()
             full = reference_rk4(rho, u, dt / m, m, drift, full_layout=True)
             assert np.abs(out.values - full).max() <= 1e-13 * np.abs(full).max()
 
 
 class TestSemiLagrangianImports:
-    def test_scipy_ndimage_is_imported_on_the_first_semi_lagrangian_step(self):
-        """Only the semi-Lagrangian scheme uses scipy.ndimage, which used to
-        take most of the time of importing the package: importing nnstokes
-        or its command line, or taking an RK4 step, leaves it unloaded, and
-        the first semi-Lagrangian step loads it."""
+    def test_no_step_imports_scipy(self):
+        """The semi-Lagrangian scheme's splines are NumPy alone: importing
+        nnstokes or its command line, and taking an RK4 step and a
+        semi-Lagrangian one, leave scipy unloaded. Its scipy.ndimage import
+        used to cost a process 0.33 s and 27 MB."""
         script = (
             "import sys\n"
-            "loaded = lambda: 'scipy.ndimage' in sys.modules\n"
+            "loaded = lambda: any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
             "import nnstokes\n"
             "print(loaded())\n"
             "import nnstokes.cli\n"
@@ -607,7 +627,71 @@ class TestSemiLagrangianImports:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, check=True).stdout
-        assert out.split() == ["False", "False", "False", "True"]
+        assert out.split() == ["False"] * 4
+
+
+class TestSplines:
+    """The semi-Lagrangian scheme's periodic cubic B-splines in NumPy:
+    the FFT prefilter, the stencil and the interpolation, with the
+    scipy.ndimage splines they replaced as the oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d, n, drift, substeps, steps", [
+        (2, 32, (0.3, -0.2), 1, 1),
+        (2, 32, None, 16, 1),
+        (2, 32, None, 1, 100),
+        (3, 16, (0.1, 0.2, -0.3), 1, 1),
+        (3, 16, None, 16, 1),
+        (3, 16, None, 1, 100),
+    ])
+    def test_a_run_matches_scipy(self, seed, d, n, drift, substeps, steps):
+        """Runs with a drift, of one step of 16 substeps, and of 100 steps
+        of a frozen velocity stay within 1e-12 of the scipy.ndimage loop."""
+        grid = TorusGrid(d, n)
+        rho = random_band_field(grid, seed=seed, kmax=n // 4, amplitude=0.5, offset=1.5)
+        u = random_velocity(grid, seed=seed + 10, kmax=n // 4, amplitude=1.0)
+        cap = _cfl_cap(AdvectionScheme(kind="semi_lagrangian"), grid, speed_sup(u, drift))
+        scheme = AdvectionScheme(kind="semi_lagrangian", dt=(substeps - 0.5) * cap)
+        m = _substep_count(scheme.dt, cap)
+        assert m == substeps
+        out, expected = rho, rho.values
+        for _ in range(steps):
+            out = advect_step(out, u, scheme, mean_velocity=drift)
+            expected = reference_semi_lagrangian(GridField(grid, expected), u, scheme.dt / m, m, drift)
+        assert np.abs(out.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_weights_sum_to_one(self, d):
+        """At every point, on and between the nodes, below 0 and beyond n."""
+        rng = np.random.default_rng(d)
+        n = 8
+        points = np.concatenate([rng.uniform(-2 * n, 3 * n, (d, 500)),
+                                 rng.integers(-n, 2 * n, (d, 12)).astype(np.float64),
+                                 np.full((d, 1), -1e-17)], axis=1)
+        base, weights = _stencil(points, n)
+        assert np.all(weights >= 0.0)
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 4e-16
+        # each axis's first node is in [0, n), so its last, 3 further, is in the padding
+        assert 0 <= base.min()
+        assert all(axis.max() < n for axis in np.unravel_index(base, (n + 3,) * d))
+
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 32), (3, 8), (3, 16)])
+    def test_the_splines_interpolate_the_values_at_the_nodes(self, d, n):
+        """Interpolating the prefiltered coefficients at the nodes, and at
+        the nodes one period away, gives the values back to 1e-14."""
+        values = np.random.default_rng(n).standard_normal((n,) * d) + 2.0
+        splines = _splines(values, TorusGrid(d, n))
+        nodes = np.indices(values.shape, dtype=np.float64)
+        for shift in (0.0, n, -n):
+            back = _interpolate(splines, _stencil(nodes + shift, n))
+            assert np.abs(back - values).max() <= 1e-14 * np.abs(values).max()
+
+    def test_the_prefilter_matches_scipy(self):
+        from scipy import ndimage
+
+        values = random_band_field(TorusGrid(2, 32), seed=3, kmax=8, amplitude=0.5, offset=1.5).values
+        expected = ndimage.spline_filter(values, order=3, output=np.float64, mode="grid-wrap")
+        assert np.abs(_splines(values, TorusGrid(2, 32)) - expected).max() <= 1e-14 * np.abs(values).max()
 
 
 class TestTransportBattery:
