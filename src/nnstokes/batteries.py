@@ -126,17 +126,17 @@ def run_leray_battery(seed: int = 0, n: int = 64, count: int = 50) -> BatteryRes
             div_ok = False
         worst_div = max(worst_div, 0.0 if div_ok else 1.0)
 
-        c = u.coeff_stack()
-        idem = float(np.abs(leray_project(u.components).coeff_stack() - c).max())
+        c = u.half_stack  # the scaled half layout: its real dot products are the full layout's
+        idem = float(np.abs(leray_project(u.components).half_stack - c).max())
         worst_idem = max(worst_idem, idem / max(float(np.abs(c).max()), 1e-300))
 
-        r = np.stack([f.coeffs for f in raw])
+        r = VelocityField(raw, check=False).half_stack
         worst_orth = max(worst_orth, abs(float(np.vdot(r - c, c).real)) / float(np.vdot(r, r).real))
 
         phi = to_spectral(GridField(grid, rng.standard_normal(grid.shape)))
         grad = np.stack([1j * k * phi.coeffs for k in ks])
         pg = leray_project([SpectralField(grid, g) for g in grad])
-        worst_grad = max(worst_grad, float(np.abs(pg.coeff_stack()).max() / np.abs(grad).max()))
+        worst_grad = max(worst_grad, float(np.abs(pg.half_stack).max() / np.abs(grad).max()))
 
     _check(checks, worst_div == 0.0, f"{count} projected fields satisfy the subspace invariants")
     _check(checks, worst_idem <= 1e-14, f"idempotence, worst defect {worst_idem:.2e}")
@@ -251,7 +251,7 @@ def run_transport_battery(seed: int = 0, n: int = 128, T: float = 1.0) -> Batter
         drift = abs(lebesgue_norm(rho_T, q) - n0) / n0
         _check(checks, drift <= 1e-3 * T, f"L^{q:g} drift {drift:.2e} <= 1e-3 per unit time")
 
-    neg = VelocityField(tuple(SpectralField(grid, -c) for c in u.coeff_stack()), check=False)
+    neg = VelocityField.from_half_stack(-u.half_stack, grid)
     half = 0.5
     fwd, _, _ = evolve(rho0, u, half, scheme)
     back, _, _ = evolve(fwd, neg, half, scheme)

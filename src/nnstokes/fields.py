@@ -83,8 +83,9 @@ def rough_field(grid: TorusGrid, seed, slope: float = -1.1, amplitude: float = 0
 def random_velocities(grid: TorusGrid, seeds, kmax: float, amplitude: float = 1.0) -> list:
     """One divergence-free zero-mean velocity with random band-limited
     components per seed, each member drawn from its own generator; all
-    members are transformed and projected together. An amplitude whose
-    transform overflows raises ValueError."""
+    members are transformed, contracted and projected together, in
+    leray_project's order. An amplitude whose transform overflows raises
+    ValueError."""
     _KMAX.check("kmax", kmax)
     seeds = list(seeds)
     if not seeds:
@@ -94,11 +95,12 @@ def random_velocities(grid: TorusGrid, seeds, kmax: float, amplitude: float = 1.
     white = np.stack([np.random.default_rng(seed).standard_normal((grid.d,) + grid.shape)
                       for seed in seeds])
     f = _masked_noise(grid, white, mask)
-    members = project_div_free(np.fft.fftn(amplitude * f, axes=tuple(range(-grid.d, 0))) / grid.npoints, grid)
+    coeffs = np.fft.fftn(amplitude * f, axes=tuple(range(-grid.d, 0))) / grid.npoints
+    raw = [VelocityField(tuple(SpectralField(grid, c) for c in member), check=False) for member in coeffs]
+    members = project_div_free(np.stack([u.half_stack for u in raw]), grid)
     if not np.all(np.isfinite(members)):
         raise ValueError(f"amplitude {amplitude!r} gives non-finite velocity coefficients")
-    return [VelocityField(tuple(SpectralField(grid, c) for c in member), check=False)
-            for member in members]
+    return [VelocityField.from_half_stack(member, grid) for member in members]
 
 
 def random_velocity(grid: TorusGrid, seed, kmax: float, amplitude: float = 1.0) -> VelocityField:

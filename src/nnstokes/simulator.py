@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import (_NONNEGATIVE, _POSITIVE, BadValue, CflViolation, InadmissibleExponents,
                      MaxIterations, _check_fields, _field)
 from .rheology import FluidParams, ViscosityLaw
-from .spectral import (_SMOOTHING_INDEX, GridField, TorusGrid, VelocityField, _check_grid, l2_inner,
-                       lebesgue_norm, low_freq_truncate, reciprocal_norm, to_grid, to_spectral)
+from .spectral import (_SMOOTHING_INDEX, GridField, TorusGrid, VelocityField, _check_grid, _low_pass,
+                       l2_inner, lebesgue_norm, low_freq_truncate, reciprocal_norm, to_grid,
+                       to_spectral)
 from .stokes import StokesProblem, _diagnostics, _solve, _Workspace, pairing_l2, solve_stokes
 from .transport import _STEP_FLOOR, AdvectionScheme, _cfl_cap, advect_step, speed_sup
 
@@ -127,9 +128,9 @@ class SimulationResult:
 
 
 def smooth_velocity(u: VelocityField, j: int) -> VelocityField:
-    """Apply the low-frequency cutoff S_j componentwise; the multiplier is
-    radial, so divergence-freeness survives."""
-    return VelocityField(tuple(low_freq_truncate(c, j) for c in u.components), check=False)
+    """Apply the low-frequency cutoff S_j to the stored half layout; the
+    multiplier is radial, so divergence-freeness survives."""
+    return VelocityField.from_half_stack(u.half_stack * _low_pass(u.grid, j, half=True), u.grid)
 
 
 def smooth_density(rho: GridField, j: int) -> GridField:
@@ -138,7 +139,7 @@ def smooth_density(rho: GridField, j: int) -> GridField:
 
 def velocity_l2_distance(u: VelocityField, v: VelocityField) -> float:
     _check_grid(u.grid, [v], "a velocity", "a distance to a velocity")
-    diff = u.coeff_stack() - v.coeff_stack()
+    diff = u.half_stack - v.half_stack
     return math.sqrt(l2_inner(u.grid, diff, diff))
 
 

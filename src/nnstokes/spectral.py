@@ -23,15 +23,16 @@ frequencies +-n/2 of a padded field: restriction stores the average
 0.5 (F[k', n/2] + F[k', -n/2]) of the fine coefficients, and the half
 spectrum of a real fine field holds the second term as conj F[-k', n/2].
 
-The solver carries its vectors in the scaled half layout (contract_half,
-expand_half): the columns 0 < k_last < n/2, each of which stands for the
-mode and its conjugate, are multiplied by sqrt(2); the Nyquist column is
-zero on every iterate, since the projection removes the unpaired modes.
-Then the real dot product of two scaled stacks is Re sum_k a conj(b) over
-the full layout, so every inner product of the solver is a plain dot
-product of real views. The scale commutes with every per-mode multiplier;
-the solver folds it into the multipliers next to the dealiased
-transforms, which take and return the unscaled half.
+The solver, and every VelocityField, stores its vectors in the scaled
+half layout (contract_half, expand_half): the columns 0 < k_last < n/2,
+each of which stands for the mode and its conjugate, are multiplied by
+sqrt(2); the Nyquist column is zero on every velocity, since the
+projection removes the unpaired modes. Then the real dot product of two
+scaled stacks is Re sum_k a conj(b) over the full layout, so every inner
+product is a plain dot product of real views. The scale commutes with
+every per-mode multiplier; the solver folds it into the multipliers next
+to the dealiased transforms, which take and return the unscaled half. A
+velocity's full layout is made only for coeff_stack() and components.
 
 The module provides transforms, spectral derivatives, the Leray projection
 onto divergence-free zero-mean fields, dyadic Littlewood-Paley blocks with
@@ -133,17 +134,18 @@ class SpectralField:
 class VelocityField:
     """d spectral components constrained divergence-free with zero mean.
 
-    A velocity is a value: its coefficients cannot be written after
-    construction. They are one read-only stack of shape (d,) + grid.shape,
-    copied from the given components; coeff_stack() returns it, and
-    components are read-only SpectralField views of its rows. Those views,
-    its grid values (grid_stack) and its 3/2-rule fine-grid values
-    (fine_stack, of shape (d,) + (3n/2,)*d) are each made at most once, on
-    first use, and kept read-only. The slot departures holds None or the
-    semi-Lagrangian scheme's last key (substep length, drift) with the
-    read-only cubic-spline stencil of the departure points it traced for
-    that key, 4d + 1 numbers per grid point; a step with another key
-    replaces it.
+    A velocity is a value, stored once: half_stack, its coefficients in
+    the solver's scaled half layout, one read-only array contracted from
+    the given components (with check, Hermitian by to_grid's rule) or
+    copied from a solver's stack (from_half_stack). What derives from it is
+    made at most once, on first use, and kept read-only: the grid values
+    (grid_stack), the 3/2-rule fine-grid values (fine_stack, of shape (d,)
+    + (3n/2,)*d) and, for the public API alone, the full layout
+    (coeff_stack()) and read-only views of its rows (components). The slot
+    departures holds None or the semi-Lagrangian scheme's last key
+    (substep length, drift) with the read-only cubic-spline stencil of the
+    departure points it traced for that key, 4d + 1 numbers per grid
+    point; a step with another key replaces it.
     """
 
     def __init__(self, components, check: bool = True):
@@ -154,59 +156,67 @@ class VelocityField:
         if len(components) != grid.d:
             raise ValueError(f"need {grid.d} components, got {len(components)}")
         _check_grid(grid, components, "a component", "a velocity")
-        self._stack = _read_only(np.array([c.coeffs for c in components]))
+        stack = np.array([c.coeffs for c in components])
+        if check:  # the half layout drops the negative frequencies, so they are checked here
+            if not np.all(np.isfinite(stack)):
+                raise ValueError("velocity coefficients must be finite")
+            axes = tuple(range(1, grid.d + 1))
+            # to_grid's rule, on the stack scaled so that no transform overflows
+            _check_real(np.fft.ifftn(stack / np.abs(stack).max(initial=1e-300), axes=axes), axes)
+        self.half_stack = _read_only(contract_half(stack, grid))
         self.grid = grid
         self.departures = None
         if check:
             self.validate()
 
-    @cached_property
-    def components(self) -> tuple:
-        return tuple(SpectralField(self.grid, c) for c in self._stack)
+    @classmethod
+    def from_half_stack(cls, stack: np.ndarray, grid: TorusGrid) -> "VelocityField":
+        """The velocity of a coefficient stack in the scaled half layout,
+        unchecked; its half_stack is one copy of stack."""
+        u = cls.__new__(cls)
+        u.half_stack, u.grid, u.departures = _read_only(stack.copy()), grid, None
+        return u
 
     def validate(self, tol: float = 1e-12):
-        if not np.all(np.isfinite(self._stack)):
+        if not np.all(np.isfinite(self.half_stack)):
             raise ValueError("velocity coefficients must be finite")
-        scale = float(np.abs(self._stack).max())
+        c = self.half_stack / half_scale(self.grid.n)
+        scale = float(np.abs(c).max())
         if scale == 0.0:
             return
-        div_max = float(np.abs(sum(k * c for k, c in zip(wave_vectors(self.grid), self._stack))).max())
+        waves = _lattice(self.grid.d, self.grid.n, half=True).waves
+        div_max = float(np.abs(sum(k * cj for k, cj in zip(waves, c))).max())
         kmax = self.grid.n / 2 * math.sqrt(self.grid.d)
         if div_max > tol * scale * kmax:
             raise ValueError(f"velocity is not divergence-free: |k.u| up to {div_max:.3e}")
-        mean = float(np.abs(self._stack.reshape(self.grid.d, -1)[:, 0]).max())
+        mean = float(np.abs(c.reshape(self.grid.d, -1)[:, 0]).max())
         if mean > tol * scale:
             raise ValueError(f"velocity mean is not zero: {mean:.3e}")
 
     @cached_property
     def grid_stack(self) -> np.ndarray:
-        values = np.fft.ifftn(self._stack, axes=tuple(range(-self.grid.d, 0))) * self.grid.npoints
-        return _read_only(values.real.copy())
+        return _read_only(irfft_values(self.half_stack / half_scale(self.grid.n), self.grid))
 
     @cached_property
     def fine_stack(self) -> np.ndarray:
-        return _read_only(dealiaser(self.grid.d, self.grid.n).to_fine(self._stack))
+        engine = dealiaser(self.grid.d, self.grid.n)
+        return _read_only(engine.to_fine(self.half_stack / half_scale(self.grid.n)))
 
     @cached_property
-    def half_stack(self) -> np.ndarray:
-        """The coefficients in the scaled half layout, the solver's."""
-        return _read_only(contract_half(self._stack, self.grid))
+    def _full_stack(self) -> np.ndarray:
+        return _read_only(expand_half(self.half_stack, self.grid))
 
-    @classmethod
-    def from_half_stack(cls, stack: np.ndarray, grid: TorusGrid) -> "VelocityField":
-        """The velocity of a coefficient stack in the scaled half layout,
-        unchecked. It keeps a copy of stack as its half_stack, so the
-        layout round trip gives stack back bit for bit."""
-        u = cls(tuple(SpectralField(grid, c) for c in expand_half(stack, grid)), check=False)
-        u.half_stack = _read_only(stack.copy())
-        return u
+    def coeff_stack(self) -> np.ndarray:
+        """The coefficients in the full layout, of shape (d,) + grid.shape."""
+        return self._full_stack
+
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(SpectralField(self.grid, c) for c in self._full_stack)
 
     def grid_values(self) -> list:
         """Read-only views of the components' grid values."""
         return list(self.grid_stack)
-
-    def coeff_stack(self) -> np.ndarray:
-        return self._stack
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -266,8 +276,7 @@ def half_scale(n: int) -> np.ndarray:
     column stands for a mode and its conjugate, 1 at k_last = 0 and n/2."""
     scale = np.full(n // 2 + 1, math.sqrt(2.0))
     scale[[0, -1]] = 1.0
-    scale.flags.writeable = False
-    return scale
+    return _read_only(scale)
 
 
 @lru_cache(maxsize=32)
@@ -324,13 +333,18 @@ def to_grid(F: SpectralField, check: bool = True) -> GridField:
     """Inverse transform. Rejects coefficients without Hermitian symmetry."""
     values = np.fft.ifftn(F.coeffs) * F.grid.npoints
     if check:
-        scale = float(np.abs(values).max())
-        imag = float(np.abs(values.imag).max())
-        if imag > _HERMITIAN_RTOL * max(scale, 1e-300):
-            raise NonHermitianField(
-                f"imaginary residue {imag:.3e} exceeds {_HERMITIAN_RTOL:.0e} of field scale"
-            )
+        _check_real(values)
     return GridField(F.grid, values.real, check=False)
+
+
+def _check_real(values: np.ndarray, axes=None):
+    """NonHermitianField unless the imaginary residue of complex grid values,
+    whole or per field over axes, is within 1e-9 of the largest modulus."""
+    scale = np.maximum(np.abs(values).max(axis=axes), 1e-300)
+    imag = np.abs(values.imag).max(axis=axes)
+    if np.any(imag > _HERMITIAN_RTOL * scale):
+        raise NonHermitianField(f"imaginary residue {np.max(imag / scale):.3e} of the field scale "
+                                f"exceeds {_HERMITIAN_RTOL:.0e}")
 
 
 def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
@@ -348,9 +362,8 @@ def leray_project(components) -> VelocityField:
     Input is a sequence of d SpectralFields (a vector field); output
     satisfies the VelocityField invariants: k.u(k) = 0 and u(0) = 0.
     """
-    u = VelocityField(components, check=False)  # d components on one grid
-    out = project_div_free(u.coeff_stack(), u.grid)
-    return VelocityField(tuple(SpectralField(u.grid, c) for c in out), check=False)
+    u = VelocityField(components, check=False)  # d components on one grid, contracted
+    return VelocityField.from_half_stack(project_div_free(u.half_stack, u.grid), u.grid)
 
 
 def project_div_free(stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -458,10 +471,10 @@ def lp_block(F: SpectralField, j: int) -> SpectralField:
 
 
 @lru_cache(maxsize=32)
-def _low_pass(d: int, n: int, j: int):
-    mult = _CUTOFF.chi(_lattice(d, n).radius / float(2.0 ** (j - 1)))
-    mult.flags.writeable = False
-    return mult
+def _low_pass(grid: TorusGrid, j: int, half: bool = False) -> np.ndarray:
+    """The read-only multiplier of low_freq_truncate(., j), full or half layout."""
+    j = min(_SMOOTHING_INDEX.check("smoothing index j", j), j_max(grid))
+    return _read_only(_CUTOFF.chi(_lattice(grid.d, grid.n, half).radius / float(2.0 ** (j - 1))))
 
 
 def low_freq_truncate(F: SpectralField, j: int) -> SpectralField:
@@ -469,16 +482,15 @@ def low_freq_truncate(F: SpectralField, j: int) -> SpectralField:
     zero on |k| >= 2^j, so it converges to the identity as j grows. j is a
     smoothing index, the domain of a config's smoothing.n; from j_max on
     it is the identity."""
-    j = min(_SMOOTHING_INDEX.check("smoothing index j", j), j_max(F.grid))
-    return SpectralField(F.grid, F.coeffs * _low_pass(F.grid.d, F.grid.n, j))
+    return SpectralField(F.grid, F.coeffs * _low_pass(F.grid, j))
 
 
 # ---------------------------------------------------------------------------
 # norms
 
 def l2_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
-    """Spatial L2 inner product of real fields, or stacks of them, given by
-    their normalized coefficients: (2pi)^d Re sum a conj(b) (Parseval)."""
+    """Spatial L2 inner product (2pi)^d Re sum a conj(b) of real fields, or
+    stacks of them, by their coefficients in the full or scaled half layout."""
     return TWO_PI ** grid.d * float(np.vdot(b, a).real)
 
 

@@ -182,10 +182,10 @@ class _Workspace:
     the force balance) is in the scaled half layout of spectral
     (contract_half), of shape (k,) + stack_shape = (k, d) + (n,)*(d-1) +
     (n/2+1,), so that the minimizer's inner products are plain dot
-    products of flat real rows; stack_of and VelocityField.from_half_stack
-    convert at the public boundary. sel picks the k members a stack
-    belongs to: a basic slice for the whole batch, which reads the member
-    data without copying, or an index array.
+    products of flat real rows; a VelocityField stores that layout, so
+    stack_of and VelocityField.from_half_stack only stack and copy. sel
+    picks the k members a stack belongs to: a basic slice for the whole
+    batch, which reads the member data without copying, or an index array.
 
     Every coefficient stack the workspace is given must be divergence-free,
     k.c = 0 with the derivative wavevectors, as the projection leaves the
@@ -816,7 +816,7 @@ def monotonicity_gap_with_scale(prob: StokesProblem, u: VelocityField, phi: Velo
 def pairing_l2(u: VelocityField, v: VelocityField) -> float:
     """Spatial L2 inner product of two velocity fields."""
     _check_grid(u.grid, [v], "a velocity", "pairing with a velocity")
-    return l2_inner(u.grid, u.coeff_stack(), v.coeff_stack())
+    return l2_inner(u.grid, u.half_stack, v.half_stack)
 
 
 def minty_sweep(rho_sequence, rho_limit, test_functions, params: FluidParams,
@@ -840,8 +840,8 @@ def minty_sweep(rho_sequence, rho_limit, test_functions, params: FluidParams,
     raw = np.zeros((len(members), len(test_functions)))
     iters = [rep_lim.iterations] + [rep_n.iterations for _, rep_n in members]
     for i, (u_n, _) in enumerate(members):
-        diff = u_n.coeff_stack() - u_lim.coeff_stack()
-        raw[i] = [l2_inner(u_n.grid, diff, phi.coeff_stack()) for phi in test_functions]
+        diff = u_n.half_stack - u_lim.half_stack
+        raw[i] = [l2_inner(u_n.grid, diff, phi.half_stack) for phi in test_functions]
     return {"raw": raw, "pairings": np.abs(raw), "iterations": iters}
 
 

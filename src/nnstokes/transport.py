@@ -10,13 +10,13 @@ characteristics backward with a midpoint rule and resamples by periodic
 cubic B-spline interpolation; it is monotone up to interpolation overshoot
 and commutes with pointwise renormalization up to the same error. The
 splines are NumPy alone: the prefilter divides the half-layout
-coefficients by the spline's symbol, and an interpolation sums 4^d
-gathers of the wrap-padded spline coefficients against a stencil of
-weights. Its departure points depend on the velocity, the substep length
-and the drift, not on the density: a velocity keeps their stencil for its
-last (substep length, drift), so that stepping it again with the same
-ones, as evolve with a frozen velocity does, filters and interpolates
-only the density.
+coefficients, a velocity's stored ones, by the spline's symbol, and an
+interpolation sums 4^d gathers of the wrap-padded spline coefficients
+against a stencil of weights. Its departure points depend on the
+velocity, the substep length and the drift, not on the density: a
+velocity keeps their stencil for its last (substep length, drift), so
+that stepping it again with the same ones, as evolve with a frozen
+velocity does, filters and interpolates only the density.
 
 The velocity is frozen within a step. Constant background drifts, which
 the zero-mean velocity type cannot represent, enter through the explicit
@@ -43,6 +43,7 @@ from .spectral import (
     _lattice,
     _read_only,
     dealiaser,
+    half_scale,
     irfft_values,
     lebesgue_norm,
     rfft_coeffs,
@@ -245,7 +246,10 @@ def _departure_stencil(u: VelocityField, tau: float, mean_velocity) -> _Stencil:
         return _stencil(point, grid.n)
 
     midpoints = trace_back(0.5 * tau, u_idx)
-    u_mid = np.array([_interpolate(s, midpoints) for s in _splines(u_idx, grid)])
+    # u_idx's splines from the stored coefficients; the symbol is 1 at k = 0, where the drift adds
+    symbol = half_scale(grid.n) * _spline_symbol(grid.d, grid.n) * h
+    splines = _drifted(irfft_values(u.half_stack / symbol, grid), drift)
+    u_mid = np.array([_interpolate(s, midpoints) for s in splines])
     stencil = trace_back(tau, u_mid)
     u.departures = (key, stencil)
     return stencil

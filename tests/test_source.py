@@ -18,9 +18,14 @@ as zero is rheology._acts_as_zero), and none calls expm1 or log1p (the
 cancellation-free lifted power is rheology._lifted_power).
 
 A velocity's coefficient layout has one owner, spectral: a VelocityField
-stores one read-only coefficient stack, and coeff_stack() returns it, so
-outside spectral.py no comprehension iterates a .components attribute to
-read .coeffs, the way the stack used to be rebuilt.
+stores one read-only coefficient stack, so outside spectral.py no
+comprehension iterates a .components attribute to read .coeffs, the way
+the stack used to be rebuilt. That stack is the solver's scaled half
+layout, and the full layout is made only for the public API: outside
+spectral.py no module calls coeff_stack(), expand_half or contract_half,
+or loops over a .components attribute. The one exception is
+stokes.recover_pressure, which expands a force balance, not a velocity,
+into the full layout of the pressure it returns.
 
 No module imports scipy: the semi-Lagrangian scheme's cubic splines,
 which used scipy.ndimage, are NumPy in transport, so numpy is the one
@@ -328,3 +333,47 @@ def test_guard_flags_a_component_coefficient_read():
         (1, "(float(np.abs(c.coeffs).max()) for c in u.components)"),
         (2, "[SpectralField(g, -c.coeffs) for c in u.components]"),
         (3, "{a: b.coeffs for a, b in zip(again.components, u.components)}")]
+
+
+def velocity_layout_reads(source: str):
+    """(line, enclosing function or None, source) of every call of a
+    function or method named coeff_stack, expand_half or contract_half, and
+    of every for loop or comprehension whose iterable reads a .components
+    attribute; the source is the callee or the iterable."""
+    def named(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def reads_components(node):
+        return any(isinstance(x, ast.Attribute) and x.attr == "components" for x in ast.walk(node))
+
+    tree = ast.parse(source)
+    owner = {id(node): fn.name for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and named(node.func) in ("coeff_stack", "expand_half", "contract_half"):
+            found.append((node.lineno, node.func))
+        iterables = ([node.iter] if isinstance(node, (ast.For, ast.AsyncFor))
+                     else [gen.iter for gen in getattr(node, "generators", [])])
+        found += [(node.lineno, it) for it in iterables if reads_components(it)]
+    return sorted((line, owner.get(id(x)), ast.unparse(x)) for line, x in found)
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "spectral.py"],
+                         ids=lambda path: path.name)
+def test_velocities_are_read_in_their_stored_layout(path):
+    expected = [("recover_pressure", "expand_half")] if path.name == "stokes.py" else []
+    assert [(fn, what) for _, fn, what in velocity_layout_reads(path.read_text(encoding="utf-8"))] == expected
+
+
+def test_guard_flags_a_velocity_layout_read():
+    source = ("stack = u.coeff_stack()\nhalf = contract_half(stack, grid)\n"
+              "full = spectral.expand_half(half, grid)\nfor c in u.components:\n    pass\n"
+              "rows = [c.coeffs for c in v.components]\n"
+              "pairs = {a: b for a, b in zip(u.components, v.components)}\n"
+              "def f(u):\n    return sum(x for x in u.components)\n"
+              "ok = u.half_stack, leray_project(u.components), u.coeff_stacks, half_scale(n), stack\n")
+    assert velocity_layout_reads(source) == [
+        (1, None, "u.coeff_stack"), (2, None, "contract_half"), (3, None, "spectral.expand_half"),
+        (4, None, "u.components"), (6, None, "v.components"),
+        (7, None, "zip(u.components, v.components)"), (9, "f", "u.components")]

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nnstokes import (
+    AdvectionScheme,
     GridField,
     NonHermitianField,
     SpectralField,
     TorusGrid,
     VelocityField,
+    advect_step,
     bernstein_ratio,
     besov_norm,
     j_max,
@@ -32,6 +34,7 @@ from nnstokes import (
     to_grid,
     to_spectral,
 )
+from nnstokes import spectral
 from nnstokes.fields import random_band_field, random_velocity
 from nnstokes.spectral import (
     Dealiaser,
@@ -288,7 +291,8 @@ class TestVelocityField:
         assert speed_sup(u) == before == speed_sup(VelocityField(u.components))
 
     def test_stack_is_stored_once(self, grid2d):
-        """coeff_stack() returns the stored stack, which the components view."""
+        """coeff_stack() returns one kept full-layout stack, made on first
+        use from the stored half stack, which the components view."""
         u = random_velocity(grid2d, seed=2, kmax=4)
         stack = u.coeff_stack()
         assert stack is u.coeff_stack()
@@ -297,18 +301,45 @@ class TestVelocityField:
             assert c.coeffs.base is stack and np.array_equal(c.coeffs, row)
 
     def test_callers_arrays_are_copied(self, grid2d):
-        """The velocity copies the given coefficients: the caller's arrays
-        keep their flags and share no memory with it."""
+        """The velocity contracts the given coefficients into its own half
+        stack: the caller's arrays keep their flags and share no memory with
+        it, and its full layout is the given one to rounding (x * sqrt(2)
+        / sqrt(2) need not be x)."""
         raw = [to_spectral(random_grid_field(grid2d, seed)) for seed in (3, 4)]
         coeffs = project_div_free(np.stack([f.coeffs for f in raw]), grid2d)
         given_ = [SpectralField(grid2d, c) for c in coeffs]
         u = VelocityField(given_)
         for f in given_:
             assert f.coeffs.flags.writeable
+            assert not np.shares_memory(f.coeffs, u.half_stack)
             assert not np.shares_memory(f.coeffs, u.coeff_stack())
-        kept = coeffs.copy()
+        before, kept = coeffs.copy(), u.half_stack.copy()
         given_[0].coeffs[1, 0] += 1.0
-        assert np.array_equal(u.coeff_stack(), kept)
+        assert np.array_equal(u.half_stack, kept)
+        assert np.abs(u.coeff_stack() - before).max() <= 1e-15 * np.abs(before).max()
+
+    def test_one_half_layout_stack_is_stored(self, grid2d, monkeypatch):
+        """A velocity stores one coefficient array, its half_stack in the
+        solver's scaled half layout; it used to keep the full layout too.
+        from_half_stack keeps one copy of the given stack, and neither it
+        nor the grid, fine-grid or SL arrays expand the stack to the full
+        layout."""
+        def arrays(u):
+            return [name for name, a in vars(u).items() if isinstance(a, np.ndarray)]
+
+        u = random_velocity(grid2d, seed=2, kmax=4)
+        assert arrays(u) == ["half_stack"]
+        assert u.half_stack.shape == (2, 32, 17) and not u.half_stack.flags.writeable
+        expanded = []
+        monkeypatch.setattr(spectral, "expand_half", lambda *args: expanded.append(args))
+        stack = np.array(u.half_stack)
+        v = VelocityField.from_half_stack(stack, grid2d)
+        assert arrays(v) == ["half_stack"]
+        assert np.array_equal(v.half_stack, stack) and not np.shares_memory(v.half_stack, stack)
+        speed_sup(v)
+        v.fine_stack
+        advect_step(GridField(grid2d, np.ones(grid2d.shape)), v, AdvectionScheme("semi_lagrangian"))
+        assert expanded == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficients_rejected(self, grid2d, bad):
@@ -320,6 +351,14 @@ class TestVelocityField:
         with pytest.raises(ValueError, match="velocity coefficients must be finite"):
             VelocityField(comps)
         VelocityField(comps, check=False)  # unchecked, as the solver's own output is
+
+    def test_non_finite_negative_frequency_rejected(self, grid2d):
+        """The stored half layout drops the negative last-axis frequencies,
+        so the constructor checks the given stack itself."""
+        coeffs = np.zeros((2,) + grid2d.shape, dtype=np.complex128)
+        coeffs[0, 0, -1] = math.nan
+        with pytest.raises(ValueError, match="velocity coefficients must be finite"):
+            VelocityField([SpectralField(grid2d, c) for c in coeffs])
 
     def test_divergence_rejected(self, grid2d):
         f = mode_field(grid2d, (1, 0))  # a mode along axis 0, carried by u_0

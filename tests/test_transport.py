@@ -11,10 +11,12 @@ import pytest
 from scipy.ndimage import map_coordinates
 
 from nnstokes import (
+    AdmissibleEta,
     AdvectionScheme,
     CflViolation,
     FluidParams,
     GridField,
+    NonHermitianField,
     SpectralField,
     TorusGrid,
     UnresolvableMollifier,
@@ -60,7 +62,7 @@ def overflowing_sine(grid):
     coeffs[1, 0], coeffs[-1, 0] = -1.5e308j, 1.5e308j
     zero = SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
     u = VelocityField((zero, SpectralField(grid, coeffs)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u.grid_stack  # kept, so the tests meet no overflow warning
     return u
 
@@ -400,98 +402,168 @@ def reference_semi_lagrangian(rho, u, tau, m, mean_velocity=None):
 REFERENCES = {"spectral_rk4": reference_rk4, "semi_lagrangian": reference_semi_lagrangian}
 
 
+class TestNonHermitianVelocity:
+    @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
+    @pytest.mark.parametrize("index", [(0, 1), (0, -1)])
+    def test_a_mode_without_its_conjugate_is_rejected(self, index, kind):
+        """Component 0 = 0.5 at k = (0, +-1) with no conjugate, component 1
+        zero: divergence-free with zero mean, and the checked constructor
+        used to accept it. The two schemes then advected by different
+        fields, RK4 by the positive last-axis half (fine-grid sup 1.0 at
+        (0, 1), 0 at (0, -1)) and SL by the whole layout (grid sup 0.5):
+        one dt = 0.2 step of sines2 moved rho by 0.099 under RK4 and 0.050
+        under SL at (0, 1), and by 8.9e-16 and 0.050 at (0, -1)."""
+        grid = TorusGrid(2, 16)
+        coeffs = np.zeros((2,) + grid.shape, dtype=np.complex128)
+        coeffs[(0,) + index] = 0.5
+        rho = sines2_field(grid, 2.0, 0.5, 0.25)
+        with pytest.raises(NonHermitianField, match=r"imaginary residue 1\.000e\+00 of the field scale"):
+            u = VelocityField([SpectralField(grid, c) for c in coeffs])
+            advect_step(rho, u, AdvectionScheme(kind, dt=0.2))
+
+    def test_a_huge_mode_without_its_conjugate_is_rejected(self):
+        """Component 0 = 3e308 cos x2 + 1.5e308 exp(2i x2): finite
+        coefficients whose inverse transform overflows along x2, which would
+        hide the imaginary residue as NaN, so the check transforms them
+        scaled."""
+        grid = TorusGrid(2, 16)
+        coeffs = np.zeros((2,) + grid.shape, dtype=np.complex128)
+        coeffs[0, 0, 1] = coeffs[0, 0, -1] = coeffs[0, 0, 2] = 1.5e308
+        with pytest.raises(NonHermitianField, match="of the field scale"):
+            VelocityField([SpectralField(grid, c) for c in coeffs])
+
+
 class TestStoredVelocityValues:
     """A velocity is transformed at most once, however often it is stepped."""
 
     @pytest.mark.parametrize("kind", ["spectral_rk4", "semi_lagrangian"])
     def test_ten_steps_transform_the_velocity_once(self, grid2d, kind, monkeypatch):
-        """Ten steps transform the velocity's stored coefficient stack to
-        the grid once, as one batched inverse FFT (it used to take one
-        to_grid call per component), and to the fine grid at most once."""
+        """Ten steps transform the velocity's stored half stack, unscaled,
+        to the grid once, as one inverse real FFT (it used to be a complex
+        ifftn of the full layout, and before that one to_grid call per
+        component), and to the fine grid at most once. No step makes a
+        complex inverse FFT of the velocity."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
-        coeffs = u.coeff_stack()
-        calls = {"ifftn": 0, "to_fine": 0}
-        ifftn_, to_fine_ = np.fft.ifftn, spectral.Dealiaser.to_fine
+        coeffs = u.half_stack / spectral.half_scale(grid2d.n)
+        calls = {"irfftn": 0, "ifftn": 0, "to_fine": 0}
+        irfftn_, ifftn_, to_fine_ = np.fft.irfftn, np.fft.ifftn, spectral.Dealiaser.to_fine
 
         def of_velocity(a):
             return np.shape(a) == coeffs.shape and np.array_equal(a, coeffs)
 
+        def counted_irfftn(a, *args, **kwargs):
+            calls["irfftn"] += of_velocity(a)
+            return irfftn_(a, *args, **kwargs)
+
         def counted_ifftn(a, *args, **kwargs):
-            calls["ifftn"] += of_velocity(a)
+            calls["ifftn"] += np.ndim(a) == 3
             return ifftn_(a, *args, **kwargs)
 
         def counted_to_fine(engine, stack):
             calls["to_fine"] += of_velocity(stack)
             return to_fine_(engine, stack)
 
+        monkeypatch.setattr(np.fft, "irfftn", counted_irfftn)
         monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
         monkeypatch.setattr(spectral.Dealiaser, "to_fine", counted_to_fine)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         scheme = AdvectionScheme(kind=kind, dt=0.05)
         for _ in range(10):
             rho = advect_step(rho, u, scheme)
-        assert calls == {"ifftn": 1, "to_fine": int(kind == "spectral_rk4")}
+        assert calls == {"irfftn": 1, "ifftn": 0, "to_fine": int(kind == "spectral_rk4")}
 
     @staticmethod
     def count_splines_and_stencils(monkeypatch):
-        """Lists that record the values of every prefilter (_splines) and
-        the shape of the points of every stencil build (_stencil)."""
-        filtered, stencils = [], []
-        splines_, stencil_ = transport._splines, transport._stencil
+        """Lists that record the values of every prefilter (_splines), the
+        coefficients of every inverse real transform in transport
+        (irfft_values), the shape of every forward real FFT (np.fft.rfftn),
+        and the shape of the points of every stencil build (_stencil)."""
+        filtered, inverse, forward, stencils = [], [], [], []
+        splines_, irfft_, rfftn_, stencil_ = (transport._splines, transport.irfft_values,
+                                              np.fft.rfftn, transport._stencil)
 
         def counted_splines(values, grid):
             filtered.append(np.array(values))
             return splines_(values, grid)
+
+        def counted_irfft(coeffs, grid):
+            inverse.append(np.array(coeffs))
+            return irfft_(coeffs, grid)
+
+        def counted_rfftn(values, *args, **kwargs):
+            forward.append(np.shape(values))
+            return rfftn_(values, *args, **kwargs)
 
         def counted_stencil(points, n):
             stencils.append(points.shape)
             return stencil_(points, n)
 
         monkeypatch.setattr(transport, "_splines", counted_splines)
+        monkeypatch.setattr(transport, "irfft_values", counted_irfft)
+        monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
         monkeypatch.setattr(transport, "_stencil", counted_stencil)
-        return filtered, stencils
+        return filtered, inverse, forward, stencils
+
+    @staticmethod
+    def velocity_splines(u):
+        """The half-layout coefficients whose inverse real transform is the
+        velocity's cubic splines in grid units: the stored half stack,
+        unscaled and divided by the spline symbol and h."""
+        grid = u.grid
+        symbol = spectral.half_scale(grid.n) * transport._spline_symbol(grid.d, grid.n) * grid.h
+        return u.half_stack / symbol
 
     def test_ten_steps_filter_the_velocity_once(self, grid2d, monkeypatch):
         """The semi-Lagrangian scheme traces the departure points once per
         (velocity, substep length, drift) and keeps their stencil on the
-        velocity, so ten steps of one velocity at one dt prefilter the
-        velocity once, its d components in one batch, and build two
-        stencils, at the midpoints and at the departure points; it used to
-        trace them again at every substep. The density, which changes, is
-        prefiltered once per substep."""
+        velocity, so ten steps of one velocity at one dt build the
+        velocity's splines once, its d components in one batch, and build
+        two stencils, at the midpoints and at the departure points; it used
+        to trace them again at every substep. The velocity's splines come
+        from its stored half stack, one division and one inverse transform:
+        it is never prefiltered from its grid values, which took a forward
+        transform. The density, which changes, is prefiltered once per
+        substep."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
-        filtered, stencils = self.count_splines_and_stencils(monkeypatch)
+        filtered, inverse, forward, stencils = self.count_splines_and_stencils(monkeypatch)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
         for _ in range(10):
             rho = advect_step(rho, u, scheme)
         assert stencils == [(2,) + grid2d.shape] * 2
-        assert np.array_equal(filtered[0], u.grid_stack / grid2d.h)
-        substeps = len(filtered) - 1
+        velocities = [a for a in inverse if a.ndim == 3]
+        assert len(velocities) == 1 and np.array_equal(velocities[0], self.velocity_splines(u))
+        substeps = len(filtered)
         assert substeps >= 10
-        assert [a.shape for a in filtered[1:]] == [grid2d.shape] * substeps
+        assert [a.shape for a in filtered] == [grid2d.shape] * substeps
+        assert forward == [grid2d.shape] * substeps
 
     def test_a_new_key_filters_the_velocity_again(self, grid2d, monkeypatch):
         """The velocity's spline coefficients are not kept: a step with the
-        kept key filters no velocity and builds no stencil, and a step with
-        a new key, another substep length or a drift, filters grid_stack / h,
-        drift added, once more and builds two stencils."""
+        kept key builds no velocity splines and no stencil, and a step with
+        a new key, another substep length or a drift, builds them from the
+        stored half stack once more, with no forward transform of the
+        velocity, and builds two stencils. The drift is added to the
+        splines, as to the values, since the symbol is 1 at k = 0."""
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
-        filtered, stencils = self.count_splines_and_stencils(monkeypatch)
+        filtered, inverse, forward, stencils = self.count_splines_and_stencils(monkeypatch)
         rho = sines2_field(grid2d, offset=2.0, a=0.5, b=0.25)
         scheme = AdvectionScheme(kind="semi_lagrangian", dt=0.05)
         counts = []
         for dt, drift in ((0.05, None), (0.05, None), (0.035, None), (0.035, None),
                           (0.035, (0.3, -0.2)), (0.035, (0.3, -0.2)), (0.05, None)):
             advect_step(rho, u, scheme, dt=dt, mean_velocity=drift)
-            counts.append((sum(a.ndim == 3 for a in filtered), len(stencils)))
+            counts.append((sum(a.ndim == 3 for a in inverse), len(stencils)))
         assert counts == [(1, 2), (1, 2), (2, 4), (2, 4), (3, 6), (3, 6), (4, 8)]
+        assert all(a.ndim == 2 for a in filtered)
+        assert all(len(shape) == 2 for shape in forward)
+        splines = self.velocity_splines(u)
+        assert all(np.array_equal(a, splines) for a in inverse if a.ndim == 3)
         h = grid2d.h
-        plain = u.grid_stack / h
-        drifted = plain + np.reshape(np.divide((0.3, -0.2), h), (2, 1, 1))
-        velocities = [a for a in filtered if a.ndim == 3]
-        for a, b in zip(velocities, [plain, plain, drifted, plain]):
-            assert np.array_equal(a, b)
+        drifted = u.grid_stack / h + np.reshape(np.divide((0.3, -0.2), h), (2, 1, 1))
+        reference = _splines(drifted, grid2d)
+        kept = irfft_values(splines, grid2d) + np.reshape(np.divide((0.3, -0.2), h), (2, 1, 1))
+        assert np.abs(kept - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_stored_values_are_read_only(self, grid2d):
         u = random_velocity(grid2d, seed=5, kmax=4, amplitude=1.0)
@@ -506,13 +578,15 @@ class TestStoredVelocityValues:
         assert base.shape == (grid2d.npoints,)
         assert weights.shape == (2, 4, grid2d.npoints)
         assert base.size + weights.size == (4 * grid2d.d + 1) * grid2d.npoints
-        for a in (u.grid_stack, u.fine_stack, base, weights, *u.grid_values()):
+        for a in (u.half_stack, u.grid_stack, u.fine_stack, base, weights, *u.grid_values(),
+                  u.coeff_stack(), *(c.coeffs for c in u.components)):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
         for a, c in zip(u.grid_values(), u.components):
             assert np.shares_memory(a, u.grid_stack)
-            assert np.array_equal(a, to_grid(c, check=False).values)
+            expected = to_grid(c, check=False).values  # a complex ifftn of the full layout
+            assert np.abs(a - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_drift_leaves_the_stored_values_alone(self, grid2d):
         """A drifted step replaces the kept departure stencil without writing
@@ -553,8 +627,8 @@ class TestStoredVelocityValues:
                           (0.08, None), (0.2, None), (0.1, None)):
             m = _substep_count(dt, _cfl_cap(scheme, grid2d, speed_sup(u, drift)))
             expected = reference_semi_lagrangian(rho, u, dt / m, m, drift)
-            fresh = advect_step(rho, VelocityField(u.components, check=False), scheme, dt=dt,
-                                mean_velocity=drift)
+            fresh = advect_step(rho, VelocityField.from_half_stack(u.half_stack, grid2d), scheme,
+                                dt=dt, mean_velocity=drift)
             rho = advect_step(rho, u, scheme, dt=dt, mean_velocity=drift)
             assert np.abs(rho.values - expected).max() <= 1e-12 * np.abs(expected).max()
             assert rho.values.tobytes() == fresh.values.tobytes()
@@ -738,6 +812,29 @@ class TestAdmissibleEta:
     def test_rejects_bad_clamp_level(self):
         with pytest.raises(ValueError, match="positive"):
             smooth_clamp(0.0)
+
+    # each sampled violation alone, by its message: the whole error must be that one problem
+
+    def test_rejects_non_finite_eta(self):
+        with pytest.raises(ValueError, match=r"^inadmissible eta: eta is not finite on the sample grid$"):
+            custom_eta(lambda r: np.where(np.asarray(r) > 1e5, np.nan, np.arctan(r)),
+                       lambda r: 1.0 / (1.0 + np.asarray(r) ** 2), bound=2.0)
+
+    def test_rejects_non_finite_derivative(self):
+        with pytest.raises(ValueError, match=r"^inadmissible eta: eta' is not finite on the sample grid$"):
+            custom_eta(np.arctan, lambda r: np.where(np.asarray(r) == 0.0, np.inf, 1.0), bound=2.0)
+
+    def test_rejects_a_clamp_that_is_not_the_identity_inside(self):
+        atan = atan_scaled(1.0)
+        with pytest.raises(ValueError, match=r"^inadmissible eta: smooth_clamp is not the identity "
+                                             r"on \[-0\.5, 0\.5\]$"):
+            AdmissibleEta("smooth_clamp", atan.eta, atan.deta, bound=atan.bound, param=0.5)
+
+    def test_rejects_a_clamp_steeper_than_one(self):
+        clamp = smooth_clamp(1.0)
+        with pytest.raises(ValueError, match=r"^inadmissible eta: smooth_clamp derivative exceeds 1$"):
+            AdmissibleEta("smooth_clamp", clamp.eta, lambda r: 2.0 * clamp.deta(r), bound=clamp.bound,
+                          param=1.0)
 
 
 class TestRenormalize:
